@@ -80,7 +80,7 @@ class CheckPlane:
         if getattr(self.sim, "checker", None) is self:
             self.sim.checker = None
 
-    # -- engine hook (called by Simulator.run/step) -----------------------
+    # -- engine hook (called by Simulator.run) ----------------------------
     def on_schedule(self, when: float, seq: int, fn) -> None:
         rec = self.recorder
         if rec is not None:

@@ -413,6 +413,19 @@ def _cmd_bench(argv) -> int:
                              "is printed with its baseline and current "
                              "value")
     args = parser.parse_args(argv)
+    # Load the baseline first: a bad path should fail in a second, not
+    # after minutes of benchmarking.
+    baseline = None
+    if args.check:
+        try:
+            with open(args.check) as fh:
+                baseline = json.load(fh)
+            if not isinstance(baseline, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:
+            print(f"bench --check: cannot load baseline {args.check}: "
+                  f"{exc}", file=sys.stderr)
+            return 2
     bench = run_bench(pool=args.pool, quick=not args.full,
                       figures=args.figures)
     # The file is written before any printing or gating: a section that
@@ -453,9 +466,7 @@ def _cmd_bench(argv) -> int:
               f"fingerprint match={shard['match']}")
     for section in errored:
         print(f"  {section}: ERRORED: {bench[section]['error']}")
-    if args.check:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
+    if baseline is not None:
         failures = check_regression(bench, baseline)
         if failures:
             print("PERF REGRESSION vs " + args.check + ":")
@@ -678,7 +689,11 @@ def _cmd_scenario(argv) -> int:
 
     import dataclasses
     from .scenario import run_scenario
-    spec = _resolve_spec(args.spec)
+    try:
+        spec = _resolve_spec(args.spec)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
     if args.shards is not None or args.processes is not None:
         ex = spec.execution
         spec = dataclasses.replace(spec, execution=dataclasses.replace(

@@ -8,14 +8,9 @@
   generator-process Timeout loop, a dense many-timer population that
   exercises the calendar-queue event wheel against the forced-``heapq``
   path, and open-loop Poisson arrival generation with and without
-  lattice batching), for the current kernel with and without handle
-  pooling, and for a reference copy of the *seed* kernel (pre-fast-path
-  ``heapq`` loop with per-event allocation) kept here so the speedup is
-  measured, not remembered.  Both pooling numbers are recorded because
-  pooling's once-clear win on the chain shape dissolved into host
-  variance after the kernel fast path landed (the ordering now flips
-  between runs on the reference host) — which is why it defaults off
-  (docs/PERFORMANCE.md);
+  lattice batching), for the current kernel and for a reference copy
+  of the *seed* kernel (pre-fast-path ``heapq`` loop with per-event
+  allocation) kept here so the speedup is measured, not remembered;
 * **sweep** — wall-clock of a Figure-16-style grid through
   :class:`~repro.exec.sweep.ParallelSweep` serially, with a process
   pool, and from a warm result cache, asserting along the way that all
@@ -276,8 +271,7 @@ def _drop_packet(packet) -> None:
 
 def kernel_bench() -> Dict[str, float]:
     seed_chain = _chain_eps(SeedSimulator)
-    chain_pooled = _chain_eps(lambda: Simulator(pooling=True))
-    chain_unpooled = _chain_eps(lambda: Simulator(pooling=False))
+    chain_unpooled = _chain_eps(Simulator)
     post_chain = _chain_eps(Simulator, schedule="post")
     seed_cancel, seed_peak = _cancel_heavy_eps(SeedSimulator)
     cancel, peak = _cancel_heavy_eps(Simulator)
@@ -287,7 +281,6 @@ def kernel_bench() -> Dict[str, float]:
     arrivals_perpkt = _arrival_eps(lattice_us=0.0)
     return {
         "seed_chain_eps": seed_chain,
-        "chain_pooled_eps": chain_pooled,
         "chain_unpooled_eps": chain_unpooled,
         "post_chain_eps": post_chain,
         "process_timeout_eps": _process_eps(),

@@ -12,7 +12,7 @@ number), so two runs with the same seeds produce identical traces.
 Fast path
 ---------
 
-Five optimisations keep the kernel out of the profile at sweep scale
+Four optimisations keep the kernel out of the profile at sweep scale
 (see ``docs/PERFORMANCE.md``):
 
 * :meth:`Simulator.post` / :meth:`Simulator.post_at` schedule a bare
@@ -26,13 +26,6 @@ Five optimisations keep the kernel out of the profile at sweep scale
   the queue is compacted in place once more than half of it is dead,
   bounding memory in cancellation-heavy workloads (watchdogs, closed-loop
   timeouts);
-* fired :class:`EventHandle` objects can be recycled through a free list
-  when — and only when — the run loop holds the sole remaining reference
-  (checked via ``sys.getrefcount``).  Pooling is **off by default**:
-  on chain-shaped workloads the refcount guard plus pool bookkeeping
-  costs more than CPython's own allocator (BENCH_sweep.json measured
-  0.90M ev/s pooled vs 1.35M unpooled on the ``call_in`` chain), so the
-  pool is now opt-in for handle-churn shapes where it measures faster;
 * once more than :data:`_WHEEL_THRESHOLD` events are live, the binary
   heap is upgraded in place to a two-level **calendar wheel**
   (:class:`_EventWheel`): O(1) amortised insert into time buckets
@@ -46,12 +39,24 @@ Five optimisations keep the kernel out of the profile at sweep scale
 Raw ``post`` entries and handle entries share one queue and one sequence
 counter, so interleaving the two APIs preserves the global (time, seq)
 tie-break order exactly.
+
+Hook contract
+-------------
+
+The passive planes hang off four attributes: ``tracer`` and ``metrics``
+(read by components), ``checker`` and ``pulse`` (called by the kernel).
+Planes install before :meth:`Simulator.run`.  ``run()`` reads
+``checker`` and ``pulse`` once per call, so a plane installed between
+two bounded ``run(until=...)`` calls sees every event of the second
+call on, while one installed from inside a callback takes effect only
+at the next call.  Scheduling reads ``checker`` afresh on every push,
+for ``on_schedule``.
 """
 
 from __future__ import annotations
 
 import heapq
-import sys
+import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: Virtual time is expressed in microseconds throughout the code base.
@@ -62,10 +67,6 @@ SECOND = 1_000_000.0
 #: Compaction triggers once the queue holds at least this many tombstones
 #: *and* they outnumber the live entries (dead fraction > 50%).
 _COMPACT_MIN_DEAD = 64
-
-#: Upper bound on the handle free list; beyond this, fired handles are
-#: simply released to the garbage collector.
-_POOL_CAP = 4096
 
 #: In ``queue="auto"`` mode the heap upgrades to the calendar wheel once
 #: this many events are live.  Below the threshold the heap's O(log n)
@@ -107,7 +108,7 @@ class _EventWheel:
     __slots__ = ("width", "buckets", "keys", "cur", "idx", "extra",
                  "cur_key")
 
-    def __init__(self, entries: List[Tuple], now: float):
+    def __init__(self, entries: List[Tuple]):
         times = sorted(entry[0] for entry in entries)
         if times:
             # Robust span: ignore the farthest 10% so a handful of
@@ -228,18 +229,13 @@ class Simulator:
     >>> fired
     ['b', 'a']
 
-    ``pooling=True`` enables the :class:`EventHandle` free list.  It is
-    off by default: the refcount guard + pool bookkeeping loses to fresh
-    allocation on chain-shaped ``call_in`` workloads (see the pooled vs
-    unpooled rows in BENCH_sweep.json and docs/PERFORMANCE.md).
-
     ``queue`` selects the event-queue strategy: ``"auto"`` (default)
     starts on the binary heap and upgrades one-way to the calendar
     wheel once :data:`_WHEEL_THRESHOLD` events are live; ``"heap"``
     pins the heap (used by benchmarks to price the wheel).
     """
 
-    def __init__(self, pooling: bool = False, queue: str = "auto") -> None:
+    def __init__(self, queue: str = "auto") -> None:
         if queue not in ("auto", "heap"):
             raise SimulationError(f"unknown queue mode: {queue!r}")
         self._now: float = 0.0
@@ -250,8 +246,6 @@ class Simulator:
         self._running = False
         self._live: int = 0      # scheduled, not yet fired or cancelled
         self._dead: int = 0      # cancelled tombstones still in the queue
-        self._pool: List["EventHandle"] = []
-        self._pooling = pooling
         #: observability hooks, set by repro.obs.TracePlane.  Components
         #: check these per event and do nothing while they are None, so
         #: an uninstrumented run costs one attribute read per check.
@@ -261,8 +255,8 @@ class Simulator:
         #: calls ``checker.on_schedule(when, seq, fn)`` when an event is
         #: pushed and ``checker.after_step(when, seq, fn)`` after each
         #: fired callback — the determinism sanitizer's step digest and
-        #: the invariant monitors both hang off this.  While None (the
-        #: default) the run loop pays one attribute read per event.
+        #: the invariant monitors both hang off this.  ``run()`` reads it
+        #: (and ``pulse``) once per call; see the module's hook contract.
         self.checker = None
         #: periodic-sampling hook, set by repro.obs.pulse.PulsePlane.
         #: The run loop calls ``pulse.after_step(now)`` after each fired
@@ -314,17 +308,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past: {when} < now {self._now}"
             )
-        pool = self._pool
-        if pool:
-            handle = pool.pop()
-            handle.when = when
-            handle._fn = fn
-            handle._args = args
-            handle.cancelled = False
-            handle.fired = False
-        else:
-            handle = EventHandle(when, fn, args)
-            handle._sim = self
+        handle = EventHandle(when, fn, args, self)
         self._seq += 1
         self._live += 1
         wheel = self._wheel
@@ -351,12 +335,12 @@ class Simulator:
         Entries move verbatim; the wheel pops in (when, seq) order, so
         the switch is invisible to the event schedule (same callbacks,
         same timestamps, same digests).  The heap list is emptied *in
-        place*: the run loop's local alias drains and falls through to
-        the wheel loop on its next dispatch.
+        place* and stays empty: the run loop finds its local alias dry
+        and continues on the wheel.
         """
         entries = self._heap[:]
         del self._heap[:]
-        self._wheel = _EventWheel(entries, self._now)
+        self._wheel = _EventWheel(entries)
 
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the earliest queued entry, or None when empty.
@@ -381,194 +365,58 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        bounded = until is not None
+        chk = self.checker
+        pl = self.pulse
+        bound = math.inf if until is None else until
+        # _upgrade() and _compact() mutate self._heap in place, so this
+        # alias stays valid when a callback triggers either.
+        heap = self._heap
+        pop = heapq.heappop
         try:
             while True:
-                if self._wheel is None:
-                    if self._drain_heap(until, bounded):
+                if heap:
+                    if heap[0][0] > bound:
                         break
-                    # a callback crossed the wheel threshold: the heap
-                    # was emptied in place, continue on the wheel
-                    continue
-                self._drain_wheel(until, bounded)
-                break
-            if bounded and until > self._now:
+                    item = pop(heap)
+                else:
+                    # after an upgrade every push goes to the wheel, so
+                    # the heap stays dry and this branch serves the run
+                    wheel = self._wheel
+                    if wheel is None:
+                        break
+                    head = wheel.peek()
+                    if head is None or head > bound:
+                        break
+                    item = wheel.pop()
+                when = item[0]
+                if len(item) == 4:          # raw post(): (when, seq, fn, args)
+                    self._now = when
+                    self._live -= 1
+                    fn = item[2]
+                    fn(*item[3])
+                else:
+                    handle = item[2]
+                    if handle.cancelled:
+                        self._dead -= 1
+                        handle._fn = None
+                        handle._args = ()
+                        continue
+                    self._now = when
+                    self._live -= 1
+                    handle.fired = True
+                    fn = handle._fn
+                    fn(*handle._args)
+                if chk is not None:
+                    chk.after_step(when, item[1], fn)
+                if pl is not None:
+                    pl.after_step(when)
+            if until is not None and until > self._now:
                 self._now = until
-                pl = self.pulse
                 if pl is not None:
                     pl.after_step(until)
         finally:
             self._running = False
         return self._now
-
-    def _drain_heap(self, until: Optional[float], bounded: bool) -> bool:
-        """Heap-mode run loop.  Returns True when done (queue empty or
-        time bound reached), False when an upgrade emptied the heap and
-        the dispatcher should continue on the wheel."""
-        # _compact() mutates self._heap in place, so these aliases stay
-        # valid across a compaction triggered from inside a callback.
-        heap = self._heap
-        pool = self._pool
-        pooling = self._pooling
-        pop = heapq.heappop
-        getrefcount = sys.getrefcount
-        while heap:
-            if bounded and heap[0][0] > until:
-                return True
-            item = pop(heap)
-            if len(item) == 4:          # raw post(): (when, seq, fn, args)
-                self._now = item[0]
-                self._live -= 1
-                item[2](*item[3])
-                chk = self.checker
-                if chk is not None:
-                    chk.after_step(item[0], item[1], item[2])
-                pl = self.pulse
-                if pl is not None:
-                    pl.after_step(self._now)
-                continue
-            handle = item[2]
-            if handle.cancelled:
-                self._dead -= 1
-                handle._fn = None
-                handle._args = ()
-                continue
-            self._now = item[0]
-            seq = item[1]
-            item = None     # drop the tuple's handle ref for the
-            self._live -= 1  # refcount check below
-            handle.fired = True
-            handle._fn(*handle._args)
-            # The checker sees the bound fn, never the handle: an
-            # extra handle reference would defeat the refcount guard.
-            chk = self.checker
-            if chk is not None:
-                chk.after_step(self._now, seq, handle._fn)
-            pl = self.pulse
-            if pl is not None:
-                pl.after_step(self._now)
-            # Recycle only when the loop holds the sole reference
-            # (local var + getrefcount argument == 2): a handle the
-            # caller kept must never be reused for a new event.
-            if pooling and getrefcount(handle) == 2 and len(pool) < _POOL_CAP:
-                handle._fn = None
-                handle._args = ()
-                pool.append(handle)
-        return self._wheel is None
-
-    def _drain_wheel(self, until: Optional[float], bounded: bool) -> None:
-        """Wheel-mode run loop; same event semantics as the heap loop."""
-        wheel = self._wheel
-        pool = self._pool
-        pooling = self._pooling
-        getrefcount = sys.getrefcount
-        peek = wheel.peek
-        pop = wheel.pop
-        while True:
-            head = peek()
-            if head is None:
-                return
-            if bounded and head > until:
-                return
-            item = pop()
-            if len(item) == 4:          # raw post(): (when, seq, fn, args)
-                self._now = item[0]
-                self._live -= 1
-                item[2](*item[3])
-                chk = self.checker
-                if chk is not None:
-                    chk.after_step(item[0], item[1], item[2])
-                pl = self.pulse
-                if pl is not None:
-                    pl.after_step(self._now)
-                continue
-            handle = item[2]
-            if handle.cancelled:
-                self._dead -= 1
-                handle._fn = None
-                handle._args = ()
-                continue
-            self._now = item[0]
-            seq = item[1]
-            item = None     # drop the tuple's handle ref for the
-            self._live -= 1  # refcount check below
-            handle.fired = True
-            handle._fn(*handle._args)
-            chk = self.checker
-            if chk is not None:
-                chk.after_step(self._now, seq, handle._fn)
-            pl = self.pulse
-            if pl is not None:
-                pl.after_step(self._now)
-            if pooling and getrefcount(handle) == 2 and len(pool) < _POOL_CAP:
-                handle._fn = None
-                handle._args = ()
-                pool.append(handle)
-
-    def step(self) -> bool:
-        """Execute a single event.  Returns False when nothing is pending."""
-        if self._wheel is not None:
-            return self._step_wheel()
-        while self._heap:
-            item = heapq.heappop(self._heap)
-            if len(item) == 4:
-                self._now = item[0]
-                self._live -= 1
-                item[2](*item[3])
-                chk = self.checker
-                if chk is not None:
-                    chk.after_step(item[0], item[1], item[2])
-                pl = self.pulse
-                if pl is not None:
-                    pl.after_step(self._now)
-                return True
-            handle = item[2]
-            if handle.cancelled:
-                self._dead -= 1
-                continue
-            self._now = item[0]
-            self._live -= 1
-            handle.fire()
-            chk = self.checker
-            if chk is not None:
-                chk.after_step(item[0], item[1], handle._fn)
-            pl = self.pulse
-            if pl is not None:
-                pl.after_step(self._now)
-            return True
-        return False
-
-    def _step_wheel(self) -> bool:
-        """Single-event execution on the calendar wheel."""
-        wheel = self._wheel
-        while wheel.peek() is not None:
-            item = wheel.pop()
-            if len(item) == 4:
-                self._now = item[0]
-                self._live -= 1
-                item[2](*item[3])
-                chk = self.checker
-                if chk is not None:
-                    chk.after_step(item[0], item[1], item[2])
-                pl = self.pulse
-                if pl is not None:
-                    pl.after_step(self._now)
-                return True
-            handle = item[2]
-            if handle.cancelled:
-                self._dead -= 1
-                continue
-            self._now = item[0]
-            self._live -= 1
-            handle.fire()
-            chk = self.checker
-            if chk is not None:
-                chk.after_step(item[0], item[1], handle._fn)
-            pl = self.pulse
-            if pl is not None:
-                pl.after_step(self._now)
-            return True
-        return False
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1)."""
@@ -603,26 +451,17 @@ class EventHandle:
 
     __slots__ = ("when", "_fn", "_args", "cancelled", "fired", "_sim")
 
-    def __init__(self, when: float, fn: Callable[..., Any], args: Tuple[Any, ...]):
+    def __init__(self, when: float, fn: Callable[..., Any],
+                 args: Tuple[Any, ...], sim: Simulator):
         self.when = when
         self._fn = fn
         self._args = args
         self.cancelled = False
         self.fired = False
-        self._sim: Optional[Simulator] = None
+        self._sim = sim
 
     def cancel(self) -> None:
         if self.cancelled or self.fired:
             return
         self.cancelled = True
-        sim = self._sim
-        if sim is not None:
-            sim._note_cancel()
-
-    def fire(self) -> None:
-        if not self.cancelled:
-            self.fired = True
-            self._fn(*self._args)
-
-    def __lt__(self, other: "EventHandle") -> bool:  # heap tiebreak safety
-        return id(self) < id(other)
+        self._sim._note_cancel()

@@ -176,3 +176,31 @@ def test_bench_check_help_states_exit_codes(capsys):
         main(["bench", "--help"])
     out = " ".join(capsys.readouterr().out.split())   # undo help wrapping
     assert "Exit code 0" in out and "Exit code 1" in out
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+def test_bench_check_bad_baseline_exits_two_before_benchmarking(
+        capsys, tmp_path, monkeypatch, content):
+    import repro.exec.bench as bench_mod
+
+    def never(**kwargs):
+        raise AssertionError("benchmarked before loading the baseline")
+
+    monkeypatch.setattr(bench_mod, "run_bench", never)
+    baseline = tmp_path / "baseline.json"
+    if content is not None:
+        baseline.write_text(content)
+    code = main(["bench", "--out", str(tmp_path / "out.json"),
+                 "--check", str(baseline)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cannot load baseline" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_run_unknown_spec_exits_two_listing_known_specs(capsys):
+    from repro.scenario import shipped_specs
+    assert main(["run", "no-such-spec"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no-such-spec" in err
+    assert all(name in err for name in shipped_specs())

@@ -105,13 +105,96 @@ def test_next_event_time_and_bounded_run_in_wheel_mode():
     assert sim.next_event_time() == 7.25
 
 
-def test_step_executes_one_event_in_wheel_mode():
-    sim = Simulator(queue="auto")
+# -- hook contract: checker/pulse are read once per run() ---------------------
+
+class _Checker:
+    def __init__(self):
+        self.scheduled = {}
+        self.steps = []
+
+    def on_schedule(self, when, seq, fn):
+        self.scheduled[seq] = when
+
+    def after_step(self, when, seq, fn):
+        self.steps.append((when, seq))
+
+
+class _Pulse:
+    def __init__(self):
+        self.times = []
+
+    def after_step(self, now):
+        self.times.append(now)
+
+
+def _plan(sim, fired, rng, count, horizon):
+    """Schedule ``count`` events through both APIs; cancel about a
+    third of the handle ones.  Returns the number cancelled."""
+    def tick():
+        fired.append(sim.now)
+
+    doomed = 0
+    for i in range(count):
+        when = sim.now + rng.uniform(0.0, horizon)
+        if i % 2:
+            sim.post_at(when, tick)
+            continue
+        handle = sim.call_at(when, tick)
+        if rng.random() < 0.3:
+            handle.cancel()
+            doomed += 1
+    return doomed
+
+
+@pytest.mark.parametrize("mode", ["heap", "wheel", "upgrade-mid-run"])
+def test_hooks_see_every_fired_event_in_order(mode):
+    sim = Simulator(queue="heap" if mode == "heap" else "auto")
+    chk, pl = _Checker(), _Pulse()
+    sim.checker, sim.pulse = chk, pl
     fired = []
-    _fill(sim, _WHEEL_THRESHOLD + 1, horizon=90.0)
-    sim.post_at(1.0, lambda: fired.append("a"))
-    sim.post_at(2.0, lambda: fired.append("b"))
-    assert sim._wheel is not None
-    assert sim.step()
-    assert fired == ["a"]
-    assert sim.now == 1.0
+    rng = random.Random(31)
+    doomed = [_plan(sim, fired, rng, 300, 50.0)]
+    upgraded_in_run = []
+
+    def burst():
+        doomed[0] += _plan(sim, fired, rng, 2 * _WHEEL_THRESHOLD, 100.0)
+        upgraded_in_run.append(sim._running and sim._wheel is not None)
+
+    if mode == "wheel":
+        burst()
+        assert sim._wheel is not None
+    else:
+        sim.post_at(10.0, burst)
+    sim.run()
+
+    assert (sim._wheel is not None) == (mode != "heap")
+    assert upgraded_in_run == [mode == "upgrade-mid-run"]
+    assert chk.steps == sorted(chk.steps)
+    assert len(chk.steps) == len(chk.scheduled) - doomed[0]
+    assert all(chk.scheduled[seq] == when for when, seq in chk.steps)
+    assert len(fired) == len(chk.steps) - (mode != "wheel")   # burst
+    assert pl.times == [when for when, _ in chk.steps]
+
+
+@pytest.mark.parametrize("queue", ["heap", "auto"])
+def test_plane_installed_between_bounded_runs_sees_the_rest(queue):
+    # The shard executor's pattern: bounded run(until=...) windows, with
+    # a plane attached between two of them.
+    sim = Simulator(queue=queue)
+    fired = []
+    _plan(sim, fired, random.Random(5), 2 * _WHEEL_THRESHOLD, 100.0)
+    assert (sim._wheel is not None) == (queue == "auto")
+    sim.run(until=40.0)
+    before = len(fired)
+    assert 0 < before
+    chk, pl = _Checker(), _Pulse()
+    sim.checker, sim.pulse = chk, pl
+    sim.run(until=70.0)
+    sim.run()
+    assert len(chk.steps) == len(fired) - before > 0
+    assert chk.steps == sorted(chk.steps)
+    assert all(40.0 < when for when, _ in chk.steps)
+    # the pulse also sees the bounded call's final advance to 70.0
+    steps = [when for when, _ in chk.steps]
+    assert pl.times == [t for t in steps if t <= 70.0] + [70.0] + \
+        [t for t in steps if t > 70.0]
