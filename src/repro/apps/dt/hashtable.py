@@ -8,6 +8,7 @@ phase 1 and commit/abort.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -33,7 +34,10 @@ class ExtensibleHashTable:
         self.resizes = 0
 
     def _bucket(self, key: str) -> List[Entry]:
-        return self._buckets[hash(key) & (len(self._buckets) - 1)]
+        # crc32, not hash(): bucket placement must not depend on the
+        # per-process str hash salt
+        crc = zlib.crc32(key.encode())
+        return self._buckets[crc & (len(self._buckets) - 1)]
 
     def _find(self, key: str) -> Optional[Entry]:
         for entry in self._bucket(key):

@@ -18,6 +18,7 @@ under unit tests and over iPipe actors.
 from __future__ import annotations
 
 import itertools
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -84,8 +85,11 @@ class TxnCoordinator:
         self.participants = list(participants)
         self.send = send
         self.log_append = log_append
+        # crc32, not hash(): str hashing is salted per process
+        # (PYTHONHASHSEED), which would move the key->owner map
         self.owner_of = owner_of or (
-            lambda key: self.participants[hash(key) % len(self.participants)])
+            lambda key: self.participants[
+                zlib.crc32(key.encode()) % len(self.participants)])
         self._txns: Dict[int, _TxnState] = {}
         self.committed = 0
         self.aborted = 0

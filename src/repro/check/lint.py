@@ -1,6 +1,6 @@
 """``repro lint``: a static pass banning nondeterminism hazards.
 
-Three rules, enforced over ``src/repro/``:
+Four rules, enforced over ``src/repro/``:
 
 * **wall-clock** — calls to host clocks (``time.time``, ``time.time_ns``,
   ``time.monotonic[_ns]``, ``time.perf_counter[_ns]``,
@@ -22,6 +22,12 @@ Three rules, enforced over ``src/repro/``:
   ``sorted(...)``.  Dict iteration is insertion-ordered in every
   supported CPython and is deliberately not flagged — the sanitizer's
   replay digest covers insertion-order regressions dynamically.
+* **builtin-hash** — calls to the builtin ``hash()``.  ``str`` and
+  ``bytes`` hashes are salted per process (``PYTHONHASHSEED``), so a
+  partition, bucket or seed derived from them differs between two runs
+  of the same seed in fresh interpreters — invisible to an in-process
+  replay.  Use ``zlib.crc32(key.encode())``; an int-only hash that is
+  stable across processes may carry an inline allow with its reason.
 
 Suppression: a finding on a line containing ``# lint: allow[rule]`` (or
 a bare ``# lint: allow``) is dropped — reserve it for sites with a
@@ -41,6 +47,7 @@ RULES: Dict[str, str] = {
     "wall-clock": "host clock call (time.time & co); use sim.now",
     "module-random": "module-level random call; use a seeded Rng",
     "unordered-iter": "set iteration feeding event scheduling; sort it",
+    "builtin-hash": "builtin hash() is salted per process; use zlib.crc32",
 }
 
 #: path-prefix allowlist (POSIX-style, relative to the linted root):
@@ -112,10 +119,9 @@ def _call_finding(node: ast.Call, imports: _ModuleImports) -> Optional[Tuple[str
     """(rule, detail) for a banned call expression, else None."""
     func = node.func
     if isinstance(func, ast.Name):
-        banned = imports.banned_name.get(func.id)
-        if banned is not None:
-            return banned
-        return None
+        if func.id == "hash":
+            return ("builtin-hash", "hash")
+        return imports.banned_name.get(func.id)
     if not isinstance(func, ast.Attribute):
         return None
     base = func.value

@@ -41,7 +41,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from .experiments.report import render_series, render_table
 
@@ -235,10 +235,8 @@ def _plan_study(quick: bool = False, jobs: int = 1) -> None:
 
 
 def _tenant_study(quick: bool = False, jobs: int = 1) -> None:
-    from .experiments.tenant_study import run_tenant_study
-    kwargs = ({"duration_us": 20_000.0, "n_requests": 30,
-               "aggressor_stop_us": 18_000.0} if quick else {})
-    record = run_tenant_study(**kwargs)
+    run, kwargs = _leg("tenant", quick)
+    record = run(**kwargs)
     print("TenantPlane: noisy neighbor vs hierarchical DRR shares "
           "(docs/TENANCY.md)")
     print(f"  victim p99 solo      {record['victim_p99_solo_us']:8.1f}µs")
@@ -252,19 +250,43 @@ def _tenant_study(quick: bool = False, jobs: int = 1) -> None:
     print("  all isolation invariants hold")
 
 
+def _leg(name: str, quick: bool = False, seed: Optional[int] = None):
+    """``(runner, kwargs)`` for one acceptance leg of the
+    ``experiments.chaos_study.STUDIES`` registry: the leg's default seed
+    unless ``seed`` is given, plus its ``--quick`` preset when asked."""
+    from .experiments.chaos_study import STUDIES
+    study = STUDIES[name]
+    kwargs = {"seed": study.seed if seed is None else seed}
+    if quick:
+        kwargs.update(study.quick)
+    return study.run, kwargs
+
+
+def _traced_leg(verb: str, description: str, argv, add_args=None):
+    """The parser ``repro trace`` and ``repro top`` share: pick one leg
+    that yields a single report (``--workload``), run it traced."""
+    from .experiments.chaos_study import STUDIES
+    parser = argparse.ArgumentParser(prog=f"python -m repro {verb}",
+                                     description=description)
+    parser.add_argument("--workload", default="rkv", choices=sorted(
+        name for name, study in STUDIES.items() if not study.composite))
+    parser.add_argument("--seed", type=int, default=None)
+    if add_args is not None:
+        add_args(parser)
+    args = parser.parse_args(argv)
+    run, kwargs = _leg(args.workload, seed=args.seed)
+    return args, run(trace=True, **kwargs)
+
+
 def _cmd_trace(argv) -> int:
     """``repro trace``: run a traced workload, export Chrome trace JSON."""
-    from .experiments.chaos_study import RUNNERS
-    parser = argparse.ArgumentParser(
-        prog="python -m repro trace",
-        description="Run one traced workload and export a Perfetto-loadable "
-                    "Chrome trace (open it at https://ui.perfetto.dev).")
-    parser.add_argument("--workload", choices=sorted(RUNNERS), default="rkv")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--out", default="trace.json", metavar="PATH",
-                        help="output path for the trace_event JSON")
-    args = parser.parse_args(argv)
-    report = RUNNERS[args.workload](seed=args.seed, trace=True)
+    args, report = _traced_leg(
+        "trace", "Run one traced workload and export a Perfetto-loadable "
+                 "Chrome trace (open it at https://ui.perfetto.dev). Exit "
+                 "code 0: every invariant held; 1 otherwise.", argv,
+        lambda parser: parser.add_argument(
+            "--out", default="trace.json", metavar="PATH",
+            help="output path for the trace_event JSON"))
     print(report.summary())
     events = report.trace_plane.export_chrome(args.out)
     print(f"\n{events} trace events -> {args.out} "
@@ -274,19 +296,14 @@ def _cmd_trace(argv) -> int:
 
 def _cmd_top(argv) -> int:
     """``repro top``: flame-style fold of span time by node/stage/actor."""
-    from .experiments.chaos_study import RUNNERS
-    parser = argparse.ArgumentParser(
-        prog="python -m repro top",
-        description="Run one traced workload and print where the "
-                    "virtual time went, folded by span fields.")
-    parser.add_argument("--workload", choices=sorted(RUNNERS), default="rkv")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--by", default="node,cat,actor",
-                        help="comma-separated fold key (span fields "
-                             "node/cat/name/track or attribute names)")
-    parser.add_argument("--limit", type=int, default=40)
-    args = parser.parse_args(argv)
-    report = RUNNERS[args.workload](seed=args.seed, trace=True)
+    def add_args(parser):
+        parser.add_argument("--by", default="node,cat,actor",
+                            help="comma-separated fold key (span fields "
+                                 "node/cat/name/track or attribute names)")
+        parser.add_argument("--limit", type=int, default=40)
+    args, report = _traced_leg(
+        "top", "Run one traced workload and print where the virtual time "
+               "went, folded by span fields.", argv, add_args)
     by = tuple(dim.strip() for dim in args.by.split(",") if dim.strip())
     print(report.trace_plane.flame(by=by, limit=args.limit))
     print()
@@ -296,7 +313,6 @@ def _cmd_top(argv) -> int:
 
 def _cmd_slo(argv) -> int:
     """``repro slo``: run the SLO study and print the burn-rate report."""
-    from .experiments.slo_study import run_slo_chaos
     from .obs import render_slo_report
     parser = argparse.ArgumentParser(
         prog="python -m repro slo",
@@ -306,17 +322,14 @@ def _cmd_slo(argv) -> int:
                     "(docs/OBSERVABILITY.md). Exit code 0: the whole "
                     "breach -> load-driven migration -> recovery loop "
                     "closed; 1 otherwise.")
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threshold", type=float, default=150.0,
                         metavar="US", help="victim p99 SLO threshold")
     parser.add_argument("--quick", action="store_true",
                         help="shorter run (~1s)")
     args = parser.parse_args(argv)
-    kwargs = {"seed": args.seed, "threshold_us": args.threshold}
-    if args.quick:
-        kwargs.update(duration_us=25_000.0, n_requests=55,
-                      aggressor_stop_us=20_000.0)
-    report = run_slo_chaos(**kwargs)
+    run, kwargs = _leg("slo", args.quick, args.seed)
+    report = run(threshold_us=args.threshold, **kwargs)
     print(report.summary())
     print(render_slo_report(report.pulse_plane.slo_report()))
     return 0 if report.ok else 1
@@ -324,14 +337,13 @@ def _cmd_slo(argv) -> int:
 
 def _cmd_pulse(argv) -> int:
     """``repro pulse``: run a pulse-sampled study, export the series."""
-    from .experiments.slo_study import run_slo_chaos
     parser = argparse.ArgumentParser(
         prog="python -m repro pulse",
         description="Run the pulse-sampled SLO study and export the "
                     "continuous telemetry: --csv for a series,t_us,value "
                     "table, --out for Perfetto-loadable counter tracks "
                     "(open at https://ui.perfetto.dev).")
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--csv", default=None, metavar="PATH",
                         help="write the sampled series as CSV")
     parser.add_argument("--out", default=None, metavar="PATH",
@@ -339,7 +351,8 @@ def _cmd_pulse(argv) -> int:
     args = parser.parse_args(argv)
     if not args.csv and not args.out:
         parser.error("nothing to export: pass --csv and/or --out")
-    report = run_slo_chaos(seed=args.seed)
+    run, kwargs = _leg("slo", seed=args.seed)
+    report = run(**kwargs)
     print(report.summary())
     pulse = report.pulse_plane
     if args.csv:
@@ -488,14 +501,21 @@ def _scenario_names() -> tuple:
         for entry in os.listdir(spec_dir) if entry.endswith(".json")))
 
 
+#: ``repro check`` target -> acceptance leg of ``chaos_study.STUDIES``
+_STUDY_TARGETS = {
+    "chaos-rkv": "rkv", "chaos-dt": "dt", "chaos-rta": "rta",
+    "steering-chaos": "steering", "slo-study": "slo",
+    "tenant-study": "tenant",
+}
+
 #: ``repro check`` targets: representative runs covering the scheduler
-#: study (fig16), the characterization dataplane (fig5), the three
-#: chaos scenarios (full fault-injection + recovery paths), and every
-#: shipped scenario spec (as ``scenario-<name>``).
-CHECK_TARGETS = ("fig5", "fig16", "chaos-rkv", "chaos-dt", "chaos-rta",
-                 "steering-chaos", "slo-study", "tenant-study"
-                 ) + tuple(f"scenario-{name}" for name in _scenario_names()) \
-                   + tuple(f"plan-{name}" for name in _scenario_names())
+#: study (fig16), the characterization dataplane (fig5), the six
+#: acceptance legs (full fault-injection + recovery paths, steering,
+#: SLO and tenant planes), and every shipped scenario spec (as
+#: ``scenario-<name>``) and its planned run (as ``plan-<name>``).
+CHECK_TARGETS = ("fig5", "fig16", *_STUDY_TARGETS) \
+    + tuple(f"scenario-{name}" for name in _scenario_names()) \
+    + tuple(f"plan-{name}" for name in _scenario_names())
 
 
 def _check_run_fn(target: str, quick: bool, seed: int | None):
@@ -520,32 +540,11 @@ def _check_run_fn(target: str, quick: bool, seed: int | None):
             kwargs["duration_us"] = 3_000.0
         return lambda: traffic_manager_experiment(frame_bytes=512, cores=6,
                                                   **kwargs)
-    if target == "steering-chaos":
-        from .experiments.steering_study import rebalance_point
-        kwargs = {"seed": 42 if seed is None else seed}
-        if quick:
-            kwargs.update(duration_us=20_000.0, n_requests=40,
-                          send_gap_us=300.0, notice_us=3_000.0)
-        return lambda: rebalance_point(**kwargs)
-    if target == "slo-study":
-        from .experiments.slo_study import slo_point
-        kwargs = {"seed": 42 if seed is None else seed}
-        if quick:
-            # shrunk but still closing the breach -> migrate -> recover
-            # loop, so the pulse/SLO fingerprint terms stay exercised
-            kwargs.update(duration_us=25_000.0, n_requests=55,
-                          aggressor_stop_us=20_000.0)
-        return lambda: slo_point(**kwargs)
-    if target == "tenant-study":
-        from .experiments.tenant_study import tenant_point
-        kwargs = {"seed": 42 if seed is None else seed}
-        if quick:
-            # shrunk three-leg run; still long enough for the flood to
-            # degrade the flat leg >= 2x and for the shares to hold the
-            # isolated leg within 25% of solo
-            kwargs.update(duration_us=20_000.0, n_requests=30,
-                          aggressor_stop_us=18_000.0)
-        return lambda: tenant_point(**kwargs)
+    leg = _STUDY_TARGETS.get(target)
+    if leg is not None:
+        from .exec.grids import chaos_point
+        _, kwargs = _leg(leg, quick, seed)
+        return lambda: chaos_point(leg, **kwargs)
     if target.startswith("scenario-"):
         import dataclasses
         from .scenario import load_shipped, run_scenario
@@ -572,12 +571,6 @@ def _check_run_fn(target: str, quick: bool, seed: int | None):
             result = run_scenario(planned, duration_us=duration)
             return (plan.fingerprint(), result.fingerprint())
         return planned_run
-    workload = target.split("-", 1)[1]
-    from .exec.grids import chaos_point
-    kwargs = {"seed": 42 if seed is None else seed}
-    if quick:
-        kwargs["duration_us"] = 10_000.0
-    return lambda: chaos_point(workload, **kwargs)
 
 
 def _cmd_check(argv) -> int:
@@ -616,11 +609,35 @@ def _cmd_check(argv) -> int:
     return 0 if result.ok else 1
 
 
+class _BadFile(Exception):
+    """A spec or plan file that is missing, unreadable or undecodable;
+    the CLI prints its one-line message and exits 2."""
+
+
+def _load_file(from_file, path: str):
+    """``from_file(path)``, raising :class:`_BadFile` for a file that
+    cannot be read or is not JSON/TOML (content problems still raise the
+    loader's own ScenarioError/PlanError)."""
+    import json
+    decode_errors = (json.JSONDecodeError, UnicodeDecodeError)
+    try:
+        import tomllib
+        decode_errors += (tomllib.TOMLDecodeError,)
+    except ImportError:  # pragma: no cover - Python < 3.11
+        pass
+    try:
+        return from_file(path)
+    except OSError as exc:
+        raise _BadFile(f"cannot read {path}: {exc.strerror or exc}") from None
+    except decode_errors as exc:
+        raise _BadFile(f"cannot parse {path}: {exc}") from None
+
+
 def _resolve_spec(ref: str):
     """A spec from a shipped name or a ``.json``/``.toml`` path."""
     from .scenario import from_file, load_shipped
     if ref.endswith(".json") or ref.endswith(".toml") or os.sep in ref:
-        return from_file(ref)
+        return _load_file(from_file, ref)
     return load_shipped(ref)
 
 
@@ -675,33 +692,39 @@ def _cmd_scenario(argv) -> int:
         if not refs:
             print("no specs to validate", file=sys.stderr)
             return 2
-        failures = 0
+        failures = unreadable = 0
         for ref in refs:
             try:
                 spec = _resolve_spec(ref)
                 spec.validate()
-            except (ScenarioError, OSError, KeyError) as exc:
+            except _BadFile as exc:
+                unreadable += 1
+                print(exc, file=sys.stderr)
+            except (ScenarioError, KeyError) as exc:
                 failures += 1
                 print(f"FAIL {ref}: {exc}")
             else:
                 print(f"ok   {ref} ({spec.name})")
-        return 1 if failures else 0
+        return 2 if unreadable else 1 if failures else 0
 
     import dataclasses
-    from .scenario import run_scenario
+    from .scenario import ScenarioError, run_scenario
     try:
         spec = _resolve_spec(args.spec)
-    except KeyError as exc:
+        if args.shards is not None or args.processes is not None:
+            ex = spec.execution
+            spec = dataclasses.replace(spec, execution=dataclasses.replace(
+                ex,
+                shards=args.shards if args.shards is not None else ex.shards,
+                processes=(args.processes if args.processes is not None
+                           else ex.processes)))
+        spec.validate()
+    except (_BadFile, KeyError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    if args.shards is not None or args.processes is not None:
-        ex = spec.execution
-        spec = dataclasses.replace(spec, execution=dataclasses.replace(
-            ex,
-            shards=args.shards if args.shards is not None else ex.shards,
-            processes=(args.processes if args.processes is not None
-                       else ex.processes)))
-    spec.validate()
+    except ScenarioError as exc:
+        print(f"invalid spec {args.spec}: {exc}", file=sys.stderr)
+        return 2
     result = run_scenario(spec, duration_us=args.duration_us)
     print(f"scenario {result.name} (seed {result.seed}, "
           f"{result.duration_us:.0f}µs"
@@ -777,7 +800,7 @@ def _cmd_plan(argv) -> int:
         spec.validate()
 
         if args.validate is not None:
-            plan = plan_from_file(args.validate).validate()
+            plan = _load_file(plan_from_file, args.validate).validate()
             planned = apply_placement(plan, spec)
             planned.validate()
             print(f"ok   {args.validate} fits {spec.name} "
@@ -825,6 +848,9 @@ def _cmd_plan(argv) -> int:
                 line += f", fingerprint {res.fingerprint()}"
                 print(line)
         return 0
+    except _BadFile as exc:
+        print(f"plan failed: {exc}", file=sys.stderr)
+        return 2
     except (PlanError, ScenarioError, OSError, KeyError) as exc:
         print(f"plan failed: {exc}", file=sys.stderr)
         return 1
@@ -832,7 +858,6 @@ def _cmd_plan(argv) -> int:
 
 def _cmd_lint(argv) -> int:
     """``repro lint``: static nondeterminism-hazard pass over src/repro."""
-    import os
     from .check import RULES, lint_file, lint_tree
     parser = argparse.ArgumentParser(
         prog="python -m repro lint",
@@ -891,33 +916,28 @@ EXPERIMENTS: Dict[str, Callable[..., None]] = {
     "tenant-study": _tenant_study,
 }
 
+#: ``python -m repro <verb> ...``; any other first word is an experiment id
+COMMANDS: Dict[str, Callable[[list], int]] = {
+    "trace": _cmd_trace,
+    "top": _cmd_top,
+    "sweep": _cmd_sweep,
+    "bench": _cmd_bench,
+    "check": _cmd_check,
+    "lint": _cmd_lint,
+    "scenario": _cmd_scenario,
+    "plan": _cmd_plan,
+    # shorthand: ``repro run SPEC ...`` == ``repro scenario run ...``
+    "run": lambda argv: _cmd_scenario(["run"] + argv),
+    "slo": _cmd_slo,
+    "pulse": _cmd_pulse,
+}
+
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "trace":
-        return _cmd_trace(argv[1:])
-    if argv and argv[0] == "top":
-        return _cmd_top(argv[1:])
-    if argv and argv[0] == "sweep":
-        return _cmd_sweep(argv[1:])
-    if argv and argv[0] == "bench":
-        return _cmd_bench(argv[1:])
-    if argv and argv[0] == "check":
-        return _cmd_check(argv[1:])
-    if argv and argv[0] == "lint":
-        return _cmd_lint(argv[1:])
-    if argv and argv[0] == "scenario":
-        return _cmd_scenario(argv[1:])
-    if argv and argv[0] == "plan":
-        return _cmd_plan(argv[1:])
-    if argv and argv[0] == "run":
-        # shorthand: ``repro run SPEC ...`` == ``repro scenario run ...``
-        return _cmd_scenario(["run"] + argv[1:])
-    if argv and argv[0] == "slo":
-        return _cmd_slo(argv[1:])
-    if argv and argv[0] == "pulse":
-        return _cmd_pulse(argv[1:])
+    if argv and argv[0] in COMMANDS:
+        return COMMANDS[argv[0]](argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate tables/figures from the iPipe paper.")

@@ -31,14 +31,16 @@ _FIG13_CLIENTS = {64: 192, 256: 96, 512: 96, 1024: 96}
 # -- picklable point wrappers -------------------------------------------------
 
 def chaos_point(workload: str, **kwargs) -> Dict:
-    """Run one chaos scenario; reduce the report to plain data.
+    """Run one acceptance leg of ``chaos_study.STUDIES`` as plain data.
 
-    The returned dict includes the deterministic-replay
-    ``telemetry_fingerprint`` (fault schedule + recovery telemetry), the
-    field the sweep determinism tests compare byte-for-byte.
+    The record carries the deterministic-replay ``fingerprint``, the
+    field the sweep determinism tests and ``repro check`` compare
+    byte-for-byte; a composite study (tenant) returns its own record.
     """
-    from ..experiments.chaos_study import RUNNERS
-    return RUNNERS[workload](**kwargs).to_record()
+    from ..experiments.chaos_study import STUDIES
+    study = STUDIES[workload]
+    out = study.run(**kwargs)
+    return out if study.composite else out.to_record()
 
 
 def fig18_point(**kwargs) -> List:

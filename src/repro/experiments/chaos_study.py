@@ -15,23 +15,31 @@ dataplane from a deployable one:
 * **deterministic replay** — the same fault seed reproduces the same
   fault schedule and the same recovery telemetry, byte for byte.
 
+This module is also the one harness every acceptance leg runs on:
+:func:`run_leg` builds the spec, drains the traffic and assembles the
+:class:`ChaosReport`, and :data:`STUDIES` registers the six legs (the
+three chaos workloads plus the steering, SLO and tenant studies) with
+their default seed and ``--quick`` preset.
+
 Usage::
 
-    PYTHONPATH=src python -m repro.experiments.chaos_study \
-        --workload rkv --seed 42 --loss 0.02
+    PYTHONPATH=src python -m repro trace --workload rkv --seed 42
+    PYTHONPATH=src python -m repro check --replay 2 chaos-rkv --quick
 
-Each ``run_*_chaos`` function returns a :class:`ChaosReport`; see
+or, in code, ``repro.exec.grids.chaos_point("rkv", seed=42)``.  Each
+``run_*_chaos`` function returns a :class:`ChaosReport`; see
 ``docs/FAULTS.md`` for the fault model.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from importlib import import_module
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..apps.dt import DtCoordinatorNode, DtParticipantNode
 from ..apps.rkv import RkvNode
+from ..check import CheckPlane
 from ..core import Message, recovery_snapshot
 from ..net import Packet
 from ..obs import TracePlane
@@ -45,7 +53,7 @@ from ..scenario import (
     ServerSpec,
     build,
 )
-from ..sim import FaultKind, FaultPlane, Timeout, spawn
+from ..sim import FaultKind, Simulator, Timeout, spawn
 
 #: extra drain time granted after the nominal run when requests are
 #: still outstanding (recovery in progress)
@@ -213,10 +221,9 @@ class ChaosReport:
     def to_record(self) -> Dict[str, object]:
         """The plain-data grid/CI record (picklable, fingerprint last).
 
-        The one assembly point shared by every study's point function
-        (``grids.chaos_point``, ``steering_study.rebalance_point``,
-        ``slo_study.slo_point``), so telemetry riders — steering, pulse —
-        fold into every record and every fingerprint in one place.
+        The one assembly point behind ``grids.chaos_point``, so telemetry
+        riders — steering, pulse — fold into every record and every
+        fingerprint in one place.
         """
         record: Dict[str, object] = {
             "workload": self.workload,
@@ -260,6 +267,16 @@ class ChaosReport:
                 f"{name}={'ok' if good else 'VIOLATED'}"
                 for name, good in self.invariants.items()),
         ]
+        steer = self.steering
+        if steer:
+            lines.append(
+                f"  steering: {steer['epochs']} epoch bumps, "
+                f"{steer['steered']} steered, "
+                f"{steer['forwarded']} forwarded, "
+                f"{steer['suppressed']} duplicates suppressed")
+            lines.extend(
+                f"  move @{t:10.1f}us {svc}: {src} -> {dst} (home {home})"
+                for t, svc, home, src, dst in steer["moves"])
         for stage, st in self.stage_latencies.items():
             lines.append(
                 f"  stage {stage:14s} n={st['count']:<7d} "
@@ -276,26 +293,114 @@ def _run_until_answered(scenario, client: ChaosClient,
         chunks += 1
 
 
-def _collect(scenario, plane: FaultPlane) -> Tuple[Dict, List, Dict]:
-    recovery = {name: recovery_snapshot(server.runtime)
-                for name, server in sorted(scenario.servers.items())}
-    return dict(plane.counts), list(plane.schedule_log), recovery
+#: ``setup(bed) -> (client, judge)``: a leg's clients and drivers.
+#: ``client`` is the one the run drains and the zero-loss invariant
+#: counts; ``judge(violations)`` runs after the drain and returns the
+#: leg's extra :class:`ChaosReport` fields — ``invariants`` always,
+#: ``steering`` and ``pulse`` riders when the leg has them.
+LegSetup = Callable[[object], Tuple[ChaosClient, Callable[[List], Dict]]]
 
 
-def _chaos_servers(names, host_workers: int = 2) -> Tuple[ServerSpec, ...]:
-    """Chaos deployments pin migration off and run reliable channels."""
-    return tuple(
-        ServerSpec(name=n, host_workers=host_workers, reliable=True,
-                   scheduler=(("migration_enabled", False),))
-        for n in names)
+def run_leg(workload: str, spec: ScenarioSpec, requests: int,
+            setup: LegSetup, monitor: Optional[str] = None) -> ChaosReport:
+    """The one harness every acceptance leg runs on.
+
+    Builds ``spec``, lets ``setup`` spawn the leg's drivers, drains the
+    run until the client is answered, collects the fault telemetry,
+    hands ``judge`` the checker violations of ``monitor``, finishes the
+    trace and assembles the report.  Legs that read a monitor run under
+    a non-strict :class:`~repro.check.CheckPlane` when none is installed
+    (outside a SanitizerSession), so the report carries violations
+    instead of aborting mid-run.
+    """
+    sim = Simulator()
+    if monitor is not None and sim.checker is None:
+        CheckPlane(sim, strict=False)
+    bed = build(spec, sim=sim)
+    client, judge = setup(bed)
+    _run_until_answered(bed, client, spec.duration_us)
+
+    plane = bed.fault_plane
+    recovery = {} if plane is None else {
+        name: recovery_snapshot(server.runtime)
+        for name, server in sorted(bed.servers.items())}
+    checker = sim.checker
+    violations = ([v for v in checker.violations if v.monitor == monitor]
+                  if checker is not None and monitor is not None else [])
+    found = judge(violations)
+    pulse = bed.pulse_plane
+    telemetry = {} if pulse is None else {**pulse.telemetry(),
+                                          **found.get("pulse", {})}
+    tplane = bed.trace_plane
+    stages: Dict[str, Dict[str, float]] = {}
+    if tplane is not None and tplane.tracer is not None:
+        tplane.tracer.close_all()           # flush open spans
+        stages = tplane.stage_report()
+    return ChaosReport(
+        workload=workload, seed=spec.seed, requests=requests,
+        answered=client.answered, lost=client.lost,
+        client_retransmits=client.retransmits,
+        duplicate_replies=client.duplicate_replies,
+        duration_us=sim.now,
+        faults_injected={} if plane is None else dict(plane.counts),
+        fault_schedule=[] if plane is None else list(plane.schedule_log),
+        recovery=recovery,
+        invariants={"zero_loss": client.lost == 0, **found["invariants"]},
+        steering=found.get("steering", {}),
+        pulse=telemetry,
+        stage_latencies=stages,
+        trace_plane=tplane,
+        pulse_plane=pulse,
+    )
 
 
-def _finish_trace(tplane: Optional[TracePlane]) -> Dict[str, Dict[str, float]]:
-    """Flush open spans and return the per-stage p50/p99 table."""
-    if tplane is None or tplane.tracer is None:
-        return {}
-    tplane.tracer.close_all()
-    return tplane.stage_report()
+def chaos_rack(name: str, servers, clients=()) -> RackSpec:
+    """A rack of chaos servers: migration pinned off, reliable channels."""
+    return RackSpec(
+        name=name,
+        servers=tuple(ServerSpec(name=n, host_workers=2, reliable=True,
+                                 scheduler=(("migration_enabled", False),))
+                      for n in servers),
+        clients=tuple(ClientSpec(c) for c in clients))
+
+
+def rkv_traffic(client: ChaosClient, dst: str, n_requests: int,
+                send_gap_us: float, key: Callable[[int], str]):
+    """Driver: open-loop RKV requests, every third a get, the rest
+    64-byte puts, one every ``send_gap_us``; ``key(i)`` names the key."""
+    value = bytes(64)
+    for i in range(n_requests):
+        if i % 3 == 2:
+            client.request(dst, "rkv-get", {"key": key(i)}, size=96)
+        else:
+            client.request(dst, "rkv-put", {"key": key(i), "value": value},
+                           size=192)
+        yield Timeout(send_gap_us)
+
+
+def flood(bed, src: str, dst: str, kind: str, payload: Callable[[int], Dict],
+          start_us: float, stop_us: float, gap_us: float):
+    """Driver: fire-and-forget 256-byte ``kind`` packets from ``src`` to
+    ``dst`` every ``gap_us`` between ``start_us`` and ``stop_us`` — an
+    aggressor nobody waits on; ``payload(i)`` builds the i-th body."""
+    yield Timeout(start_us)
+    i = 0
+    while bed.sim.now < stop_us:
+        bed.network.send(Packet(src, dst, 256, kind=kind, payload=payload(i),
+                                created_at=bed.sim.now))
+        i += 1
+        yield Timeout(gap_us)
+
+
+def _chaos_spec(name: str, seed: int, duration_us: float, nodes,
+                app: AppSpec, faults, trace: bool) -> ScenarioSpec:
+    """One rack of chaos servers, one client, actor restarts on."""
+    return ScenarioSpec(
+        name=name, seed=seed, duration_us=duration_us,
+        racks=(chaos_rack("rack0", nodes, ("client",)),),
+        apps=(app,), faults=tuple(faults),
+        observability=ObsSpec(trace=trace,
+                              recovery_restart_delay_us=100.0))
 
 
 # -- RKV ----------------------------------------------------------------------
@@ -335,71 +440,50 @@ def run_rkv_chaos(seed: int = 42, loss: float = 0.02,
         faults.append(FaultDecl(kind=FaultKind.ACTOR_CRASH,
                                 target="memtable", node="s0",
                                 at_us=(duration_us * 0.25,)))
-    spec = ScenarioSpec(
-        name="chaos-rkv", seed=seed, duration_us=duration_us,
-        racks=(RackSpec(name="rack0", servers=_chaos_servers(nodes),
-                        clients=(ClientSpec("client"),)),),
-        apps=(AppSpec(kind="rkv", servers=nodes, leader="s0",
-                      options=(("memtable_limit", 256 * 1024),)),),
-        faults=tuple(faults),
-        observability=ObsSpec(trace=trace,
-                              recovery_restart_delay_us=100.0))
-    bed = build(spec)
-    tplane = bed.trace_plane
-    plane = bed.fault_plane
-    rkv: Dict[str, RkvNode] = bed.app("rkv").nodes
-    client = ChaosClient(bed.sim, bed.network,
-                         port=bed.clients["client"])
-
+    spec = _chaos_spec(
+        "chaos-rkv", seed, duration_us, nodes,
+        AppSpec(kind="rkv", servers=nodes, leader="s0",
+                options=(("memtable_limit", 256 * 1024),)),
+        faults, trace)
     value = bytes(value_bytes)
 
-    def driver():
-        for i in range(n_requests):
-            if i % 6 == 5:
-                # memtable miss: crosses the host↔NIC rings (sst_read),
-                # so torn DMA writes actually hit the request path
-                client.request("s0", "rkv-get",
-                               {"key": f"cold{i}"}, size=96)
-            elif i % 3 == 2:
-                client.request("s0", "rkv-get",
-                               {"key": f"k{(i - 1) % 17}"}, size=96)
-            else:
-                client.request("s0", "rkv-put",
-                               {"key": f"k{i % 17}", "value": value},
-                               size=128 + value_bytes)
-            yield Timeout(send_gap_us)
+    def setup(bed):
+        rkv: Dict[str, RkvNode] = bed.app("rkv").nodes
+        client = ChaosClient(bed.sim, bed.network,
+                             port=bed.clients["client"])
 
-    def paxos_repair():
-        # periodic liveness tick: lost ACCEPTs would otherwise strand an
-        # instance below quorum and stall the apply loop forever
-        while True:
-            yield Timeout(1_000.0)
-            for name in nodes:
-                runtime = bed.server(name).runtime
-                runtime.deliver(Message(
-                    target="consensus", kind="paxos-tick", payload=None,
-                    size=32, created_at=bed.sim.now))
+        def driver():
+            for i in range(n_requests):
+                if i % 6 == 5:
+                    # memtable miss: crosses the host↔NIC rings
+                    # (sst_read), so torn DMA writes hit the request path
+                    client.request("s0", "rkv-get",
+                                   {"key": f"cold{i}"}, size=96)
+                elif i % 3 == 2:
+                    client.request("s0", "rkv-get",
+                                   {"key": f"k{(i - 1) % 17}"}, size=96)
+                else:
+                    client.request("s0", "rkv-put",
+                                   {"key": f"k{i % 17}", "value": value},
+                                   size=128 + value_bytes)
+                yield Timeout(send_gap_us)
 
-    spawn(bed.sim, driver(), name="chaos-driver")
-    spawn(bed.sim, paxos_repair(), name="paxos-repair")
-    _run_until_answered(bed, client, duration_us)
+        def paxos_repair():
+            # periodic liveness tick: lost ACCEPTs would otherwise strand
+            # an instance below quorum and stall the apply loop forever
+            while True:
+                yield Timeout(1_000.0)
+                for name in nodes:
+                    bed.server(name).runtime.deliver(Message(
+                        target="consensus", kind="paxos-tick", payload=None,
+                        size=32, created_at=bed.sim.now))
 
-    injected, schedule, recovery = _collect(bed, plane)
-    return ChaosReport(
-        workload="rkv", seed=seed, requests=n_requests,
-        answered=client.answered, lost=client.lost,
-        client_retransmits=client.retransmits,
-        duplicate_replies=client.duplicate_replies,
-        duration_us=bed.sim.now,
-        faults_injected=injected, fault_schedule=schedule,
-        recovery=recovery,
-        invariants={
-            "zero_loss": client.lost == 0,
-            "paxos_safety": paxos_safety_ok(rkv),
-        },
-        stage_latencies=_finish_trace(tplane),
-        trace_plane=tplane,
-    )
+        spawn(bed.sim, driver(), name="chaos-driver")
+        spawn(bed.sim, paxos_repair(), name="paxos-repair")
+        return client, lambda _: {
+            "invariants": {"paxos_safety": paxos_safety_ok(rkv)}}
+
+    return run_leg("rkv", spec, n_requests, setup)
 
 
 # -- DT -----------------------------------------------------------------------
@@ -431,58 +515,36 @@ def run_dt_chaos(seed: int = 42, loss: float = 0.005,
                  trace: bool = False) -> ChaosReport:
     """Distributed transactions under loss: every txn must be answered
     (committed or aborted) and no aborted write may leak into a store."""
-    spec = ScenarioSpec(
-        name="chaos-dt", seed=seed, duration_us=duration_us,
-        racks=(RackSpec(name="rack0",
-                        servers=_chaos_servers(("s0", "s1", "s2")),
-                        clients=(ClientSpec("client"),)),),
-        apps=(AppSpec(kind="dt", servers=("s0", "s1", "s2"),
-                      options=(("log_segment_bytes", 1 << 20),)),),
-        faults=(
-            FaultDecl(kind=FaultKind.LINK_LOSS, target="*",
-                      probability=loss),
-            FaultDecl(kind=FaultKind.DMA_TORN, target="s0.chan.*",
-                      every_nth=torn_every_nth),
-        ),
-        observability=ObsSpec(trace=trace,
-                              recovery_restart_delay_us=100.0))
-    bed = build(spec)
-    tplane = bed.trace_plane
-    plane = bed.fault_plane
-    app = bed.app("dt")
-    coordinator = app.nodes["s0"]
-    participants = [app.nodes["s1"], app.nodes["s2"]]
-    client = ChaosClient(bed.sim, bed.network, timeout_us=3_000.0,
-                         port=bed.clients["client"])
+    nodes = ("s0", "s1", "s2")
+    spec = _chaos_spec(
+        "chaos-dt", seed, duration_us, nodes,
+        AppSpec(kind="dt", servers=nodes,
+                options=(("log_segment_bytes", 1 << 20),)),
+        (FaultDecl(kind=FaultKind.LINK_LOSS, target="*", probability=loss),
+         FaultDecl(kind=FaultKind.DMA_TORN, target="s0.chan.*",
+                   every_nth=torn_every_nth)),
+        trace)
 
-    def driver():
-        for i in range(n_txns):
-            key_a, key_b = f"x{i % 8}", f"y{i % 8}"
-            client.request("s0", "dt-txn", {
-                "reads": [key_a],
-                "writes": {key_b: f"v{i}".encode()},
-            }, size=160)
-            yield Timeout(send_gap_us)
+    def setup(bed):
+        dt = bed.app("dt").nodes
+        client = ChaosClient(bed.sim, bed.network, timeout_us=3_000.0,
+                             port=bed.clients["client"])
 
-    spawn(bed.sim, driver(), name="chaos-driver")
-    _run_until_answered(bed, client, duration_us)
+        def driver():
+            for i in range(n_txns):
+                key_a, key_b = f"x{i % 8}", f"y{i % 8}"
+                client.request("s0", "dt-txn", {
+                    "reads": [key_a],
+                    "writes": {key_b: f"v{i}".encode()},
+                }, size=160)
+                yield Timeout(send_gap_us)
 
-    injected, schedule, recovery = _collect(bed, plane)
-    return ChaosReport(
-        workload="dt", seed=seed, requests=n_txns,
-        answered=client.answered, lost=client.lost,
-        client_retransmits=client.retransmits,
-        duplicate_replies=client.duplicate_replies,
-        duration_us=bed.sim.now,
-        faults_injected=injected, fault_schedule=schedule,
-        recovery=recovery,
-        invariants={
-            "zero_loss": client.lost == 0,
-            "occ_provenance": occ_provenance_ok(coordinator, participants),
-        },
-        stage_latencies=_finish_trace(tplane),
-        trace_plane=tplane,
-    )
+        spawn(bed.sim, driver(), name="chaos-driver")
+        return client, lambda _: {"invariants": {
+            "occ_provenance": occ_provenance_ok(dt["s0"],
+                                                [dt["s1"], dt["s2"]])}}
+
+    return run_leg("dt", spec, n_txns, setup)
 
 
 # -- RTA ----------------------------------------------------------------------
@@ -492,136 +554,93 @@ def run_rta_chaos(seed: int = 42, loss: float = 0.01,
                   trace: bool = False) -> ChaosReport:
     """Analytics pipeline surviving a NIC core failure, a core stall and
     a crash of the stateful counter actor."""
-    spec = ScenarioSpec(
-        name="chaos-rta", seed=seed, duration_us=duration_us,
-        racks=(RackSpec(name="rack0", servers=_chaos_servers(("s0",)),
-                        clients=(ClientSpec("client"),)),),
-        apps=(AppSpec(kind="rta", servers=("s0",)),),
-        faults=(
-            FaultDecl(kind=FaultKind.LINK_LOSS, target="*",
-                      probability=loss),
-            FaultDecl(kind=FaultKind.CORE_FAIL, target="3", node="s0",
-                      at_us=(duration_us * 0.2,)),
-            FaultDecl(kind=FaultKind.CORE_STALL, target="1", node="s0",
-                      at_us=(duration_us * 0.3,), duration_us=2_000.0),
-            FaultDecl(kind=FaultKind.ACTOR_CRASH, target="counter",
-                      node="s0", at_us=(duration_us * 0.4,)),
-            FaultDecl(kind=FaultKind.RING_STALL,
-                      target="s0.chan.to_host",
-                      at_us=(duration_us * 0.5,), duration_us=1_000.0),
-        ),
-        observability=ObsSpec(trace=trace,
-                              recovery_restart_delay_us=100.0))
-    bed = build(spec)
-    tplane = bed.trace_plane
-    plane = bed.fault_plane
-    server = bed.servers["s0"]
-    worker = bed.app("rta").nodes["s0"]
-    client = ChaosClient(bed.sim, bed.network,
-                         port=bed.clients["client"])
+    spec = _chaos_spec(
+        "chaos-rta", seed, duration_us, ("s0",),
+        AppSpec(kind="rta", servers=("s0",)),
+        (FaultDecl(kind=FaultKind.LINK_LOSS, target="*", probability=loss),
+         FaultDecl(kind=FaultKind.CORE_FAIL, target="3", node="s0",
+                   at_us=(duration_us * 0.2,)),
+         FaultDecl(kind=FaultKind.CORE_STALL, target="1", node="s0",
+                   at_us=(duration_us * 0.3,), duration_us=2_000.0),
+         FaultDecl(kind=FaultKind.ACTOR_CRASH, target="counter", node="s0",
+                   at_us=(duration_us * 0.4,)),
+         FaultDecl(kind=FaultKind.RING_STALL, target="s0.chan.to_host",
+                   at_us=(duration_us * 0.5,), duration_us=1_000.0)),
+        trace)
 
-    def driver():
-        for i in range(n_requests):
-            tuples = ([f"#tag{i} trending now"] if i % 2 == 0
-                      else [f"plain tuple {i}"])
-            client.request("s0", "rta-tuple", {"tuples": tuples}, size=128)
-            yield Timeout(send_gap_us)
+    def setup(bed):
+        runtime = bed.servers["s0"].runtime
+        worker = bed.app("rta").nodes["s0"]
+        client = ChaosClient(bed.sim, bed.network,
+                             port=bed.clients["client"])
 
-    spawn(bed.sim, driver(), name="chaos-driver")
-    _run_until_answered(bed, client, duration_us)
+        def driver():
+            for i in range(n_requests):
+                tuples = ([f"#tag{i} trending now"] if i % 2 == 0
+                          else [f"plain tuple {i}"])
+                client.request("s0", "rta-tuple", {"tuples": tuples},
+                               size=128)
+                yield Timeout(send_gap_us)
 
-    injected, schedule, recovery = _collect(bed, plane)
-    sched = server.runtime.nic_scheduler
-    return ChaosReport(
-        workload="rta", seed=seed, requests=n_requests,
-        answered=client.answered, lost=client.lost,
-        client_retransmits=client.retransmits,
-        duplicate_replies=client.duplicate_replies,
-        duration_us=bed.sim.now,
-        faults_injected=injected, fault_schedule=schedule,
-        recovery=recovery,
-        invariants={
-            "zero_loss": client.lost == 0,
-            "core_rebalanced": (sched.core_health.alive_count()
-                                == sched.num_cores - 1
-                                and sched.fcfs_cores() >= 1),
-            "tuples_processed": worker.tuples_in > 0,
-        },
-        stage_latencies=_finish_trace(tplane),
-        trace_plane=tplane,
-    )
+        def judge(_):
+            sched = runtime.nic_scheduler
+            return {"invariants": {
+                "core_rebalanced": (sched.core_health.alive_count()
+                                    == sched.num_cores - 1
+                                    and sched.fcfs_cores() >= 1),
+                "tuples_processed": worker.tuples_in > 0,
+            }}
+
+        spawn(bed.sim, driver(), name="chaos-driver")
+        return client, judge
+
+    return run_leg("rta", spec, n_requests, setup)
 
 
-RUNNERS = {
-    "rkv": run_rkv_chaos,
-    "dt": run_dt_chaos,
-    "rta": run_rta_chaos,
-}
+# -- the registry -------------------------------------------------------------
+@dataclass(frozen=True)
+class Study:
+    """One acceptance leg as registry data.
 
-
-def chaos_sweep(workloads: Tuple[str, ...] = ("rkv", "dt", "rta"),
-                seeds: Tuple[int, ...] = (42,),
-                executor=None,
-                **kwargs) -> Dict[Tuple[str, int], Dict]:
-    """Chaos scenarios across seeds, optionally through a ParallelSweep.
-
-    Returns ``(workload, seed) → chaos_point dict`` (plain data with the
-    deterministic-replay fingerprint; see
-    :func:`repro.exec.grids.chaos_point`), merged in sorted key order.
+    ``runner`` names a ``run_*`` function in ``module``, resolved lazily
+    (the steering, SLO and tenant modules import this one).  ``quick``
+    is the single ``--quick`` preset that ``repro check``, ``repro slo``
+    and ``repro tenant-study`` share.  A ``composite`` study runs several
+    legs and returns one plain record instead of a :class:`ChaosReport`,
+    so it has no single trace to export.
     """
-    from ..exec.grids import chaos_point
-    from ..exec.sweep import ParallelSweep, SweepPoint
-    points = [
-        SweepPoint((workload, seed), chaos_point,
-                   dict(workload=workload, seed=seed, **kwargs))
-        for workload in workloads for seed in seeds
-    ]
-    if executor is None:
-        executor = ParallelSweep(jobs=1)
-    return dict(executor.run(points).results)
+
+    module: str
+    runner: str
+    quick: Dict[str, float]
+    seed: int = 42
+    composite: bool = False
+
+    @property
+    def run(self) -> Callable:
+        module = import_module(f"{__package__}.{self.module}")
+        return getattr(module, self.runner)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=[*RUNNERS, "all"],
-                        default="all")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--loss", type=float, default=None,
-                        help="link loss probability override")
-    parser.add_argument("--duration-ms", type=float, default=None,
-                        help="nominal run length override (milliseconds)")
-    parser.add_argument("--trace", action="store_true",
-                        help="run with a TracePlane and report per-stage "
-                             "p50/p99 latency breakdowns")
-    parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="write Chrome trace_event JSON (implies "
-                             "--trace; with multiple workloads the name "
-                             "gets a per-workload suffix)")
-    args = parser.parse_args(argv)
+_CHAOS_QUICK = {"duration_us": 10_000.0}
 
-    names = list(RUNNERS) if args.workload == "all" else [args.workload]
-    failed = 0
-    for name in names:
-        kwargs = {"seed": args.seed}
-        if args.loss is not None:
-            kwargs["loss"] = args.loss
-        if args.duration_ms is not None:
-            kwargs["duration_us"] = args.duration_ms * 1_000.0
-        if args.trace or args.trace_out:
-            kwargs["trace"] = True
-        report = RUNNERS[name](**kwargs)
-        print(report.summary())
-        if args.trace_out and report.trace_plane is not None:
-            path = args.trace_out
-            if len(names) > 1:
-                stem, dot, ext = path.rpartition(".")
-                path = f"{stem}-{name}{dot}{ext}" if dot else f"{path}-{name}"
-            events = report.trace_plane.export_chrome(path)
-            print(f"  trace: {events} events -> {path}")
-        if not report.ok:
-            failed += 1
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+#: leg name -> study; ``grids.chaos_point(name, **kwargs)`` runs one.
+STUDIES: Dict[str, Study] = {
+    "rkv": Study("chaos_study", "run_rkv_chaos", _CHAOS_QUICK),
+    "dt": Study("chaos_study", "run_dt_chaos", _CHAOS_QUICK),
+    "rta": Study("chaos_study", "run_rta_chaos", _CHAOS_QUICK),
+    "steering": Study("steering_study", "run_rebalance_chaos", {
+        "duration_us": 20_000.0, "n_requests": 40, "send_gap_us": 300.0,
+        "notice_us": 3_000.0}),
+    # shrunk but still closing the breach -> migrate -> recover loop, so
+    # the pulse/SLO fingerprint terms stay exercised
+    "slo": Study("slo_study", "run_slo_chaos", {
+        "duration_us": 25_000.0, "n_requests": 55,
+        "aggressor_stop_us": 20_000.0}),
+    # shrunk three-leg run; still long enough for the flood to degrade
+    # the flat leg >= 2x and for the shares to hold the isolated leg
+    # within 25% of solo
+    "tenant": Study("tenant_study", "run_tenant_study", {
+        "duration_us": 20_000.0, "n_requests": 30,
+        "aggressor_stop_us": 18_000.0}, composite=True),
+}

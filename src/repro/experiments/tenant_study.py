@@ -26,16 +26,17 @@ per-run ChaosReport fingerprints fold into one study fingerprint).
 
 Usage::
 
-    PYTHONPATH=src python -m repro.experiments.tenant_study --seed 42
+    PYTHONPATH=src python -m repro tenant-study --quick
+    PYTHONPATH=src python -m repro check --replay 2 tenant-study --quick
+
+or, in code, ``repro.exec.grids.chaos_point("tenant", seed=42)`` (the
+whole three-leg study as one record).
 """
 
 from __future__ import annotations
 
-import argparse
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from ..check import CheckPlane
-from ..net import Packet
 from ..scenario import (
     AppSpec,
     ClientSpec,
@@ -46,16 +47,9 @@ from ..scenario import (
     ScenarioSpec,
     ServerSpec,
     TenantSpec,
-    build,
 )
-from ..sim import FaultKind, Simulator, Timeout, spawn
-from .chaos_study import (
-    ChaosClient,
-    ChaosReport,
-    _collect,
-    _finish_trace,
-    _run_until_answered,
-)
+from ..sim import FaultKind, Timeout, spawn
+from .chaos_study import ChaosClient, ChaosReport, flood, rkv_traffic, run_leg
 
 #: NIC-core shares when isolation is on (sum <= 1 by spec validation).
 VICTIM_SHARE = 0.85
@@ -153,93 +147,57 @@ def run_tenant_chaos(isolation: bool, aggressor: bool = True,
     aggressor flood, with or without tenant shares."""
     spec = tenant_spec(isolation, seed=seed, duration_us=duration_us,
                        loss=loss, alive_cores=alive_cores, trace=trace)
-    sim = Simulator()
-    if getattr(sim, "checker", None) is None:
-        # outside a SanitizerSession: attach our own (non-strict, so the
-        # report carries violations instead of aborting mid-run)
-        CheckPlane(sim, strict=False)
-    bed = build(spec, sim=sim)
-    tplane = bed.trace_plane
-    plane = bed.fault_plane
-    pulse = bed.pulse_plane
-    victim = ChaosClient(bed.sim, bed.network, name="victim0",
-                         timeout_us=2_500.0, port=bed.clients["victim0"])
-    batch = ChaosClient(bed.sim, bed.network, name="batch0",
-                        timeout_us=3_000.0, port=bed.clients["batch0"])
-    value = bytes(64)
 
-    def victim_driver():
-        for i in range(n_requests):
-            key = f"k{i % 7}"
-            if i % 3 == 2:
-                victim.request("s0", "rkv-get", {"key": key}, size=96)
-            else:
-                victim.request("s0", "rkv-put",
-                               {"key": key, "value": value}, size=192)
-            yield Timeout(send_gap_us)
+    def setup(bed):
+        victim = ChaosClient(bed.sim, bed.network, name="victim0",
+                             timeout_us=2_500.0, port=bed.clients["victim0"])
+        batch = ChaosClient(bed.sim, bed.network, name="batch0",
+                            timeout_us=3_000.0, port=bed.clients["batch0"])
 
-    def batch_driver():
-        # a light transactional trickle: the mixed-tenant background
-        for i in range(max(n_requests // 6, 1)):
-            batch.request("s0", "dt-txn", {
-                "reads": [f"x{i % 4}"],
-                "writes": {f"y{i % 4}": f"v{i}".encode()},
-            }, size=160)
-            yield Timeout(send_gap_us * 6)
+        def batch_driver():
+            # a light transactional trickle: the mixed-tenant background
+            for i in range(max(n_requests // 6, 1)):
+                batch.request("s0", "dt-txn", {
+                    "reads": [f"x{i % 4}"],
+                    "writes": {f"y{i % 4}": f"v{i}".encode()},
+                }, size=160)
+                yield Timeout(send_gap_us * 6)
 
-    def aggressor_driver():
-        # fire-and-forget analytics tuples straight at the shared
-        # server: without shares the RTA pipeline's downgraded actors
-        # soak up every DRR grant the victim needs
-        yield Timeout(aggressor_start_us)
-        i = 0
-        while bed.sim.now < aggressor_stop_us:
-            pkt = Packet("aggr0", "s0", 256, kind="rta-tuple",
-                         payload={"tuples": [f"#tag{i % 5} flood {i}"]},
-                         created_at=bed.sim.now)
-            bed.network.send(pkt)
-            i += 1
-            yield Timeout(aggressor_gap_us)
+        def judge(violations):
+            runtime = bed.servers["s0"].runtime
+            busy = runtime.nic_scheduler.tenant_busy_us
+            return {
+                "invariants": {
+                    "batch_answered": batch.answered > 0,
+                    "tenants_tagged": all(a.tenant for a in runtime.actors),
+                    "no_cross_tenant_dmo":
+                        runtime.dmo.cross_tenant_denials == 0,
+                    "tenant_invariants": not violations,
+                },
+                # study riders: run_tenant_study compares the p99s
+                "pulse": {
+                    "victim_p99_us": round(_p99(victim.latencies), 6),
+                    "tenant_busy_us": tuple(
+                        (t, round(us, 3)) for t, us in sorted(busy.items())),
+                },
+            }
 
-    spawn(bed.sim, victim_driver(), name="tenant-victim")
-    spawn(bed.sim, batch_driver(), name="tenant-batch")
-    if aggressor:
-        spawn(bed.sim, aggressor_driver(), name="tenant-aggressor")
-    _run_until_answered(bed, victim, duration_us)
+        spawn(bed.sim, rkv_traffic(victim, "s0", n_requests, send_gap_us,
+                                   lambda i: f"k{i % 7}"),
+              name="tenant-victim")
+        spawn(bed.sim, batch_driver(), name="tenant-batch")
+        if aggressor:
+            # analytics tuples straight at the shared server: without
+            # shares the RTA pipeline's downgraded actors soak up every
+            # DRR grant the victim needs
+            spawn(bed.sim, flood(
+                bed, "aggr0", "s0", "rta-tuple",
+                lambda i: {"tuples": [f"#tag{i % 5} flood {i}"]},
+                aggressor_start_us, aggressor_stop_us, aggressor_gap_us),
+                name="tenant-aggressor")
+        return victim, judge
 
-    injected, schedule, recovery = _collect(bed, plane)
-    checker = getattr(bed.sim, "checker", None)
-    tenancy_violations = [v for v in checker.violations
-                          if v.monitor == "tenancy"] if checker else []
-    runtime = bed.servers["s0"].runtime
-    sched = runtime.nic_scheduler
-    tenant_busy = {t: round(us, 3)
-                   for t, us in sorted(sched.tenant_busy_us.items())}
-    report = ChaosReport(
-        workload="tenant", seed=seed, requests=n_requests,
-        answered=victim.answered, lost=victim.lost,
-        client_retransmits=victim.retransmits,
-        duplicate_replies=victim.duplicate_replies,
-        duration_us=bed.sim.now,
-        faults_injected=injected, fault_schedule=schedule,
-        recovery=recovery,
-        invariants={
-            "zero_loss": victim.lost == 0,
-            "batch_answered": batch.answered > 0,
-            "tenants_tagged": all(
-                a.tenant for a in runtime.actors),
-            "no_cross_tenant_dmo": runtime.dmo.cross_tenant_denials == 0,
-            "tenant_invariants": not tenancy_violations,
-        },
-        pulse=pulse.telemetry(),
-        stage_latencies=_finish_trace(tplane),
-        trace_plane=tplane,
-        pulse_plane=pulse,
-    )
-    # study-specific riders (folded into the record by tenant_point)
-    report.pulse["victim_p99_us"] = round(_p99(victim.latencies), 6)
-    report.pulse["tenant_busy_us"] = tuple(sorted(tenant_busy.items()))
-    return report
+    return run_leg("tenant", spec, n_requests, setup, monitor="tenancy")
 
 
 def run_tenant_study(seed: int = 42, duration_us: float = 40_000.0,
@@ -256,15 +214,17 @@ def run_tenant_study(seed: int = 42, duration_us: float = 40_000.0,
                   aggressor_stop_us=aggressor_stop_us,
                   aggressor_gap_us=aggressor_gap_us, loss=loss,
                   alive_cores=alive_cores, trace=trace)
-    solo = run_tenant_chaos(isolation=False, aggressor=False, **kwargs)
-    flat = run_tenant_chaos(isolation=False, aggressor=True, **kwargs)
-    isolated = run_tenant_chaos(isolation=True, aggressor=True, **kwargs)
-
-    solo_p99 = solo.pulse["victim_p99_us"]
-    flat_p99 = flat.pulse["victim_p99_us"]
-    iso_p99 = isolated.pulse["victim_p99_us"]
+    legs = {
+        "solo": run_tenant_chaos(isolation=False, aggressor=False, **kwargs),
+        "flat": run_tenant_chaos(isolation=False, aggressor=True, **kwargs),
+        "isolated": run_tenant_chaos(isolation=True, aggressor=True,
+                                     **kwargs),
+    }
+    solo_p99, flat_p99, iso_p99 = (leg.pulse["victim_p99_us"]
+                                   for leg in legs.values())
+    legs_ok = all(leg.ok for leg in legs.values())
     checks = {
-        "legs_ok": solo.ok and flat.ok and isolated.ok,
+        "legs_ok": legs_ok,
         "interference_shown": flat_p99 >= degradation_min * solo_p99,
         "isolation_holds": iso_p99 <= isolation_slack * solo_p99,
     }
@@ -276,48 +236,10 @@ def run_tenant_study(seed: int = 42, duration_us: float = 40_000.0,
         "victim_p99_isolated_us": iso_p99,
         "degradation_x": round(flat_p99 / solo_p99, 3) if solo_p99 else 0.0,
         "isolated_x": round(iso_p99 / solo_p99, 3) if solo_p99 else 0.0,
-        "invariants": {**{f"solo_{k}": v
-                          for k, v in solo.invariants.items()},
-                       **{f"flat_{k}": v
-                          for k, v in flat.invariants.items()},
-                       **{f"isolated_{k}": v
-                          for k, v in isolated.invariants.items()},
+        "invariants": {**{f"{name}_{k}": v for name, leg in legs.items()
+                          for k, v in leg.invariants.items()},
                        **checks},
-        "ok": (solo.ok and flat.ok and isolated.ok
-               and all(checks.values())),
-        "fingerprint": (solo.telemetry_fingerprint(),
-                        flat.telemetry_fingerprint(),
-                        isolated.telemetry_fingerprint()),
+        "ok": legs_ok and all(checks.values()),
+        "fingerprint": tuple(leg.telemetry_fingerprint()
+                             for leg in legs.values()),
     }
-
-
-def tenant_point(**kwargs) -> Dict[str, object]:
-    """Grid/CI entry point: the whole study as a plain record."""
-    return run_tenant_study(**kwargs)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="TenantPlane study: noisy neighbor with and without "
-                    "hierarchical DRR shares")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--duration", type=float, default=40_000.0,
-                        metavar="US")
-    parser.add_argument("--requests", type=int, default=60)
-    args = parser.parse_args(argv)
-    record = run_tenant_study(seed=args.seed, duration_us=args.duration,
-                              n_requests=args.requests)
-    print(f"[tenant-study] seed={record['seed']}")
-    print(f"  victim p99: solo={record['victim_p99_solo_us']:.1f}us, "
-          f"aggressor+flat={record['victim_p99_flat_us']:.1f}us "
-          f"({record['degradation_x']:.2f}x), "
-          f"aggressor+shares={record['victim_p99_isolated_us']:.1f}us "
-          f"({record['isolated_x']:.2f}x)")
-    print("  invariants: " + ", ".join(
-        f"{name}={'ok' if good else 'VIOLATED'}"
-        for name, good in record["invariants"].items()))
-    return 0 if record["ok"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

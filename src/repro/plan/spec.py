@@ -162,6 +162,10 @@ def to_dict(plan: PlacementSpec) -> Dict[str, Any]:
 def from_dict(data: Dict[str, Any]) -> PlacementSpec:
     """Rebuild a plan from :func:`to_dict` output; unknown keys raise so
     typos do not silently no-op (the scenario-spec contract)."""
+    if not isinstance(data, dict):
+        raise PlanError(
+            [f"a plan must be an object, not {type(data).__name__}"])
+
     def build(cls, payload):
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - known

@@ -774,6 +774,10 @@ def _pairs(value) -> Tuple[Tuple[str, Any], ...]:
 def from_dict(data: Dict[str, Any]) -> ScenarioSpec:
     """Rebuild a spec from :func:`to_dict` output (or hand-written
     JSON/TOML); unknown keys raise so typos do not silently no-op."""
+    if not isinstance(data, dict):
+        raise ScenarioError(
+            [f"a spec must be an object, not {type(data).__name__}"])
+
     def build(cls, payload):
         known = {f.name: f for f in dataclasses.fields(cls)}
         unknown = set(payload) - set(known)

@@ -36,7 +36,11 @@ class Rng:
 
     def fork(self, salt: int) -> "Rng":
         """Derive an independent stream (e.g. one per client)."""
-        return Rng(hash((self.seed, salt)) & 0x7FFFFFFF)
+        # an int tuple hashes the same in every process (the hash salt
+        # covers str/bytes only); a different mix would move every forked
+        # seed, so the figures and the hostbench digests with it
+        seed = hash((self.seed, salt))  # lint: allow[builtin-hash]
+        return Rng(seed & 0x7FFFFFFF)
 
     # -- basic draws -----------------------------------------------------
     def uniform(self, lo: float, hi: float) -> float:

@@ -1,6 +1,12 @@
 """Chaos harness acceptance tests: zero loss + deterministic replay."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.experiments.chaos_study import (
     run_dt_chaos,
@@ -71,3 +77,20 @@ def test_rta_chaos_survives_core_and_actor_faults():
     assert report.faults_injected.get("actor_crash", 0) == 1
     restarts = sum(s.restarts for s in report.recovery.values())
     assert restarts >= 1
+
+
+def test_dt_fingerprint_is_stable_across_hash_seeds():
+    """DT places keys on participants and in buckets by crc32, so fresh
+    interpreters with different str hash salts replay the same faults."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = ("import hashlib; from repro.exec.grids import chaos_point; "
+            "p = chaos_point('dt', seed=42, duration_us=10_000.0); "
+            "print(hashlib.sha256(repr(p['fingerprint']).encode())"
+            ".hexdigest())")
+    digests = set()
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1, digests

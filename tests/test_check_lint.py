@@ -134,6 +134,21 @@ def test_dict_iteration_not_flagged():
     """) == []
 
 
+# -- builtin-hash ----------------------------------------------------------------
+
+def test_builtin_hash_flagged():
+    # str hashes are salted per process; crc32 and method calls named
+    # hash (hashlib objects, user classes) are not the builtin
+    findings = _rules("""\
+        import zlib
+        def owner(key, nodes):
+            a = nodes[hash(key) % len(nodes)]
+            b = nodes[zlib.crc32(key.encode()) % len(nodes)]
+            return a, b, key.hash()
+    """)
+    assert findings == [("builtin-hash", 3)]
+
+
 # -- allowlists ------------------------------------------------------------------
 
 def test_inline_allow_suppresses_named_rule(tmp_path):

@@ -111,6 +111,17 @@ def test_pulse_without_export_paths_is_a_usage_error(capsys):
     assert "nothing to export" in capsys.readouterr().err
 
 
+def test_trace_and_top_offer_every_single_report_leg(capsys):
+    # the --workload choices come from the study registry: the steering
+    # and SLO legs are traceable, the composite tenant study is not
+    for verb in ("trace", "top"):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{dt,rkv,rta,slo,steering}" in out
+
+
 def test_slo_quick_prints_the_burn_rate_report(capsys):
     assert main(["slo", "--quick"]) == 0
     out = capsys.readouterr().out
@@ -178,7 +189,18 @@ def test_bench_check_help_states_exit_codes(capsys):
     assert "Exit code 0" in out and "Exit code 1" in out
 
 
-@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+#: bad input files: missing, garbled, and decodable but not an object
+BAD_FILES = [None, "{not json", "[1, 2]"]
+
+
+def _bad_file(tmp_path, content) -> str:
+    path = tmp_path / "bad.json"
+    if content is not None:
+        path.write_text(content)
+    return str(path)
+
+
+@pytest.mark.parametrize("content", BAD_FILES)
 def test_bench_check_bad_baseline_exits_two_before_benchmarking(
         capsys, tmp_path, monkeypatch, content):
     import repro.exec.bench as bench_mod
@@ -187,15 +209,42 @@ def test_bench_check_bad_baseline_exits_two_before_benchmarking(
         raise AssertionError("benchmarked before loading the baseline")
 
     monkeypatch.setattr(bench_mod, "run_bench", never)
-    baseline = tmp_path / "baseline.json"
-    if content is not None:
-        baseline.write_text(content)
+    baseline = _bad_file(tmp_path, content)
     code = main(["bench", "--out", str(tmp_path / "out.json"),
-                 "--check", str(baseline)])
+                 "--check", baseline])
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "cannot load baseline" in err
     assert not (tmp_path / "out.json").exists()
+
+
+#: every command that reads a spec or plan file; {} is the bad file.
+#: The last field is the exit code for a file that decodes but holds no
+#: object: ``run`` rejects any unusable spec as a usage error (2), while
+#: ``validate`` and ``plan`` report it as a failed spec/plan (1).
+SPEC_FILE_COMMANDS = [
+    (["run", "{}"], 2),
+    (["scenario", "run", "{}"], 2),
+    (["scenario", "validate", "{}"], 1),
+    (["plan", "{}"], 1),
+    (["plan", "multi-rack-rkv", "--validate", "{}"], 1),
+]
+
+
+@pytest.mark.parametrize("content", BAD_FILES)
+@pytest.mark.parametrize("argv,not_object_code", SPEC_FILE_COMMANDS)
+def test_spec_file_commands_reject_bad_files_in_one_line(
+        capsys, tmp_path, monkeypatch, argv, not_object_code, content):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    path = _bad_file(tmp_path, content)
+    code = main([arg.format(path) for arg in argv])
+    out, err = capsys.readouterr()
+    assert (out + err).count("\n") == 1         # one line, no traceback
+    if content == "[1, 2]":
+        assert code == not_object_code and "must be an object" in out + err
+    else:
+        # missing or garbled: a usage error naming the file
+        assert code == 2 and path in err
 
 
 def test_run_unknown_spec_exits_two_listing_known_specs(capsys):

@@ -4,7 +4,8 @@ fingerprint, and the grid record has the documented shape."""
 
 import pytest
 
-from repro.experiments.slo_study import run_slo_chaos, slo_point, slo_spec
+from repro.exec.grids import chaos_point
+from repro.experiments.slo_study import run_slo_chaos, slo_spec
 
 #: Shrunk run (same shape ``repro check slo-study --quick`` uses): the
 #: aggressor still drives a breach, the LoadFeed still migrates, the
@@ -55,7 +56,7 @@ def test_replay_is_bit_identical(report):
 
 
 def test_slo_point_record_is_plain_data(report):
-    record = slo_point(seed=42, **QUICK)
+    record = chaos_point("slo", seed=42, **QUICK)
     assert record["workload"] == "slo" and record["ok"]
     assert record["pulse"] == report.pulse
     assert record["fingerprint"] == report.telemetry_fingerprint()
