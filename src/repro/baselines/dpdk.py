@@ -26,7 +26,7 @@ from ..nic.calibration import dpdk_recv_us, dpdk_send_us
 from ..net import Network, Packet
 from ..nic.accelerators import AcceleratorBank
 from ..nic.dma import DmaEngine
-from ..sim import Simulator, Store, Timeout, UtilizationTracker, spawn
+from ..sim import Doorbell, Simulator, Store, Timeout, UtilizationTracker, spawn
 
 
 class DpdkRuntime:
@@ -54,6 +54,9 @@ class DpdkRuntime:
         #: latency to/from host memory (descriptor + payload write)
         self._dma = DmaEngine(sim)
         self.rx_queue: Store = Store(sim)
+        #: idle poll-mode workers park here between 0.5 µs polls
+        self._rx_bell = Doorbell(
+            sim, 0.5, lambda: sim.now if self.rx_queue.items else None)
         self.host_util: List[UtilizationTracker] = [
             UtilizationTracker() for _ in range(workers)]
         self.host_ops = 0
@@ -100,12 +103,16 @@ class DpdkRuntime:
         pipeline = max(dpdk_recv_us(packet.size)
                        - self.stack.rx_cost(packet.size), 0.0)
         self.sim.post(self._dma.write_latency_us(packet.size) + pipeline,
-                         self.rx_queue.put_nowait, msg)
+                      self._rx_put, msg)
+
+    def _rx_put(self, msg: Message) -> None:
+        self.rx_queue.put_nowait(msg)
+        self._rx_bell.ring()
 
     def route_local(self, msg: Message, origin: Location) -> None:
         msg.meta["nic_arrival"] = self.sim.now
         msg.meta["local"] = True           # no RX stack cost for local sends
-        self.rx_queue.put_nowait(msg)
+        self._rx_put(msg)
 
     def transmit_from(self, side: Location, packet: Packet) -> None:
         self._tx_pending += 1
@@ -121,7 +128,7 @@ class DpdkRuntime:
         while self._running:
             msg = self.rx_queue.try_get_nowait()
             if msg is None:
-                yield Timeout(0.5)
+                yield self._rx_bell.park()
                 continue
             actor = self.actors.lookup(msg.target)
             if actor is None or not actor.schedulable:

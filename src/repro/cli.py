@@ -768,7 +768,8 @@ def _cmd_plan(argv) -> int:
                     "Exit code 0: planned (and, with --run, ran) "
                     "successfully. Exit code 1: the plan failed "
                     "validation, did not fit the scenario, or the "
-                    "planned run failed. Exit code 2: usage error.")
+                    "planned run failed. Exit code 2: usage error, an "
+                    "unknown scenario, or an unreadable spec/plan file.")
     parser.add_argument("scenario", metavar="SCENARIO",
                         help="shipped name or .json/.toml spec path")
     parser.add_argument("--out", metavar="PLAN.json", default=None,
@@ -796,7 +797,11 @@ def _cmd_plan(argv) -> int:
     from .scenario import ScenarioError, run_scenario
     from .scenario import to_json as spec_to_json
     try:
-        spec = _resolve_spec(args.scenario)
+        try:
+            spec = _resolve_spec(args.scenario)
+        except KeyError as exc:
+            # an unknown shipped name exits 2, like an unreadable file
+            raise _BadFile(exc.args[0]) from None
         spec.validate()
 
         if args.validate is not None:

@@ -141,6 +141,14 @@ class Ring:
         # anchor virtual time so run-to-idle passes the stall expiry
         self.sim.post_at(self.stalled_until, _noop)
 
+    def poll_at(self) -> Optional[float]:
+        """Earliest virtual time :meth:`poll` can take or discard the
+        head slot (its DMA visibility, or the stall expiry if later);
+        None when the ring is empty."""
+        if not self._buffer:
+            return None
+        return max(self._buffer[0][2], self.stalled_until)
+
     def poll(self) -> Optional[Message]:
         """Non-blocking consume; returns None when the ring is empty,
         stalled, or the head message fails its checksum.  A checksum
@@ -394,6 +402,10 @@ class ReliableChannel:
                     self.sim.now, self.sim.now - first_fail)
 
     # -- introspection --------------------------------------------------------
+    def ready(self, direction: str) -> int:
+        """Messages released in order and awaiting a poll."""
+        return len(self._dirs[direction].ready)
+
     def pending(self, direction: str) -> int:
         """Messages not yet released in order (in flight, stashed, ready)."""
         state = self._dirs[direction]

@@ -135,23 +135,23 @@ class Migrator:
         buffered = self.runtime.end_buffering(actor)
         report.forwarded_requests = len(buffered)
         from .channel import RingFullError
-        rchannel = getattr(self.runtime, "rchannel", None)
+        runtime = self.runtime
         for msg in buffered:
-            if rchannel is not None:
+            if runtime.rchannel is not None:
                 # the reliable layer owns retransmit/backoff; charge the
                 # descriptor-write cost and hand the message over
                 yield Timeout(
-                    self.runtime.channel.to_host.produce_cost_us(msg, batch=8))
-                rchannel.nic_send(msg)
+                    runtime.channel.to_host.produce_cost_us(msg, batch=8))
+                runtime.nic_send_to_host(msg)
                 continue
             while True:
-                yield from self.runtime.channel.to_host.wait_not_full()
+                yield from runtime.channel.to_host.wait_not_full()
                 yield Timeout(
-                    self.runtime.channel.to_host.produce_cost_us(msg, batch=8))
+                    runtime.channel.to_host.produce_cost_us(msg, batch=8))
                 try:
                     # live forwarding traffic races us for ring slots, so
                     # the reservation may vanish during the descriptor write
-                    self.runtime.channel.nic_send(msg)
+                    runtime.nic_send_to_host(msg)
                     break
                 except RingFullError:
                     continue

@@ -28,7 +28,7 @@ from ..net import Network, Packet, line_rate_pps
 from ..nic.cores import WorkloadProfile, time_on_host, time_on_nic
 from ..nic.device import SmartNic
 from ..nic.dma import DmaEngine
-from ..sim import Simulator, Store, Timeout, UtilizationTracker, spawn
+from ..sim import Doorbell, Simulator, Store, Timeout, UtilizationTracker, spawn
 from ..sim.faults import RecoveryPolicy
 from .actor import Actor, ActorTable, Location, Message, MigrationState
 from .channel import Channel, ReliableChannel, RingFullError
@@ -185,6 +185,8 @@ class IPipeRuntime:
     #: extra host CPU versus a bare DPDK loop at equal throughput.
     BOOKKEEPING_FRACTION = 0.18
     BOOKKEEPING_FLOOR_US = 0.30
+    #: an idle host worker polls the channel once per this interval
+    HOST_POLL_US = 0.5
 
     def __init__(self, sim: Simulator, nic: SmartNic, host: HostMachine,
                  network: Network, node_name: str,
@@ -264,6 +266,13 @@ class IPipeRuntime:
         # host-side workers: worker 0 is the pinned communication thread
         self.host_workers = host_workers
         self.host_queue: Store = Store(sim)
+        #: idle host workers park here instead of re-polling an empty
+        #: ring every 0.5 µs; every put into ``host_queue`` or the
+        #: NIC→host ring rings it (see :meth:`_host_poll_at`)
+        self.host_bell = Doorbell(sim, self.HOST_POLL_US, self._host_poll_at)
+        if self.rchannel is not None:
+            # ... and a backed-off NIC→host retransmit landing rings it
+            self.rchannel.on_deliverable["to_host"] = self.host_bell.ring
         self.host_util: List[UtilizationTracker] = [
             UtilizationTracker() for _ in range(host_workers)]
         self.host_ops = 0
@@ -576,6 +585,7 @@ class IPipeRuntime:
                 size=packet.size, bypass=True)
             msg.meta["trace"] = span.ctx
         self.host_queue.put_nowait(msg)
+        self.host_bell.ring()
 
     def update_steering(self, actor: Actor) -> None:
         """Refresh the off-path NIC switch rules to match the actor's
@@ -627,15 +637,22 @@ class IPipeRuntime:
         self.transmit_from(Location.NIC, packet)
         return True
 
+    def nic_send_to_host(self, msg: Message) -> None:
+        """The one NIC→host ring write, which rings the host doorbell.
+        With the reliable layer a full ring is retried with backoff;
+        without it the write raises :class:`RingFullError`."""
+        if self.rchannel is not None:
+            self.rchannel.nic_send(msg)
+        else:
+            self.channel.nic_send(msg)
+        self.host_bell.ring()
+
     def _nic_send_or_drop(self, msg: Message) -> None:
         """Cross the NIC→host ring.  Without the reliable layer a full
         ring drops the packet, exactly as a full descriptor ring does on
-        real hardware; with it, the send is retried with backoff."""
-        if self.rchannel is not None:
-            self.rchannel.nic_send(msg)
-            return
+        real hardware."""
         try:
-            self.channel.nic_send(msg)
+            self.nic_send_to_host(msg)
         except RingFullError:
             self.channel_drops += 1
 
@@ -653,6 +670,7 @@ class IPipeRuntime:
         msg.meta["nic_arrival"] = self.sim.now
         if actor.location is Location.HOST and origin is Location.HOST:
             self.host_queue.put_nowait(msg)
+            self.host_bell.ring()
         elif actor.location is Location.HOST:
             self.deliver(msg)
         elif origin is Location.HOST:
@@ -775,10 +793,27 @@ class IPipeRuntime:
         return max(headroom, 1.0)
 
     # -- host-side workers --------------------------------------------------------------
+    def _host_poll_at(self) -> Optional[float]:
+        """Earliest virtual time a host worker's poll could change
+        state: now when the run queue or the reliable layer's in-order
+        queue holds a message, else when the NIC→host ring's head slot
+        becomes visible and unstalled; None when there is nothing."""
+        rchannel = self.rchannel
+        if self.host_queue.items or (rchannel is not None
+                                     and rchannel.ready("to_host")):
+            return self.sim.now
+        ring = (rchannel.channel if rchannel is not None
+                else self.channel).to_host
+        return ring.poll_at()
+
     def _host_worker(self, worker_id: int):
         """Host runtime thread: "each runtime thread periodically polls
         requests from the channel and performs actor execution" (§5.1).
-        The run queue takes priority; an idle worker polls the ring."""
+        The run queue takes priority; an idle worker polls the ring.
+        A worker that finds both empty parks on ``host_bell`` and
+        resumes on its own ``HOST_POLL_US`` lattice at the first poll
+        that would succeed: the polling core is modelled at its cost
+        without an event per empty poll."""
         while self._running:
             busy_start = self.sim.now
             msg = self.host_queue.try_get_nowait()
@@ -791,7 +826,7 @@ class IPipeRuntime:
                     self.host_util[worker_id].add_busy(rx)
                     self.host_queue.put_nowait(polled)
                     continue
-                yield Timeout(0.5)
+                yield self.host_bell.park()
                 continue
             actor = self.actors.lookup(msg.target)
             if actor is None:

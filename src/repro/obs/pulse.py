@@ -14,12 +14,18 @@ can be *load*-driven, not only outage-driven.
 Zero virtual-time cost
 ----------------------
 
-The engine calls ``sim.pulse.after_step(now)`` after every fired event
-(one attribute read when no plane is installed, exactly like
+The engine calls ``sim.pulse.after_step(now)`` with the clock already
+at each live event's time, before dispatching it (one attribute read
+when no plane is installed, exactly like
 ``sim.tracer``/``sim.metrics``/``sim.checker``).  The sampler is *lazy*:
-it takes one sample when virtual time first crosses a period boundary,
-stamps it at the boundary, and jumps the lattice forward over idle gaps
-in one step (the same idiom as ``Histogram._rotate``).  Crucially it
+it takes one sample when virtual time first crosses a period boundary
+— before dispatching the crossing event, so a sample stamped at
+boundary ``b`` reads the state left by every event before ``b`` and by
+none at or after it — stamps it at the boundary, and jumps the lattice
+forward over idle gaps in one step (the same idiom as
+``Histogram._rotate``).  Sampling before the crossing event makes the
+series independent of state-neutral events (a host worker's empty
+ring poll): adding or removing one never moves a sample.  Crucially it
 **schedules nothing** — a sampled run fires the exact same event
 sequence as an unsampled one, which the determinism sanitizer's step
 digests prove and the :class:`~repro.check.monitors.PulseMonitor`
@@ -378,7 +384,9 @@ class PulsePlane:
 
     # -- engine hook ------------------------------------------------------
     def after_step(self, now: float) -> None:
-        """Called by the run loop after every fired event."""
+        """Called by the run loop before dispatching each event at
+        ``now`` (and once at a bounded run's horizon); samples when
+        ``now`` crosses the next boundary."""
         nxt = self._next
         if now < nxt:
             return

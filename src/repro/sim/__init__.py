@@ -2,7 +2,7 @@
 
 from .engine import MICROSECOND, MILLISECOND, SECOND, EventHandle, SimulationError, Simulator
 from .process import Process, Signal, Timeout, all_of, spawn
-from .resources import Resource, Store
+from .resources import Doorbell, Resource, Store
 from .distributions import Rng, ZipfGenerator, percentile, rng_draw_count
 from .faults import FaultKind, FaultPlane, FaultSnapshot, FaultSpec, RecoveryPolicy
 from .stats import Counter, Ewma, LatencyRecorder, LatencyTracker, UtilizationTracker
@@ -19,6 +19,7 @@ __all__ = [
     "Timeout",
     "all_of",
     "spawn",
+    "Doorbell",
     "Resource",
     "Store",
     "Rng",

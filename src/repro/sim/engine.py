@@ -45,6 +45,10 @@ Hook contract
 
 The passive planes hang off four attributes: ``tracer`` and ``metrics``
 (read by components), ``checker`` and ``pulse`` (called by the kernel).
+``checker.after_step`` runs after each fired callback;
+``pulse.after_step`` runs with the clock at each live event's time,
+before dispatching it — so a pulse sample taken when time crosses a
+boundary reads the state before the crossing event.
 Planes install before :meth:`Simulator.run`.  ``run()`` reads
 ``checker`` and ``pulse`` once per call, so a plane installed between
 two bounded ``run(until=...)`` calls sees every event of the second
@@ -259,11 +263,12 @@ class Simulator:
         #: (and ``pulse``) once per call; see the module's hook contract.
         self.checker = None
         #: periodic-sampling hook, set by repro.obs.pulse.PulsePlane.
-        #: The run loop calls ``pulse.after_step(now)`` after each fired
-        #: callback; the plane samples lazily when virtual time crosses a
-        #: period boundary.  Sampling is passive — it schedules nothing —
-        #: so instrumented and uninstrumented runs fire the exact same
-        #: event sequence (the sanitizer digests prove it).
+        #: The run loop calls ``pulse.after_step(now)`` before
+        #: dispatching each live event; the plane samples lazily, before
+        #: the event that crosses a period boundary.  Sampling is
+        #: passive — it schedules nothing — so instrumented and
+        #: uninstrumented runs fire the exact same event sequence (the
+        #: sanitizer digests prove it).
         self.pulse = None
 
     @property
@@ -392,6 +397,8 @@ class Simulator:
                 if len(item) == 4:          # raw post(): (when, seq, fn, args)
                     self._now = when
                     self._live -= 1
+                    if pl is not None:
+                        pl.after_step(when)
                     fn = item[2]
                     fn(*item[3])
                 else:
@@ -403,13 +410,13 @@ class Simulator:
                         continue
                     self._now = when
                     self._live -= 1
+                    if pl is not None:
+                        pl.after_step(when)
                     handle.fired = True
                     fn = handle._fn
                     fn(*handle._args)
                 if chk is not None:
                     chk.after_step(when, item[1], fn)
-                if pl is not None:
-                    pl.after_step(when)
             if until is not None and until > self._now:
                 self._now = until
                 if pl is not None:

@@ -6,12 +6,15 @@ These mirror the hardware abstractions the paper relies on:
   hardware traffic manager exposes to NIC cores is a ``Store``.
 * :class:`Resource` — counted capacity with FIFO waiters (e.g. DMA engine
   channels, accelerator units).
+* :class:`Doorbell` — parks an idle busy-poller and wakes it on its own
+  poll lattice (host runtime threads polling the NIC→host ring).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from .engine import SimulationError, Simulator
 from .process import Command, Process
@@ -107,6 +110,102 @@ class Store:
             process, item = self._putters.popleft()
             self.items.append(item)
             self.sim.post(0.0, process._resume, None)
+
+
+class _Parking:
+    """One parked process: its poll lattice and its scheduled wake."""
+
+    __slots__ = ("bell", "process", "point", "wake_at", "token")
+
+    def __init__(self, bell: "Doorbell", process: Process):
+        self.bell = bell
+        self.process = process
+        #: the next lattice point, advanced by repeated float addition
+        self.point = bell.sim.now + bell.period
+        self.wake_at = math.inf
+        #: id of the live wake event; older (superseded) ones are ignored
+        self.token = 0
+
+    def schedule(self, at: float) -> None:
+        """Wake at the first lattice point at or after ``at`` (and not
+        before now), unless an earlier wake is already scheduled."""
+        period = self.bell.period
+        now = self.bell.sim.now
+        while self.point < now:
+            self.point += period
+        point = self.point
+        while point < at:
+            point += period
+        if point < self.wake_at:
+            self.wake_at = point
+            self.token += 1
+            self.bell.sim.post_at(point, self.wake, self.token)
+
+    def wake(self, token: int) -> None:
+        if token != self.token:
+            return                  # superseded by an earlier wake
+        del self.bell._parked[self.process]
+        self.process._resume(None)
+
+
+class Doorbell(Command):
+    """Parks idle busy-pollers; wakes each on its own poll lattice.
+
+    A poller that would loop ``yield Timeout(period)`` over an empty
+    queue yields :meth:`park` instead.  The parked process remembers the
+    lattice it would have polled on — park time + ``period``, advanced
+    by repeated float ``+ period`` exactly as a ``Timeout`` chain
+    advances — and sleeps until the producer side calls :meth:`ring`.
+    A wake resumes it at the first point of its own lattice at or after
+    ``ready_at()``, the earliest virtual time one of its polls could
+    change state (``None``: no poll can, until the next ring).  So the
+    process resumes when the busy-poller's poll would first have
+    succeeded, without the events of the polls in between.
+
+    A woken process whose poll finds nothing (a sibling took the item,
+    the source stalled, a torn slot was discarded) just parks again;
+    parking re-reads ``ready_at()``, so that one rule covers every case
+    where the first wake was early.  A ring that moves a wake earlier
+    supersedes the later one, which is ignored when it fires.
+
+    Same-timestamp caveat: processes waking at one point resume in the
+    order their wakes were posted (park order, for wakes one ring
+    posts), and a wake is posted when the bell rings, not one period
+    before the point as the busy-poller's ``Timeout`` was.  So against
+    sibling pollers or other events at exactly that point, it can run
+    in a different order than the busy-poller would have.
+    """
+
+    __slots__ = ("sim", "period", "ready_at", "_parked")
+
+    def __init__(self, sim: Simulator, period: float,
+                 ready_at: Callable[[], Optional[float]]):
+        self.sim = sim
+        self.period = period
+        self.ready_at = ready_at
+        #: parked process -> its parking, in park order
+        self._parked: Dict[Process, _Parking] = {}
+
+    def park(self) -> "Doorbell":
+        """The command an idle poller yields in place of its poll sleep."""
+        return self
+
+    def ring(self) -> None:
+        """Producer side: work arrived; reschedule every parked wake."""
+        if not self._parked:
+            return
+        at = self.ready_at()
+        if at is None:
+            return
+        for parking in self._parked.values():
+            parking.schedule(at)
+
+    def subscribe(self, process: Process) -> None:
+        """Park ``process``, which yielded :meth:`park`."""
+        parking = self._parked[process] = _Parking(self, process)
+        at = self.ready_at()
+        if at is not None:
+            parking.schedule(at)
 
 
 class ResourceAcquire(Command):

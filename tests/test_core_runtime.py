@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core import Actor, Location, SchedulerConfig
-from repro.core.actor import MigrationState
+from repro.core.actor import Message, MigrationState
 from repro.core.scheduler import WorkItem
 from repro.experiments.testbed import make_testbed
 from repro.nic import LIQUIDIO_CN2350, WorkloadProfile
-from repro.sim import Timeout
+from repro.sim import Timeout, spawn
 
 
 def echo_handler(actor, msg, ctx):
@@ -225,3 +225,186 @@ def test_scheduler_counts_forwarding_ops():
     bed.sim.run(until=10.0)
     assert sent == [1]
     assert rt.nic_scheduler.forwards_completed == 1
+
+
+# -- idle host workers: doorbell wakes on the 0.5 µs poll lattice ------------
+
+def _lattice_ceil(t):
+    """The first point of the poll lattice of a worker idle since t=0
+    (0.5, 1.0, ... by repeated float addition) at or after ``t``."""
+    point = 0.5
+    while point < t:
+        point += 0.5
+    return point
+
+
+def _idle_host_runtime(reliable=False, host_workers=1):
+    """A server whose host workers parked at t=0 (lattice 0.5, 1.0, ...)
+    with one pinned host actor, and a log of every later host-worker
+    ring poll as (time, took a message)."""
+    bed = make_testbed()
+    server = bed.add_server("server", LIQUIDIO_CN2350,
+                            config=SchedulerConfig(migration_enabled=False),
+                            host_workers=host_workers, reliable=reliable)
+    rt = server.runtime
+
+    def handler(actor, msg, ctx):
+        yield ctx.compute(us=1.0)
+
+    rt.register_actor(Actor("hosty", handler, location=Location.HOST,
+                            pinned=True))
+    bed.sim.run(until=0.0)          # the workers' first polls: they park
+    polls = []
+    source = rt.rchannel if reliable else rt.channel
+    poll = source.host_poll
+
+    def logged_poll():
+        got = poll()
+        polls.append((bed.sim.now, got is not None))
+        return got
+
+    source.host_poll = logged_poll
+    return bed.sim, rt, polls
+
+
+def _until_pickup(polls):
+    """The polls up to and including the first that took a message."""
+    took = [i for i, (_, got) in enumerate(polls) if got]
+    return polls[:took[0] + 1] if took else polls
+
+
+def _host_msg(size=64):
+    return Message(target="hosty", kind="request", size=size)
+
+
+def test_parked_worker_picks_up_ring_message_on_its_lattice():
+    sim, rt, polls = _idle_host_runtime()
+    msg = _host_msg()
+    sim.post_at(3.3, rt.nic_send_to_host, msg)
+    sim.run(until=50.0)
+    visible = 3.3 + rt.channel.to_host.transfer_delay_us(msg)
+    # one poll, at the first lattice point at or after visibility
+    assert _until_pickup(polls) == [(_lattice_ceil(visible), True)]
+    assert rt.host_ops == 1
+
+
+def test_ring_stall_during_park_defers_pickup_to_the_stall_expiry():
+    sim, rt, polls = _idle_host_runtime()
+    msg = _host_msg()
+    ring = rt.channel.to_host
+    sim.post_at(3.3, rt.nic_send_to_host, msg)
+    # the stall starts after the wake was scheduled and outlasts it
+    sim.post_at(3.4, ring.stall, 7.1)
+    sim.run(until=50.0)
+    first = _lattice_ceil(3.3 + ring.transfer_delay_us(msg))
+    assert first < 3.4 + 7.1
+    # the early wake finds the ring stalled and parks until the expiry:
+    # no poll in between
+    assert _until_pickup(polls) == [(first, False),
+                     (_lattice_ceil(ring.stalled_until), True)]
+
+
+def test_torn_head_slot_delays_next_slot_by_one_lattice_step():
+    sim, rt, polls = _idle_host_runtime()
+    torn, good = _host_msg(), _host_msg()
+    ring = rt.channel.to_host
+
+    def send_pair():
+        ring.produce(torn, corrupt=True)
+        rt.nic_send_to_host(good)
+
+    sim.post_at(3.3, send_pair)
+    sim.run(until=50.0)
+    first = _lattice_ceil(3.3 + ring.transfer_delay_us(torn))
+    # the poll that discards the torn head returns nothing; the slot
+    # behind it (already visible) is taken one lattice step later
+    assert _until_pickup(polls) == [(first, False), (first + 0.5, True)]
+    assert ring.checksum_failures == 1
+    assert rt.host_ops == 1
+
+
+def test_reliable_retransmit_wakes_parked_worker_on_its_lattice():
+    sim, rt, polls = _idle_host_runtime(reliable=True)
+    ring = rt.channel.to_host
+
+    class TearFirst:
+        torn = 0
+
+        def tear_write(self, name):
+            self.torn += 1
+            return self.torn == 1
+
+    ring.fault_plane = TearFirst()
+    msg = _host_msg()
+    sim.post_at(3.3, rt.nic_send_to_host, msg)
+    sim.run(until=50.0)
+    delay = ring.transfer_delay_us(msg)
+    first = _lattice_ceil(3.3 + delay)
+    # the nack backs the producer off 2 µs; the retransmit lands one
+    # transfer later and rings the doorbell (on_deliverable["to_host"])
+    resent_visible = first + rt.rchannel.RETRANSMIT_BASE_US + delay
+    assert _until_pickup(polls) == [(first, False),
+                                    (_lattice_ceil(resent_visible), True)]
+    assert rt.rchannel.retransmits == 1
+    assert rt.host_ops == 1
+
+
+def test_migration_forward_wakes_parked_worker_on_its_lattice():
+    sim, rt, polls = _idle_host_runtime()
+    ring = rt.channel.to_host
+    visible = []
+    produce = ring.produce
+
+    def logged_produce(msg, corrupt=False):
+        produce(msg, corrupt=corrupt)
+        visible.append(ring._buffer[-1][2])
+
+    ring.produce = logged_produce
+    seen = []
+
+    def handler(actor, msg, ctx):
+        seen.append(ctx.on_nic)
+        yield ctx.compute(us=1.0)
+
+    actor = rt.register_actor(Actor("mover", handler))
+
+    def migrate():
+        yield from rt.migrator.migrate_to_host(actor)
+
+    spawn(sim, migrate())
+    # arrives during phase 1 (prepare): buffered, forwarded in phase 4
+    sim.post_at(0.1, rt.deliver, Message(target="mover", kind="request"))
+    sim.run(until=20_000.0)
+    assert actor.location is Location.HOST
+    assert len(visible) == 1
+    assert _until_pickup(polls) == [(_lattice_ceil(visible[0]), True)]
+    assert seen == [False]
+
+
+def test_host_to_host_route_local_wakes_parked_worker_on_its_lattice():
+    sim, rt, polls = _idle_host_runtime()
+    pickups = []
+    get = rt.host_queue.try_get_nowait
+
+    def logged_get():
+        got = get()
+        if got is not None:
+            pickups.append(sim.now)
+        return got
+
+    rt.host_queue.try_get_nowait = logged_get
+    sim.post_at(3.3, rt.route_local, _host_msg(), Location.HOST)
+    sim.run(until=50.0)
+    assert pickups == [_lattice_ceil(3.3)]
+    # the worker did not wake before the pickup
+    assert all(t > pickups[0] for t, _ in polls)
+    assert rt.host_ops == 1
+
+
+def test_run_without_horizon_terminates_on_idle_runtime():
+    sim, rt, polls = _idle_host_runtime(host_workers=2)
+    sim.post_at(3.3, rt.nic_send_to_host, _host_msg())
+    end = sim.run()
+    assert rt.host_ops == 1
+    assert sim.pending() == 0
+    assert end < 50.0

@@ -131,6 +131,27 @@ def test_sampler_stamps_boundaries_and_jumps_idle_gaps():
     assert pulse.passive_schedules == 0
 
 
+def test_sample_reads_state_before_the_event_crossing_the_boundary():
+    def samples(neutral):
+        sim = Simulator()
+        pulse = PulsePlane(sim, period_us=100.0)
+        state = {"x": 0.0}
+        pulse.add_probe("x", lambda t: state["x"])
+        for when, value in ((50.0, 1.0), (100.0, 2.0), (250.0, 3.0)):
+            sim.post_at(when, state.__setitem__, "x", value)
+        if neutral:
+            # state-neutral events just after each boundary
+            sim.post_at(100.5, lambda: None)
+            sim.post_at(200.25, lambda: None)
+        sim.run(until=400.0)
+        return pulse.store.get("x").points()
+
+    # the event at b=100 itself is not yet visible in the @100 sample
+    assert samples(neutral=False) == [(100.0, 1.0), (200.0, 2.0),
+                                      (400.0, 3.0)]
+    assert samples(neutral=True) == samples(neutral=False)
+
+
 def test_pulse_rejects_nonpositive_period():
     with pytest.raises(ValueError):
         PulsePlane(Simulator(), period_us=0.0)

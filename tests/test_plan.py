@@ -190,9 +190,12 @@ def test_plan_cli_exit_codes(tmp_path, capsys, monkeypatch):
         main(["plan"])
     assert exit_info.value.code == 2
 
-    # 1: unknown scenario
-    assert main(["plan", "no-such-scenario"]) == 1
-    assert "plan failed" in capsys.readouterr().err
+    # 2: unknown scenario, one line
+    capsys.readouterr()
+    assert main(["plan", "no-such-scenario"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("plan failed: no shipped scenario 'no-such-scenario'")
+    assert err.count("\n") == 1
 
     # 0: plan a shipped scenario and write the artifact
     out = tmp_path / "plan.json"

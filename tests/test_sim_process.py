@@ -1,8 +1,11 @@
 """Unit tests for generator processes, signals, stores and resources."""
 
+from collections import deque
+
 import pytest
 
 from repro.sim import (
+    Doorbell,
     Resource,
     Signal,
     SimulationError,
@@ -239,3 +242,113 @@ def test_kill_stops_process():
     sim.run()
     assert marks == ["first"]
     assert not proc.alive
+
+
+# -- Doorbell: parked pollers wake as the busy-pollers they replace ----------
+
+def _pollers(parked, starts, works, arrivals, horizon=60.0, delay=0.0):
+    """Pollers that take items off one queue, either busy-polling every
+    0.5 µs or parked on a Doorbell; an item becomes visible ``delay``
+    after it arrives, like a ring slot.  Returns (time, poller, item)
+    takes."""
+    sim = Simulator()
+    queue = deque()             # (visible at, item)
+    bell = Doorbell(sim, 0.5, lambda: queue[0][0] if queue else None)
+    takes = []
+
+    def poller(name, start, work):
+        if start:
+            yield Timeout(start)
+        while True:
+            if not queue or queue[0][0] > sim.now:
+                yield bell.park() if parked else Timeout(0.5)
+                continue
+            takes.append((sim.now, name, queue.popleft()[1]))
+            yield Timeout(work)
+
+    def arrive(item):
+        queue.append((sim.now + delay, item))
+        bell.ring()
+
+    for i, (start, work) in enumerate(zip(starts, works)):
+        spawn(sim, poller(f"p{i}", start, work))
+    for item, when in enumerate(arrivals):
+        sim.post_at(when, arrive, item)
+    sim.run(until=horizon)
+    return takes
+
+
+_ARRIVALS = (3.1, 3.1, 3.6, 7.35, 7.35, 7.35, 12.1, 12.2, 20.85, 21.1, 21.1,
+             30.6, 30.6, 30.6, 30.6, 41.35)
+
+
+@pytest.mark.parametrize("start, work, arrivals, delay", [
+    (0.0, 1.0, _ARRIVALS, 0.0),
+    (0.3, 0.75, _ARRIVALS, 0.0),
+    # items become visible 2.6 µs after they arrive, like a ring slot
+    (0.8, 0.25, (1.1, 1.85, 3.6, 5.35), 2.6),
+])
+def test_parked_poller_takes_match_busy_polling(start, work, arrivals, delay):
+    busy = _pollers(False, (start,), (work,), arrivals, delay=delay)
+    assert len(busy) == len(arrivals)
+    assert _pollers(True, (start,), (work,), arrivals, delay=delay) == busy
+
+
+def test_pollers_on_one_lattice_take_at_busy_poll_times():
+    # which of the tied pollers takes an item may differ from busy
+    # polling; when and in what order items are taken may not
+    args = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), _ARRIVALS)
+    busy = _pollers(False, *args)
+    assert len(busy) == len(_ARRIVALS)
+    assert ([(t, item) for t, _, item in _pollers(True, *args)]
+            == [(t, item) for t, _, item in busy])
+
+
+def test_tied_wakes_resume_in_park_order():
+    # p1 parks at 0, p0 at 0.5; both wake at 3.5 and p1 polls first
+    takes = _pollers(True, (0.5, 0.0), (1.0, 1.0), (3.1,))
+    assert takes == [(3.5, "p1", 0)]
+
+
+def test_earlier_ring_supersedes_a_scheduled_wake():
+    sim = Simulator()
+    ready = [None]
+    bell = Doorbell(sim, 0.5, lambda: ready[0])
+    resumes = []
+
+    def poller():
+        while True:
+            yield bell.park()
+            resumes.append(sim.now)
+            ready[0] = None            # took it
+
+    def ring(at):
+        ready[0] = at
+        bell.ring()
+
+    spawn(sim, poller())
+    sim.post_at(1.0, ring, 10.0)       # wake posted for 10.0 ...
+    sim.post_at(2.0, ring, 3.2)        # ... superseded by one at 3.5
+    sim.run(until=20.0)
+    assert resumes == [3.5]
+
+
+def test_doorbell_run_to_idle_terminates():
+    sim = Simulator()
+    queue = Store(sim)
+    bell = Doorbell(sim, 0.5, lambda: sim.now if queue.items else None)
+    takes = []
+
+    def poller():
+        while True:
+            item = queue.try_get_nowait()
+            if item is None:
+                yield bell.park()
+                continue
+            takes.append((sim.now, item))
+
+    spawn(sim, poller())
+    sim.post_at(2.2, lambda: (queue.put_nowait("x"), bell.ring()))
+    assert sim.run() == 2.5
+    assert takes == [(2.5, "x")]
+    assert sim.pending() == 0
