@@ -211,7 +211,7 @@ class TxnCoordinator:
         if state.aborted:
             return
         state.aborted = True
-        for node in state.participants:
+        for node in sorted(state.participants):
             self.send(node, TxnMessage("abort", state.txn_id, self.name,
                                        writes=dict(state.writes)))
         self._finish(state, committed=False)

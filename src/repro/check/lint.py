@@ -14,9 +14,11 @@ Four rules, enforced over ``src/repro/``:
   :class:`~repro.sim.Rng` / ``random.Random(seed)`` instances;
   constructing ``random.Random`` is explicitly allowed.
 * **unordered-iter** — ``for`` loops over ``set`` expressions (literals,
-  comprehensions, ``set()``/``frozenset()`` calls, or local names bound
-  to them) inside functions that schedule events (``post``, ``post_at``,
-  ``call_at``, ``call_in``, ``spawn``, ``push``).  Set iteration order
+  comprehensions, ``set()``/``frozenset()`` calls, local names bound
+  to them, or attributes named after a field that a dataclass in the
+  same module annotates ``Set[...]``/``set``) inside functions that
+  schedule events or send messages (``post``, ``post_at``, ``call_at``,
+  ``call_in``, ``spawn``, ``push``, ``send``).  Set iteration order
   depends on ``PYTHONHASHSEED`` for str-keyed sets, so feeding it into
   the event heap breaks cross-process bit-identity; wrap the iterable in
   ``sorted(...)``.  Dict iteration is insertion-ordered in every
@@ -46,7 +48,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 RULES: Dict[str, str] = {
     "wall-clock": "host clock call (time.time & co); use sim.now",
     "module-random": "module-level random call; use a seeded Rng",
-    "unordered-iter": "set iteration feeding event scheduling; sort it",
+    "unordered-iter": "set iteration feeding event scheduling or sends; "
+                      "sort it",
     "builtin-hash": "builtin hash() is salted per process; use zlib.crc32",
 }
 
@@ -65,8 +68,10 @@ _WALL_CLOCK_ATTRS = {
 _DATETIME_ATTRS = {"now", "utcnow", "today"}
 #: the only attribute of the random module simulation code may touch
 _RANDOM_ALLOWED_ATTRS = {"Random"}
-_SCHEDULING_CALLS = {"post", "post_at", "call_at", "call_in", "spawn", "push"}
+_SCHEDULING_CALLS = {"post", "post_at", "call_at", "call_in", "spawn", "push",
+                     "send"}
 _SET_CONSTRUCTORS = {"set", "frozenset"}
+_SET_ANNOTATIONS = {"set", "frozenset", "Set", "FrozenSet"}
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,8 @@ def _call_finding(node: ast.Call, imports: _ModuleImports) -> Optional[Tuple[str
     return None
 
 
-def _is_setish(node: ast.AST, set_names: Set[str]) -> bool:
+def _is_setish(node: ast.AST, set_names: Set[str],
+               set_fields: Set[str]) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -150,7 +156,38 @@ def _is_setish(node: ast.AST, set_names: Set[str]) -> bool:
         return True
     if isinstance(node, ast.Name) and node.id in set_names:
         return True
+    if isinstance(node, ast.Attribute) and node.attr in set_fields:
+        return True
     return False
+
+
+def _terminal_name(node: ast.AST) -> Optional[str]:
+    """``Set`` for ``Set``, ``typing.Set`` or ``Set[str]``; else None."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _dataclass_set_fields(tree: ast.AST) -> Set[str]:
+    """Names of the fields that a dataclass in ``tree`` annotates as a
+    set: ``Set[...]``, ``FrozenSet[...]``, ``set`` or ``frozenset``."""
+    fields: Set[str] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if not any(_terminal_name(d.func if isinstance(d, ast.Call) else d)
+                   == "dataclass" for d in node.decorator_list):
+            continue
+        for stmt in node.body:
+            if (isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and _terminal_name(stmt.annotation) in _SET_ANNOTATIONS):
+                fields.add(stmt.target.id)
+    return fields
 
 
 def _schedules_events(func: ast.AST) -> bool:
@@ -165,12 +202,13 @@ def _schedules_events(func: ast.AST) -> bool:
     return False
 
 
-def _set_bound_names(func: ast.AST) -> Set[str]:
+def _set_bound_names(func: ast.AST, set_fields: Set[str]) -> Set[str]:
     names: Set[str] = set()
     for node in ast.walk(func):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
-            if isinstance(target, ast.Name) and _is_setish(node.value, names):
+            if (isinstance(target, ast.Name)
+                    and _is_setish(node.value, names, set_fields)):
                 names.add(target.id)
     return names
 
@@ -184,6 +222,7 @@ def lint_source(source: str, path: str = "<string>") -> List[LintFinding]:
                             message=f"syntax error: {err.msg}")]
     imports = _ModuleImports()
     imports.scan(tree)
+    set_fields = _dataclass_set_fields(tree)
     findings: List[LintFinding] = []
 
     for node in ast.walk(tree):
@@ -197,14 +236,15 @@ def lint_source(source: str, path: str = "<string>") -> List[LintFinding]:
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if not _schedules_events(node):
                 continue
-            set_names = _set_bound_names(node)
+            set_names = _set_bound_names(node, set_fields)
             for inner in ast.walk(node):
                 if (isinstance(inner, ast.For)
-                        and _is_setish(inner.iter, set_names)):
+                        and _is_setish(inner.iter, set_names, set_fields)):
                     findings.append(LintFinding(
                         path=path, line=inner.lineno, rule="unordered-iter",
                         message=(f"iterating a set in {node.name}(), which "
-                                 f"schedules events; wrap in sorted(...)")))
+                                 f"schedules events or sends; wrap in "
+                                 f"sorted(...)")))
     # nested functions are walked once per enclosing def: dedupe
     return sorted(set(findings), key=lambda f: (f.path, f.line, f.rule))
 

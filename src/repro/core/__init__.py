@@ -3,8 +3,6 @@
 from .actor import Actor, ActorTable, Location, Message, MigrationState
 from .channel import Channel, ReliableChannel, Ring, RingFullError, message_checksum
 from .dmo import Dmo, DmoError, DmoManager, ObjectTable
-from .dmo_cache import SoftwareObjectCache
-from .iokernel import IOKERNEL_DISPATCH_US, IoKernel
 from .isolation import ActorKilledError, IsolationPolicy, QuotaEnforcer, Watchdog
 from .migration import MigrationReport, Migrator
 from .runtime import ExecutionContext, IPipeRuntime
@@ -35,9 +33,6 @@ __all__ = [
     "DmoError",
     "DmoManager",
     "ObjectTable",
-    "SoftwareObjectCache",
-    "IOKERNEL_DISPATCH_US",
-    "IoKernel",
     "ActorKilledError",
     "IsolationPolicy",
     "QuotaEnforcer",

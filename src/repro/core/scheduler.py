@@ -310,15 +310,10 @@ class NicScheduler:
             if stall > 0.0:
                 yield Timeout(stall)
                 continue
-            mode = self.core_mode[core_id]
-            if mode == "fcfs":
+            if self.core_mode[core_id] == "fcfs":
                 yield from self._fcfs_iteration(core_id)
-            elif mode == "drr":
-                yield from self._drr_iteration(core_id)
             else:
-                # core reassigned outside the scheduler (e.g. to an
-                # off-path IOKernel dispatcher): parked here
-                yield Timeout(50.0)
+                yield from self._drr_iteration(core_id)
 
     # ALG 1 ---------------------------------------------------------------------
     def _fcfs_iteration(self, core_id: int):

@@ -3,13 +3,12 @@
 ``python -m repro bench`` runs this module and emits ``BENCH_sweep.json``
 — the committed perf baseline format CI regresses against:
 
-* **kernel** — events/sec of the DES kernel on five workload shapes
+* **kernel** — events/sec of the DES kernel on six workload shapes
   (timer chain via ``call_in``, handle-free ``post`` chain, a
-  generator-process Timeout loop, a dense many-timer population that
-  exercises the calendar-queue event wheel against the forced-``heapq``
-  path, and open-loop Poisson arrival generation with and without
-  lattice batching), for the current kernel and for a reference copy
-  of the *seed* kernel (pre-fast-path ``heapq`` loop with per-event
+  generator-process Timeout loop, a cancel-heavy watchdog pattern, a
+  dense many-timer population, and open-loop Poisson arrival
+  generation), for the current kernel and for a reference copy of the
+  *seed* kernel (pre-fast-path ``heapq`` loop with per-event
   allocation) kept here so the speedup is measured, not remembered;
 * **sweep** — wall-clock of a Figure-16-style grid through
   :class:`~repro.exec.sweep.ParallelSweep` serially, with a process
@@ -215,14 +214,13 @@ def _noop():
     pass
 
 
-def _dense_eps(make_sim: Callable[[], Any], timers: int = _DENSE_TIMERS,
+def _dense_eps(timers: int = _DENSE_TIMERS,
                events: int = _DENSE_EVENTS) -> float:
     """A dense population of self-rescheduling timers with spread
-    periods — thousands of live events at all times, the shape the
-    calendar-queue event wheel exists for (an open-loop fleet against a
-    fabric looks like this).  Events/sec."""
+    periods — thousands of live events at all times, so every push and
+    pop pays a deep heap sift.  Events/sec."""
     def once() -> float:
-        sim = make_sim()
+        sim = Simulator()
         remaining = [events]
         post = sim.post
 
@@ -243,19 +241,16 @@ def _dense_eps(make_sim: Callable[[], Any], timers: int = _DENSE_TIMERS,
     return _best_of(once)
 
 
-def _arrival_eps(lattice_us: float, events: int = _ARRIVAL_EVENTS) -> float:
+def _arrival_eps(events: int = _ARRIVAL_EVENTS) -> float:
     """Open-loop Poisson arrival generation into a null sink: the
-    bookkeeping cost of producing the packet schedule itself.  With
-    ``lattice_us > 0`` each window's arrivals are drawn and scheduled in
-    one batch (same timestamps, same RNG order)."""
+    bookkeeping cost of producing the packet schedule itself."""
     from ..net import OpenLoopGenerator
     from ..sim import Rng
 
     def once() -> float:
         sim = Simulator()
         gen = OpenLoopGenerator(sim, send=_drop_packet, src="c", dst="s",
-                                rate_mpps=1.0, size=64, rng=Rng(7),
-                                lattice_us=lattice_us)
+                                rate_mpps=1.0, size=64, rng=Rng(7))
         t0 = time.perf_counter()
         sim.run(until=float(events))
         elapsed = time.perf_counter() - t0
@@ -275,10 +270,6 @@ def kernel_bench() -> Dict[str, float]:
     post_chain = _chain_eps(Simulator, schedule="post")
     seed_cancel, seed_peak = _cancel_heavy_eps(SeedSimulator)
     cancel, peak = _cancel_heavy_eps(Simulator)
-    dense_wheel = _dense_eps(Simulator)                  # auto -> wheel
-    dense_heap = _dense_eps(lambda: Simulator(queue="heap"))
-    arrivals_lattice = _arrival_eps(lattice_us=64.0)
-    arrivals_perpkt = _arrival_eps(lattice_us=0.0)
     return {
         "seed_chain_eps": seed_chain,
         "chain_unpooled_eps": chain_unpooled,
@@ -288,14 +279,10 @@ def kernel_bench() -> Dict[str, float]:
         "cancel_heavy_seed_eps": seed_cancel,
         "cancel_heavy_peak_heap": float(peak),
         "cancel_heavy_seed_peak_heap": float(seed_peak),
-        "dense_wheel_eps": dense_wheel,
-        "dense_heap_eps": dense_heap,
-        "lattice_arrivals_eps": arrivals_lattice,
-        "perpacket_arrivals_eps": arrivals_perpkt,
+        "dense_heap_eps": _dense_eps(),
+        "perpacket_arrivals_eps": _arrival_eps(),
         "speedup_post_vs_seed": post_chain / seed_chain,
         "speedup_cancel_vs_seed": cancel / seed_cancel,
-        "speedup_wheel_vs_heap": dense_wheel / dense_heap,
-        "speedup_lattice_vs_perpacket": arrivals_lattice / arrivals_perpkt,
     }
 
 

@@ -106,13 +106,14 @@ def _fig16_nic():
 
 
 def _chaos_cell(cell: Dict, quick: bool, o: Dict) -> Dict:
+    from ..experiments.chaos_study import STUDIES
     kwargs: Dict = {"workload": cell["workload"], "seed": cell["seed"],
                     "trace": o.get("trace", False)}
+    if quick:
+        kwargs.update(STUDIES[cell["workload"]].quick)
     duration = o.get("duration_us")
     if duration is not None:
         kwargs["duration_us"] = duration
-    elif quick:
-        kwargs["duration_us"] = 25_000.0
     return kwargs
 
 

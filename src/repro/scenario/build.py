@@ -100,13 +100,11 @@ class ClientPort:
 
     def open_loop(self, dst: str, rate_mpps: float, size: int,
                   payload_factory=None, rng: Optional[Rng] = None,
-                  poisson: bool = True,
-                  lattice_us: float = 0.0) -> OpenLoopGenerator:
+                  poisson: bool = True) -> OpenLoopGenerator:
         return OpenLoopGenerator(
             self.sim, send=self.network.send,
             src=self.name, dst=dst, rate_mpps=rate_mpps, size=size,
-            payload_factory=payload_factory, rng=rng, poisson=poisson,
-            lattice_us=lattice_us)
+            payload_factory=payload_factory, rng=rng, poisson=poisson)
 
 
 class BuiltApp:
@@ -498,8 +496,7 @@ def _build_fleet(scenario: Scenario, fleet: FleetSpec) -> None:
             gen = port.open_loop(
                 dst=dst, rate_mpps=fleet.rate_mpps / len(targets),
                 size=fleet.size, payload_factory=factory,
-                rng=Rng(seed), poisson=fleet.poisson,
-                lattice_us=fleet.lattice_us)
+                rng=Rng(seed), poisson=fleet.poisson)
         scenario.generators.append(gen)
 
 

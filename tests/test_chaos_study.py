@@ -94,3 +94,35 @@ def test_dt_fingerprint_is_stable_across_hash_seeds():
                              capture_output=True, text=True, check=True)
         digests.add(run.stdout.strip())
     assert len(digests) == 1, digests
+
+
+def test_dt_aborts_replay_identically_across_hash_seeds():
+    """A coordinator aborts by messaging every participant of the txn;
+    the sends go out in sorted order, not the str-salted set order, so a
+    DT leg that aborts replays the same under any PYTHONHASHSEED."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import hashlib\n"
+        "from repro.apps.dt.occ import TxnCoordinator\n"
+        "from repro.experiments.applications import deployment_spec\n"
+        "from repro.nic import LIQUIDIO_CN2350\n"
+        "from repro.scenario import run_scenario\n"
+        "aborts = [0]\n"
+        "orig = TxnCoordinator._abort\n"
+        "def _abort(self, state):\n"
+        "    aborts[0] += not state.aborted\n"
+        "    orig(self, state)\n"
+        "TxnCoordinator._abort = _abort\n"
+        "spec = deployment_spec('ipipe', 'dt', LIQUIDIO_CN2350, 512, 12,\n"
+        "                       4_000.0, 5)\n"
+        "fp = run_scenario(spec).fingerprint()\n"
+        "print(aborts[0], hashlib.sha256(repr(fp).encode()).hexdigest())\n")
+    outputs = set()
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        aborts, digest = run.stdout.split()
+        assert int(aborts) > 0          # the leg exercises _abort
+        outputs.add((aborts, digest))
+    assert len(outputs) == 1, outputs

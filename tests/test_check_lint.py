@@ -125,6 +125,52 @@ def test_set_iteration_without_scheduling_not_flagged():
     """) == []
 
 
+def test_dataclass_set_field_feeding_send_flagged():
+    # the shape of a coordinator aborting every participant of a txn
+    findings = _rules("""\
+        from dataclasses import dataclass, field
+        from typing import List, Set
+
+        @dataclass
+        class State:
+            participants: Set[str] = field(default_factory=set)
+            order: List[str] = field(default_factory=list)
+
+        class Coordinator:
+            def abort(self, state):
+                for node in state.participants:
+                    self.send(node, "abort")
+                for node in sorted(state.participants):
+                    self.send(node, "abort")
+                for node in state.order:
+                    self.send(node, "abort")
+                rest = state.participants
+                for node in rest:
+                    self.send(node, "abort")
+    """)
+    assert findings == [("unordered-iter", 11), ("unordered-iter", 18)]
+
+
+def test_plain_set_annotation_and_non_dataclass_fields():
+    findings = _rules("""\
+        import dataclasses
+
+        @dataclasses.dataclass(frozen=True)
+        class Spec:
+            racks: set
+
+        class Plain:
+            nodes: set
+
+        def f(sim, spec, plain):
+            for rack in spec.racks:
+                sim.post(1.0, print, rack)
+            for node in plain.nodes:
+                sim.post(1.0, print, node)
+    """)
+    assert findings == [("unordered-iter", 11)]
+
+
 def test_dict_iteration_not_flagged():
     # dicts are insertion-ordered in CPython: deliberately exempt
     assert _rules("""\

@@ -225,3 +225,18 @@ def test_result_fingerprint_detects_any_content_change():
 def test_code_fingerprint_is_stable_within_a_process():
     assert code_fingerprint() == code_fingerprint()
     assert len(code_fingerprint()) == 64
+
+
+def test_chaos_grid_quick_uses_the_study_registry_preset():
+    from repro.exec.grids import build_grid
+    from repro.experiments.chaos_study import STUDIES
+
+    quick = build_grid("chaos", True)
+    assert [p.kwargs["workload"] for p in quick] == ["rkv", "dt", "rta"]
+    for point in quick:
+        preset = STUDIES[point.kwargs["workload"]].quick
+        assert {k: point.kwargs[k] for k in preset} == preset
+    assert all("duration_us" not in p.kwargs
+               for p in build_grid("chaos", False))
+    override = build_grid("chaos", True, duration_us=5_000.0)
+    assert {p.kwargs["duration_us"] for p in override} == {5_000.0}

@@ -158,6 +158,20 @@ def test_open_loop_generator_rate():
     assert 9_000 < len(count) < 11_000
 
 
+def test_open_loop_stop_halts_emissions():
+    sim = Simulator()
+    sent_at = []
+    gen = OpenLoopGenerator(sim, send=lambda p: sent_at.append(sim.now),
+                            src="c", dst="s", rate_mpps=1.0, size=64,
+                            rng=Rng(5))
+    sim.post_at(20.0, gen.stop)
+    sim.run(until=200.0)
+    assert sent_at
+    assert max(sent_at) <= 20.0
+    assert gen.sent == len(sent_at)
+    assert sim.pending() == 0     # the re-arm chain ends with the stop
+
+
 def test_open_loop_deterministic_spacing():
     sim = Simulator()
     times = []

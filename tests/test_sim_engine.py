@@ -1,5 +1,7 @@
 """Unit tests for the DES engine."""
 
+import random
+
 import pytest
 
 from repro.sim import SimulationError, Simulator
@@ -266,3 +268,104 @@ def test_retained_handle_is_never_recycled():
     fresh = [sim.call_at(10.0 + i, lambda: None) for i in range(8)]
     assert all(h is not kept for h in fresh)
     assert kept.fired        # untouched by later scheduling
+
+
+# -- bounded runs ------------------------------------------------------------
+
+def test_next_event_time_and_bounded_run():
+    sim = Simulator()
+    for i in range(64):
+        sim.post_at(50.0 + i * 0.25, lambda: None)
+    sim.post_at(7.25, lambda: None)
+    assert sim.next_event_time() == 7.25
+    sim.run(until=5.0)
+    assert sim.now == 5.0
+    assert sim.next_event_time() == 7.25
+    sim.run(until=10.0)
+    assert sim.next_event_time() == 50.0
+    sim.run()
+    assert sim.next_event_time() is None
+
+
+# -- hook contract: checker/pulse are read once per run() ---------------------
+
+class _Checker:
+    def __init__(self):
+        self.scheduled = {}
+        self.steps = []
+
+    def on_schedule(self, when, seq, fn):
+        self.scheduled[seq] = when
+
+    def after_step(self, when, seq, fn):
+        self.steps.append((when, seq))
+
+
+class _Pulse:
+    def __init__(self):
+        self.times = []
+
+    def after_step(self, now):
+        self.times.append(now)
+
+
+def _plan(sim, fired, rng, count, horizon):
+    """Schedule ``count`` events through both APIs; cancel about a
+    third of the handle ones.  Returns the number cancelled."""
+    def tick():
+        fired.append(sim.now)
+
+    doomed = 0
+    for i in range(count):
+        when = sim.now + rng.uniform(0.0, horizon)
+        if i % 2:
+            sim.post_at(when, tick)
+            continue
+        handle = sim.call_at(when, tick)
+        if rng.random() < 0.3:
+            handle.cancel()
+            doomed += 1
+    return doomed
+
+
+def test_hooks_see_every_fired_event_in_order():
+    sim = Simulator()
+    chk, pl = _Checker(), _Pulse()
+    sim.checker, sim.pulse = chk, pl
+    fired = []
+    rng = random.Random(31)
+    doomed = [_plan(sim, fired, rng, 300, 50.0)]
+
+    def burst():
+        doomed[0] += _plan(sim, fired, rng, 1_000, 100.0)
+
+    sim.post_at(10.0, burst)
+    sim.run()
+
+    assert chk.steps == sorted(chk.steps)
+    assert len(chk.steps) == len(chk.scheduled) - doomed[0]
+    assert all(chk.scheduled[seq] == when for when, seq in chk.steps)
+    assert len(fired) == len(chk.steps) - 1     # burst
+    assert pl.times == [when for when, _ in chk.steps]
+
+
+def test_plane_installed_between_bounded_runs_sees_the_rest():
+    # The shard executor's pattern: bounded run(until=...) windows, with
+    # a plane attached between two of them.
+    sim = Simulator()
+    fired = []
+    _plan(sim, fired, random.Random(5), 1_000, 100.0)
+    sim.run(until=40.0)
+    before = len(fired)
+    assert 0 < before
+    chk, pl = _Checker(), _Pulse()
+    sim.checker, sim.pulse = chk, pl
+    sim.run(until=70.0)
+    sim.run()
+    assert len(chk.steps) == len(fired) - before > 0
+    assert chk.steps == sorted(chk.steps)
+    assert all(40.0 < when for when, _ in chk.steps)
+    # the pulse also sees the bounded call's final advance to 70.0
+    steps = [when for when, _ in chk.steps]
+    assert pl.times == [t for t in steps if t <= 70.0] + [70.0] + \
+        [t for t in steps if t > 70.0]
