@@ -468,14 +468,10 @@ def _cmd_bench(argv) -> int:
               f"identical={sw['identical']}")
     shard = bench.get("shard")
     if shard and "shard" not in errored:
-        proc = shard.get("proc_speedup")
-        proc_txt = (f", process-sharded {proc:.2f}x" if proc is not None
-                    else f" ({shard.get('proc_note', 'no process leg')})")
         print(f"  shard ({shard['spec']}): {shard['racks']} racks, "
               f"serial {shard['serial_s']:.2f}s vs sharded "
-              f"{shard['shard_s']:.2f}s ({shard['shard_speedup']:.2f}x on "
-              f"{shard['effective_jobs']} effective core(s))"
-              f"{proc_txt}, rounds={shard['rounds']}, "
+              f"{shard['shard_s']:.2f}s ({shard['shard_speedup']:.2f}x), "
+              f"rounds={shard['rounds']}, "
               f"fingerprint match={shard['match']}")
     for section in errored:
         print(f"  {section}: ERRORED: {bench[section]['error']}")
@@ -663,9 +659,6 @@ def _cmd_scenario(argv) -> int:
                        help="execution mode override: by-rack runs one "
                             "simulator per rack in conservative lookahead "
                             "windows (default: the spec's own setting)")
-    p_run.add_argument("--processes", type=int, default=None, metavar="N",
-                       help="with by-rack shards: fork one worker process "
-                            "per rack when N > 0 (default: the spec's own)")
     p_run.add_argument("--compare-serial", action="store_true",
                        help="also run the serial single-simulator "
                             "execution and verify the fingerprints match "
@@ -711,13 +704,9 @@ def _cmd_scenario(argv) -> int:
     from .scenario import ScenarioError, run_scenario
     try:
         spec = _resolve_spec(args.spec)
-        if args.shards is not None or args.processes is not None:
-            ex = spec.execution
+        if args.shards is not None:
             spec = dataclasses.replace(spec, execution=dataclasses.replace(
-                ex,
-                shards=args.shards if args.shards is not None else ex.shards,
-                processes=(args.processes if args.processes is not None
-                           else ex.processes)))
+                spec.execution, shards=args.shards))
         spec.validate()
     except (_BadFile, KeyError) as exc:
         print(exc.args[0], file=sys.stderr)
@@ -744,10 +733,10 @@ def _cmd_scenario(argv) -> int:
               f"recoveries {result.recoveries}")
     print(f"  fingerprint {result.fingerprint()}")
     if args.compare_serial:
-        serial_spec = dataclasses.replace(spec, execution=dataclasses.replace(
-            spec.execution, shards="none",
-            fault_streams=spec.execution.resolved_fault_streams()))
-        serial = run_scenario(serial_spec, duration_us=args.duration_us)
+        from .exec.shard import serial_twin
+        sharded = spec.execution.shards == "by-rack"
+        serial = run_scenario(serial_twin(spec) if sharded else spec,
+                              duration_us=args.duration_us)
         if serial.fingerprint() == result.fingerprint():
             print("  serial equivalence: MATCH")
         else:

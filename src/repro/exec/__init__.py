@@ -15,7 +15,7 @@ results.
 """
 
 from .cache import DEFAULT_CACHE_DIR, ResultCache, canonical, code_fingerprint
-from .shard import RackShardExecutor, ShardPartial, run_sharded
+from .shard import RackShardExecutor, serial_twin
 from .sweep import (ParallelSweep, SweepPoint, SweepReport,
                     result_fingerprint, run_grid)
 from . import grids
@@ -23,8 +23,7 @@ from . import grids
 __all__ = [
     "DEFAULT_CACHE_DIR",
     "RackShardExecutor",
-    "ShardPartial",
-    "run_sharded",
+    "serial_twin",
     "ResultCache",
     "canonical",
     "code_fingerprint",

@@ -21,12 +21,8 @@
 * **shard** — wall-clock of the ``multi-rack-rkv`` scenario executed
   serially vs through the parallel-in-time
   :class:`~repro.exec.shard.RackShardExecutor`, asserting the result
-  fingerprints match.  On a host with ≥2 effective cores a third leg
-  forks one worker per rack (``processes=len(racks)``) and records the
-  real multi-core ``proc_speedup`` — the ROADMAP's "demonstrate the
-  shard speedup on real hardware" number.  Wall-clock only (never
-  gated): in-process shards on a single core measure coordination
-  overhead, not speedup.
+  fingerprints match.  Wall-clock only (never gated): in-process shards
+  measure the conservative-window coordination overhead.
 
 Regression policy: ``check_regression`` fails when any ``*_eps`` metric
 in any section drops more than 30% below the committed baseline;
@@ -369,23 +365,14 @@ def shard_bench(spec_name: str = "multi-rack-rkv",
     """Serial vs rack-sharded wall clock on one multi-rack scenario.
 
     Asserts the fingerprints match (the executor's contract).  Pure
-    wall-clock — never gated: with in-process shards on a single core
-    this measures the conservative-window coordination overhead; real
-    speedup needs one core per rack, so on a host with ≥2 effective
-    cores a third leg forks one worker per rack and records
-    ``proc_speedup`` (``None`` + ``proc_note`` otherwise)."""
-    from dataclasses import replace
+    wall-clock — never gated: in-process shards measure the
+    conservative-window coordination overhead."""
     from ..scenario import load_shipped, run_scenario
-    from .shard import RackShardExecutor
+    from .shard import RackShardExecutor, serial_twin
 
     spec = load_shipped(spec_name)
-    serial_spec = replace(spec, execution=replace(
-        spec.execution, shards="none",
-        fault_streams=spec.execution.resolved_fault_streams()
-        if spec.execution.shards != "none" else "per-component"))
-
     t0 = time.perf_counter()
-    serial = run_scenario(serial_spec, duration_us=duration_us)
+    serial = run_scenario(serial_twin(spec), duration_us=duration_us)
     serial_s = time.perf_counter() - t0
 
     executor = RackShardExecutor(spec, duration_us=duration_us)
@@ -397,37 +384,17 @@ def shard_bench(spec_name: str = "multi-rack-rkv",
     if not match:
         raise RuntimeError(
             f"sharded {spec_name} diverged from the serial run")
-
-    racks = len(spec.racks)
-    effective_jobs = effective_parallelism(racks)
-    out: Dict[str, Any] = {
+    return {
         "spec": spec_name,
-        "racks": racks,
+        "racks": len(spec.racks),
         "duration_us": duration_us,
-        "effective_jobs": effective_jobs,
         "serial_s": serial_s,
         "shard_s": shard_s,
         "shard_speedup": serial_s / shard_s if shard_s > 0 else 0.0,
         "rounds": executor.rounds,
         "transfers": executor.transfers,
         "match": match,
-        "proc_speedup": None,
     }
-    if effective_jobs >= 2:
-        proc_exec = RackShardExecutor(spec, duration_us=duration_us,
-                                      processes=racks)
-        t0 = time.perf_counter()
-        proc = proc_exec.run()
-        proc_s = time.perf_counter() - t0
-        if serial.fingerprint() != proc.fingerprint():
-            raise RuntimeError(
-                f"process-sharded {spec_name} diverged from the serial run")
-        out["proc_s"] = proc_s
-        out["proc_speedup"] = serial_s / proc_s if proc_s > 0 else 0.0
-    else:
-        out["proc_note"] = (f"host has {effective_jobs} effective core(s); "
-                            f"process-shard comparison skipped")
-    return out
 
 
 # -- figure wall-clock ---------------------------------------------------------

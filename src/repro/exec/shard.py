@@ -34,34 +34,24 @@ the serial single-simulator run of the same spec, and the merged
 per-event streams match under :func:`repro.check.canonical_digest`
 (the spec validation layer rejects features — steering, tracing,
 shared fault streams, global fault budgets — that cannot decompose).
-
-Shards run in-process by default.  With ``processes > 0`` (ExecSpec or
-constructor), each rack becomes a forked worker process exchanging one
-message round-trip per window over a pipe; results are merged from
-picklable :class:`ShardPartial` summaries.
+Each shard is built by the serial :func:`~repro.scenario.build.build`
+over its rack's fabric and reported by the serial ``_collect``, so the
+two decompositions share one construction and one accounting path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..net.link import Link
 from ..net.packet import Packet, serialization_delay_us
 from ..net.switch import SpineSwitch
 from ..net.fabric import DEFAULT_UPLINK_MULTIPLIER, Fabric
-from ..scenario.build import (
-    ClientPort,
-    Scenario,
-    _build_app,
-    _build_fleet,
-    _install_payload_router,
-    make_server,
-)
-from ..scenario.run import ScenarioResult
-from ..scenario.spec import FabricSpec, ScenarioSpec, resolve_nic
-from ..sim import FaultPlane, FaultSpec, RecoveryPolicy, Simulator
-from ..core import SchedulerConfig, recovery_snapshot
+from ..scenario.build import Scenario, build
+from ..scenario.run import ScenarioResult, _collect
+from ..scenario.spec import ScenarioSpec
+from ..sim import Simulator
 
 
 class _BoundaryLink(Link):
@@ -112,11 +102,13 @@ class _ShardFabric(Fabric):
     :class:`_BoundaryLink` uplink.  Link and switch names match the
     global fabric exactly (``{rack}.tor``, ``{rack}.spine-up``,
     ``{rack}.spine-down``) so fault targeting and merged counters line
-    up with a serial run.
+    up with a serial run.  Only the rack's own servers and clients are
+    placed, which is what makes :func:`build` construct just this rack.
     """
 
-    def __init__(self, sim: Simulator, fabric: FabricSpec, rack: str,
-                 all_racks: List[str], export):
+    def __init__(self, sim: Simulator, spec: ScenarioSpec, rack: str,
+                 export):
+        fabric = spec.fabric
         super().__init__(
             sim, bandwidth_gbps=fabric.bandwidth_gbps,
             propagation_us=fabric.propagation_us,
@@ -125,8 +117,7 @@ class _ShardFabric(Fabric):
             spine_latency_us=fabric.spine_latency_us,
             uplink_gbps=fabric.uplink_gbps,
             inter_rack_propagation_us=fabric.inter_rack_propagation_us)
-        self.shard_rack = rack
-        if len(all_racks) > 1:
+        if spec.is_multi_rack():
             tor = self.switches[rack]
             tor.name = f"{rack}.tor"
             up_bw = (fabric.uplink_gbps
@@ -143,123 +134,27 @@ class _ShardFabric(Fabric):
             tor.uplink = up
             self.spine.attach_rack(rack, down)
             self._spine_links.extend((up, down))
-
-
-def _build_shard(spec: ScenarioSpec, rack_name: str, export
-                 ) -> Tuple[Scenario, List[int]]:
-    """Build one rack's scenario slice, mirroring ``build()`` step for
-    step: fabric → fault plane → recovery → local servers → apps (full
-    replica-group math, local nodes only) → payload routers → local
-    client ports → local fleets → fault wiring.  Returns the scenario
-    and ``gen_fleets``: the global fleet index behind each generator,
-    in construction order (the merge key)."""
-    sim = Simulator()
-    network = _ShardFabric(sim, spec.fabric, rack_name,
-                           [r.name for r in spec.racks], export)
-    scenario = Scenario(spec=spec, sim=sim, network=network)
-    local = next(r for r in spec.racks if r.name == rack_name)
-    for sspec in local.servers:
-        network.place(sspec.name, rack_name)
-    for cspec in local.clients:
-        network.place(cspec.name, rack_name)
-
-    if spec.faults:
-        streams = spec.execution.resolved_fault_streams()
-        plane = FaultPlane(sim, seed=spec.seed,
-                          component_streams=streams == "per-component")
-        for decl in spec.faults:
-            plane.add(FaultSpec(
-                kind=decl.kind, target=decl.target, node=decl.node,
-                probability=decl.probability, every_nth=decl.every_nth,
-                at_us=tuple(decl.at_us), period_us=decl.period_us,
-                start_us=decl.start_us, stop_us=decl.stop_us,
-                duration_us=decl.duration_us, max_count=decl.max_count))
-        scenario.fault_plane = plane
-
-    delay = spec.observability.recovery_restart_delay_us
-    if delay is not None:
-        scenario.recovery = RecoveryPolicy(restart_delay_us=delay)
-
-    for sspec in local.servers:
-        config = (SchedulerConfig(**sspec.scheduler_kwargs())
-                  if sspec.scheduler else None)
-        scenario.servers[sspec.name] = make_server(
-            sim, network, sspec.name, resolve_nic(sspec.nic),
-            system=sspec.system, config=config,
-            host_workers=sspec.host_workers,
-            host_cores=sspec.host_cores, reliable=sspec.reliable,
-            fault_plane=scenario.fault_plane,
-            recovery=scenario.recovery)
-
-    for app in spec.apps:
-        scenario.apps.append(_build_app(scenario, app))
-
-    if any(f.workload != "none" for f in spec.fleets):
-        for app in scenario.apps:
-            if app.kind in ("rkv", "dt", "rta"):
-                for group in app.groups:
-                    for name in group:
-                        if name not in scenario.servers:
-                            continue
-                        _install_payload_router(scenario, name)
-
-    for cspec in local.clients:
-        port = ClientPort(sim, network, cspec.name)
-        network.attach(cspec.name, port.receive, rack=rack_name)
-        scenario.clients[cspec.name] = port
-
-    gen_fleets: List[int] = []
-    for fleet_idx, fleet in enumerate(spec.fleets):
-        if spec.rack_of(fleet.client) != rack_name:
-            continue
-        before = len(scenario.generators)
-        _build_fleet(scenario, fleet)
-        gen_fleets.extend([fleet_idx] * (len(scenario.generators) - before))
-
-    if scenario.fault_plane is not None:
-        scenario.fault_plane.wire_network(network)
-
-    return scenario, gen_fleets
-
-
-@dataclass
-class ShardPartial:
-    """One shard's contribution to the merged result (picklable, so the
-    process-backed mode can ship it over a pipe)."""
-
-    rack: str
-    #: global fleet index -> [(sent, completed-or-None, latency samples)]
-    #: in generator construction order
-    fleet_gens: Dict[int, List[Tuple[int, Optional[int], Optional[List[float]]]]]
-    client_received: Dict[str, int]
-    tor_name: str
-    tor_counters: Tuple[int, int]
-    spine_counters: Optional[Tuple[int, int]]
-    host_cores: Dict[str, float]
-    nic_cores: Dict[str, float]
-    faults_injected: int
-    recoveries: int
+        local = next(r for r in spec.racks if r.name == rack)
+        for node in local.servers + local.clients:
+            self.place(node.name, rack)
 
 
 class _Shard:
-    """A rack's simulator plus its cross-rack outbox."""
+    """A rack's built scenario plus its cross-rack outbox."""
 
-    def __init__(self, spec: ScenarioSpec, rack: str, index: int):
-        self.spec = spec
+    def __init__(self, spec: ScenarioSpec, rack: str, index: int,
+                 rack_of: Dict[str, str]):
         self.rack = rack
         self.index = index
         #: (deliver_at, transmit_time, src index, export order, dst rack,
         #: packet) — the sort key reproduces the serial posting order
         self.outbox: List[Tuple[float, float, int, int, str, Packet]] = []
         self._order = 0
-        self._rack_of = {name: spec.rack_of(name)
-                         for name in spec.server_names()
-                         + spec.client_names()}
-        self.scenario, self.gen_fleets = _build_shard(spec, rack,
-                                                      self._export)
+        self._rack_of = rack_of
+        self.scenario: Scenario = build(spec, network=_ShardFabric(
+            Simulator(), spec, rack, self._export))
         self.sim = self.scenario.sim
 
-    # -- boundary ---------------------------------------------------------
     def _export(self, deliver_at: float, packet: Packet) -> None:
         dst_rack = self._rack_of.get(packet.dst)
         if dst_rack is None or dst_rack == self.rack:
@@ -267,170 +162,45 @@ class _Shard:
             # frame the ToR sent up for a local node (cannot happen via
             # ToR logic, kept for safety): deliver to the local replica,
             # exactly where a plain Link would have
-            self.sim.post_at(deliver_at, self.scenario.network.spine.ingest,
-                             packet)
+            self.inject(deliver_at, packet)
         else:
             self.outbox.append((deliver_at, self.sim.now, self.index,
                                 self._order, dst_rack, packet))
             self._order += 1
 
     def inject(self, when: float, packet: Packet) -> None:
-        """Deliver a remote shard's frame to the local spine replica."""
+        """Deliver a frame to the local spine replica at ``when``."""
         self.sim.post_at(when, self.scenario.network.spine.ingest, packet)
-
-    # -- conservative window protocol -------------------------------------
-    def next_time(self) -> Optional[float]:
-        return self.sim.next_event_time()
-
-    def advance(self, bound: float) -> None:
-        self.sim.run(until=bound)
-
-    def drain_outbox(self) -> List[Tuple]:
-        out, self.outbox = self.outbox, []
-        return out
-
-    def finish(self, horizon: float) -> None:
-        self.scenario.run(until=horizon)
-        self.scenario.stop()
-
-    # -- result extraction -------------------------------------------------
-    def partial(self, horizon: float) -> ShardPartial:
-        scenario = self.scenario
-        fleet_gens: Dict[int, List[Tuple]] = {}
-        for gen, fleet_idx in zip(scenario.generators, self.gen_fleets):
-            if hasattr(gen, "completed"):
-                entry = (gen.sent, gen.completed, list(gen.latency.samples))
-            else:
-                entry = (gen.sent, None, None)
-            fleet_gens.setdefault(fleet_idx, []).append(entry)
-        tor = scenario.network.switches[self.rack]
-        spine = scenario.network.spine
-        host_cores = {}
-        nic_cores = {}
-        recoveries = 0
-        for name in sorted(scenario.servers):
-            server = scenario.servers[name]
-            runtime = server.runtime
-            host_cores[name] = runtime.host_cores_used(horizon)
-            if server.nic is not None and hasattr(server.nic, "cores_used"):
-                nic_cores[name] = server.nic.cores_used(horizon)
-        plane = scenario.fault_plane
-        if plane is not None:
-            recoveries = sum(
-                recovery_snapshot(server.runtime).restarts
-                for server in scenario.servers.values()
-                if hasattr(server.runtime, "nic_scheduler"))
-        return ShardPartial(
-            rack=self.rack,
-            fleet_gens=fleet_gens,
-            client_received={name: port.received
-                             for name, port in scenario.clients.items()},
-            tor_name=tor.name,
-            tor_counters=(tor.forwarded, tor.dropped),
-            spine_counters=((spine.forwarded, spine.dropped)
-                            if spine is not None else None),
-            host_cores=host_cores,
-            nic_cores=nic_cores,
-            faults_injected=plane.snapshot().total if plane else 0,
-            recoveries=recoveries,
-        )
 
 
 def _transfer_key(entry: Tuple) -> Tuple:
     # (deliver_at, transmit time, src shard, export order): the serial
     # run posts spine arrivals in transmit order, so ties on deliver_at
     # resolve by when (then where) the frame left its rack
-    return (entry[0], entry[1], entry[2], entry[3])
+    return entry[:4]
 
 
-def _merge(spec: ScenarioSpec, horizon: float,
-           partials: List[ShardPartial]) -> ScenarioResult:
-    """Fold shard partials into the result a serial run would report.
-
-    Latency samples concatenate in global generator order (fleet order,
-    then per-fleet target order) so the float summation in the mean is
-    performed in the serial order; ToR counters key by switch name;
-    spine counters sum over the per-shard replicas."""
-    result = ScenarioResult(name=spec.name, seed=spec.seed,
-                            duration_us=horizon)
-    by_rack = {p.rack: p for p in partials}
-    latencies: List[float] = []
-    for fleet_idx, fleet in enumerate(spec.fleets):
-        partial = by_rack[spec.rack_of(fleet.client)]
-        for sent, completed, samples in partial.fleet_gens.get(fleet_idx, []):
-            result.sent += sent
-            if completed is not None:
-                result.completed += completed
-                latencies.extend(samples)
-    if latencies:
-        from ..sim import LatencyRecorder
-        rec = LatencyRecorder("scenario")
-        rec.samples = latencies
-        result.mean_latency_us = rec.mean
-        result.p99_latency_us = rec.p99
-    spine_forwarded = spine_dropped = 0
-    saw_spine = False
-    for partial in partials:
-        result.client_received.update(partial.client_received)
-        result.switch_counters[partial.tor_name] = partial.tor_counters
-        if partial.spine_counters is not None:
-            saw_spine = True
-            spine_forwarded += partial.spine_counters[0]
-            spine_dropped += partial.spine_counters[1]
-        result.host_cores.update(partial.host_cores)
-        result.nic_cores.update(partial.nic_cores)
-        result.faults_injected += partial.faults_injected
-        result.recoveries += partial.recoveries
-    if saw_spine:
-        result.switch_counters["spine"] = (spine_forwarded, spine_dropped)
-    return result
-
-
-def _shard_worker(conn, spec: ScenarioSpec, rack: str, index: int) -> None:
-    """Process-backed worker: one shard behind a pipe.
-
-    Protocol (one round-trip per window): after construction the worker
-    sends its first ``next_event_time``.  Each ``("advance", bound,
-    injections)`` applies the coordinator's pending cross-rack frames,
-    runs to ``bound`` and replies ``(next_event_time, outbox)``.
-    ``("finish", horizon, injections)`` drains to the horizon and
-    replies with the :class:`ShardPartial`."""
-    shard = _Shard(spec, rack, index)
-    conn.send(shard.next_time())
-    while True:
-        msg = conn.recv()
-        if msg[0] == "advance":
-            _, bound, injections = msg
-            for when, packet in injections:
-                shard.inject(when, packet)
-            shard.advance(bound)
-            conn.send((shard.next_time(), shard.drain_outbox()))
-        else:  # ("finish", horizon, injections)
-            _, horizon, injections = msg
-            for when, packet in injections:
-                shard.inject(when, packet)
-            shard.finish(horizon)
-            conn.send(shard.partial(horizon))
-            conn.close()
-            return
+def serial_twin(spec: ScenarioSpec) -> ScenarioSpec:
+    """The single-simulator spec whose run a by-rack run of ``spec``
+    must equal: the same spec with ``shards="none"`` and its fault
+    streams resolved the way the sharded run resolves them."""
+    ex = replace(spec.execution, shards="by-rack")
+    return replace(spec, execution=replace(
+        ex, shards="none", fault_streams=ex.resolved_fault_streams()))
 
 
 class RackShardExecutor:
     """Conservative parallel-in-time executor over a rack decomposition.
 
     ``run()`` returns a :class:`ScenarioResult` whose ``fingerprint()``
-    is bit-identical to ``run_scenario`` on the same spec with
-    ``shards="none"`` (given per-component fault streams, which the
-    executor forces).  ``rounds`` and ``transfers`` report the number of
-    synchronization windows and cross-rack frames after a run.
-
-    In-process shards by default; ``processes > 0`` forks one worker
-    per rack (POSIX only) with a single pipe round-trip per window.
+    is bit-identical to ``run_scenario(serial_twin(spec))``.  ``rounds``
+    and ``transfers`` report the number of synchronization windows and
+    cross-rack frames after a run.  ``lookahead_us`` may only tighten
+    the fabric-derived window (a seam for stress-testing the protocol).
     """
 
     def __init__(self, spec: ScenarioSpec,
                  duration_us: Optional[float] = None,
-                 processes: Optional[int] = None,
                  lookahead_us: Optional[float] = None):
         ex = spec.execution
         if ex.shards != "by-rack":
@@ -442,129 +212,43 @@ class RackShardExecutor:
         self.racks = [r.name for r in spec.racks]
         self.horizon = (duration_us if duration_us is not None
                         else spec.duration_us)
+        # the fabric's inter-rack propagation is the largest provably
+        # safe window
         base = spec.fabric.inter_rack_propagation_us
-        override = (lookahead_us if lookahead_us is not None
-                    else spec.execution.lookahead_us)
-        # lookahead may only tighten: the fabric's inter-rack propagation
-        # is the largest provably safe window
-        self.lookahead_us = base if override is None else min(override, base)
-        self.processes = (processes if processes is not None
-                          else spec.execution.processes)
+        self.lookahead_us = (base if lookahead_us is None
+                             else min(lookahead_us, base))
         self.rounds = 0
         self.transfers = 0
 
     def run(self) -> ScenarioResult:
         self.rounds = 0
         self.transfers = 0
-        if self.processes > 0 and len(self.racks) > 1:
-            partials = self._run_processes()
-        else:
-            partials = self._run_inprocess()
-        return _merge(self.spec, self.horizon, partials)
-
-    # -- in-process shards -------------------------------------------------
-    def _run_inprocess(self) -> List[ShardPartial]:
-        shards = [_Shard(self.spec, rack, idx)
+        spec = self.spec
+        rack_of = {name: spec.rack_of(name)
+                   for name in spec.server_names() + spec.client_names()}
+        # every shard is built before the first window runs
+        shards = [_Shard(spec, rack, idx, rack_of)
                   for idx, rack in enumerate(self.racks)]
-        if len(shards) > 1:
-            by_rack = {shard.rack: shard for shard in shards}
-            lookahead = self.lookahead_us
-            horizon = self.horizon
-            while True:
-                t_min = None
-                for shard in shards:
-                    t = shard.next_time()
-                    if t is not None and (t_min is None or t < t_min):
-                        t_min = t
-                if t_min is None or t_min > horizon:
-                    break
-                bound = min(t_min + lookahead, horizon)
-                for shard in shards:
-                    shard.advance(bound)
-                transfers: List[Tuple] = []
-                for shard in shards:
-                    transfers.extend(shard.drain_outbox())
-                if transfers:
-                    transfers.sort(key=_transfer_key)
-                    for when, _tau, _src, _order, rack, packet in transfers:
-                        by_rack[rack].inject(when, packet)
-                    self.transfers += len(transfers)
-                self.rounds += 1
+        by_rack = {shard.rack: shard for shard in shards}
+        horizon = self.horizon
+        while len(shards) > 1:
+            times = [shard.sim.next_event_time() for shard in shards]
+            t_min = min((t for t in times if t is not None), default=None)
+            if t_min is None or t_min > horizon:
+                break
+            bound = min(t_min + self.lookahead_us, horizon)
+            for shard in shards:
+                shard.sim.run(until=bound)
+            transfers: List[Tuple] = []
+            for shard in shards:
+                transfers.extend(shard.outbox)
+                shard.outbox = []
+            transfers.sort(key=_transfer_key)
+            for when, _tau, _src, _order, rack, packet in transfers:
+                by_rack[rack].inject(when, packet)
+            self.transfers += len(transfers)
+            self.rounds += 1
         for shard in shards:
-            shard.finish(self.horizon)
-        return [shard.partial(self.horizon) for shard in shards]
-
-    # -- process-backed shards ---------------------------------------------
-    def _run_processes(self) -> List[ShardPartial]:
-        import multiprocessing as mp
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX
-            raise RuntimeError(
-                "process-backed shards need the fork start method; "
-                "use processes=0 for in-process shards")
-        conns = []
-        procs = []
-        try:
-            for idx, rack in enumerate(self.racks):
-                parent, child = ctx.Pipe()
-                proc = ctx.Process(target=_shard_worker,
-                                   args=(child, self.spec, rack, idx),
-                                   daemon=True)
-                proc.start()
-                child.close()
-                conns.append(parent)
-                procs.append(proc)
-            nexts = [conn.recv() for conn in conns]
-            pending: List[List[Tuple[float, Packet]]] = [[] for _ in conns]
-            rack_idx = {rack: idx for idx, rack in enumerate(self.racks)}
-            lookahead = self.lookahead_us
-            horizon = self.horizon
-            while True:
-                t_min = None
-                for idx, nxt in enumerate(nexts):
-                    cand = nxt
-                    if pending[idx]:
-                        pend_min = min(t for t, _ in pending[idx])
-                        cand = (pend_min if cand is None
-                                else min(cand, pend_min))
-                    if cand is not None and (t_min is None or cand < t_min):
-                        t_min = cand
-                if t_min is None or t_min > horizon:
-                    break
-                bound = min(t_min + lookahead, horizon)
-                for idx, conn in enumerate(conns):
-                    conn.send(("advance", bound, pending[idx]))
-                    pending[idx] = []
-                transfers: List[Tuple] = []
-                for idx, conn in enumerate(conns):
-                    nxt, out = conn.recv()
-                    nexts[idx] = nxt
-                    transfers.extend(out)
-                if transfers:
-                    transfers.sort(key=_transfer_key)
-                    for when, _tau, _src, _order, rack, packet in transfers:
-                        pending[rack_idx[rack]].append((when, packet))
-                    self.transfers += len(transfers)
-                self.rounds += 1
-            partials = []
-            for idx, conn in enumerate(conns):
-                conn.send(("finish", self.horizon, pending[idx]))
-                pending[idx] = []
-            for conn in conns:
-                partials.append(conn.recv())
-            return partials
-        finally:
-            for conn in conns:
-                conn.close()
-            for proc in procs:
-                proc.join(timeout=30)
-                if proc.is_alive():  # pragma: no cover - defensive
-                    proc.terminate()
-
-
-def run_sharded(spec: ScenarioSpec, duration_us: Optional[float] = None,
-                processes: Optional[int] = None) -> ScenarioResult:
-    """Convenience wrapper: shard by rack, run, merge."""
-    return RackShardExecutor(spec, duration_us=duration_us,
-                             processes=processes).run()
+            shard.scenario.run(until=horizon)
+            shard.scenario.stop()
+        return _collect([shard.scenario for shard in shards], horizon)

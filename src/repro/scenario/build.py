@@ -132,6 +132,9 @@ class Scenario:
     clients: Dict[str, ClientPort] = field(default_factory=dict)
     apps: List[BuiltApp] = field(default_factory=list)
     generators: List[object] = field(default_factory=list)
+    #: the spec's fleet index behind each generator, in construction
+    #: order (``_collect`` merges rack shards by it)
+    gen_fleets: List[int] = field(default_factory=list)
     fault_plane: Optional[FaultPlane] = None
     trace_plane: Optional[object] = None
     recovery: Optional[RecoveryPolicy] = None
@@ -477,7 +480,8 @@ def _make_workload(fleet: FleetSpec, shard: Optional[int] = None):
     raise ValueError(f"unknown workload {fleet.workload!r}")
 
 
-def _build_fleet(scenario: Scenario, fleet: FleetSpec) -> None:
+def _build_fleet(scenario: Scenario, fleet: FleetSpec,
+                 fleet_idx: int) -> None:
     port = scenario.clients[fleet.client]
     if fleet.dst.startswith("shard:"):
         app = scenario.app(fleet.dst.split(":", 1)[1])
@@ -498,11 +502,13 @@ def _build_fleet(scenario: Scenario, fleet: FleetSpec) -> None:
                 size=fleet.size, payload_factory=factory,
                 rng=Rng(seed), poisson=fleet.poisson)
         scenario.generators.append(gen)
+        scenario.gen_fleets.append(fleet_idx)
 
 
 # -- the entry point ----------------------------------------------------------
 
-def build(spec: ScenarioSpec, sim: Optional[Simulator] = None) -> Scenario:
+def build(spec: ScenarioSpec, sim: Optional[Simulator] = None,
+          network: Optional[Fabric] = None) -> Scenario:
     """Assemble the whole simulation a spec describes.
 
     Construction order is part of the contract (it fixes the event
@@ -510,10 +516,19 @@ def build(spec: ScenarioSpec, sim: Optional[Simulator] = None) -> Scenario:
     in rack order → apps in spec order → client ports → fleets → fault
     wiring.  Pass ``sim`` to build inside an existing simulator (e.g.
     one instrumented by a SanitizerSession).
+
+    Pass ``network`` (a fabric with its nodes placed) to build only the
+    racks it holds, inside its simulator: the rack-sharded executor
+    builds each rack this way.  Apps still compute their replica groups
+    from the whole spec, so local nodes address remote peers by name.
     """
     spec.validate()
-    sim = sim or Simulator()
-    network = make_fabric(sim, spec.fabric, spec.racks)
+    if network is None:
+        sim = sim or Simulator()
+        network = make_fabric(sim, spec.fabric, spec.racks)
+    else:
+        sim = network.sim
+    racks = [rack for rack in spec.racks if rack.name in network.switches]
     scenario = Scenario(spec=spec, sim=sim, network=network)
 
     if spec.observability.trace:
@@ -537,7 +552,7 @@ def build(spec: ScenarioSpec, sim: Optional[Simulator] = None) -> Scenario:
     if delay is not None:
         scenario.recovery = RecoveryPolicy(restart_delay_us=delay)
 
-    for rack in spec.racks:
+    for rack in racks:
         for sspec in rack.servers:
             config = (SchedulerConfig(**sspec.scheduler_kwargs())
                       if sspec.scheduler else None)
@@ -585,14 +600,15 @@ def build(spec: ScenarioSpec, sim: Optional[Simulator] = None) -> Scenario:
                 if name not in covered and hasattr(runtime, "_steer_seen"):
                     _install_payload_router(scenario, name)
 
-    for rack in spec.racks:
+    for rack in racks:
         for cspec in rack.clients:
             port = ClientPort(sim, network, cspec.name)
             network.attach(cspec.name, port.receive, rack=rack.name)
             scenario.clients[cspec.name] = port
 
-    for fleet in spec.fleets:
-        _build_fleet(scenario, fleet)
+    for fleet_idx, fleet in enumerate(spec.fleets):
+        if fleet.client in scenario.clients:
+            _build_fleet(scenario, fleet, fleet_idx)
 
     if scenario.fault_plane is not None:
         scenario.fault_plane.wire_network(network)

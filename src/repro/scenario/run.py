@@ -51,12 +51,22 @@ class ScenarioResult:
         )
 
 
-def _collect(scenario: Scenario, duration_us: float) -> ScenarioResult:
-    spec = scenario.spec
+def _collect(scenarios: List[Scenario],
+             duration_us: float) -> ScenarioResult:
+    """Report one run: a single scenario when serial, one per rack when
+    rack-sharded.  Latency samples concatenate by (fleet index,
+    construction order) — the serial order, so the float summation in
+    the mean is too — and spine counters sum over the per-rack spine
+    replicas."""
+    spec = scenarios[0].spec
     result = ScenarioResult(name=spec.name, seed=spec.seed,
                             duration_us=duration_us)
+    generators = sorted(
+        ((fleet_idx, gen) for scenario in scenarios
+         for fleet_idx, gen in zip(scenario.gen_fleets, scenario.generators)),
+        key=lambda entry: entry[0])
     latencies: List[float] = []
-    for gen in scenario.generators:
+    for _, gen in generators:
         result.sent += gen.sent
         if hasattr(gen, "completed"):
             result.completed += gen.completed
@@ -67,26 +77,30 @@ def _collect(scenario: Scenario, duration_us: float) -> ScenarioResult:
         rec.samples = latencies
         result.mean_latency_us = rec.mean
         result.p99_latency_us = rec.p99
-    for name, port in scenario.clients.items():
-        result.client_received[name] = port.received
-    for rack, tor in scenario.network.switches.items():
-        result.switch_counters[tor.name] = (tor.forwarded, tor.dropped)
-    spine = scenario.network.spine
-    if spine is not None:
-        result.switch_counters["spine"] = (spine.forwarded, spine.dropped)
-    for name, server in scenario.servers.items():
-        runtime = server.runtime
-        result.host_cores[name] = runtime.host_cores_used(duration_us)
-        if server.nic is not None and hasattr(server.nic, "cores_used"):
-            result.nic_cores[name] = server.nic.cores_used(duration_us)
-    plane = scenario.fault_plane
-    if plane is not None:
-        result.faults_injected = plane.snapshot().total
-        from ..core import recovery_snapshot
-        result.recoveries = sum(
-            recovery_snapshot(server.runtime).restarts
-            for server in scenario.servers.values()
-            if hasattr(server.runtime, "nic_scheduler"))
+    spines = [scenario.network.spine for scenario in scenarios
+              if scenario.network.spine is not None]
+    for scenario in scenarios:
+        for name, port in scenario.clients.items():
+            result.client_received[name] = port.received
+        for tor in scenario.network.switches.values():
+            result.switch_counters[tor.name] = (tor.forwarded, tor.dropped)
+        for name, server in scenario.servers.items():
+            runtime = server.runtime
+            result.host_cores[name] = runtime.host_cores_used(duration_us)
+            if server.nic is not None and hasattr(server.nic, "cores_used"):
+                result.nic_cores[name] = server.nic.cores_used(duration_us)
+        plane = scenario.fault_plane
+        if plane is not None:
+            result.faults_injected += plane.snapshot().total
+            from ..core import recovery_snapshot
+            result.recoveries += sum(
+                recovery_snapshot(server.runtime).restarts
+                for server in scenario.servers.values()
+                if hasattr(server.runtime, "nic_scheduler"))
+    if spines:
+        result.switch_counters["spine"] = (
+            sum(spine.forwarded for spine in spines),
+            sum(spine.dropped for spine in spines))
     return result
 
 
@@ -106,7 +120,7 @@ def run_scenario(spec: ScenarioSpec,
     horizon = duration_us if duration_us is not None else spec.duration_us
     scenario.run(until=horizon)
     scenario.stop()
-    return _collect(scenario, horizon)
+    return _collect([scenario], horizon)
 
 
 # -- shipped specs ------------------------------------------------------------

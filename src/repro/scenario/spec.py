@@ -321,12 +321,12 @@ class ExecSpec:
     cross-rack packets at the spine boundary under a conservative
     lookahead window equal to the fabric's inter-rack propagation delay.
     The result is bit-identical to the serial run (same fingerprint,
-    same canonical event digest) — see docs/PERFORMANCE.md.
+    same canonical event digest) — see docs/PERFORMANCE.md.  Shards
+    always run in-process.
 
-    ``processes`` > 0 runs that many shards as forked worker processes
-    (0 = all shards in-process).  ``lookahead_us`` can only *tighten*
-    the fabric-derived lookahead (useful for stress-testing the
-    synchronization protocol; never needed for correctness).
+    ``processes`` must be 0: process-backed shards were removed (they
+    never beat the serial run).  The field stays only so that
+    ``hostbench/workloads.py``, which sets ``processes=0``, keeps working.
 
     ``fault_streams`` picks how stochastic fault draws are keyed:
     ``"shared"`` is the classic one-stream-per-spec mode (pinned by
@@ -336,8 +336,7 @@ class ExecSpec:
     """
 
     shards: str = "none"               # none | by-rack
-    processes: int = 0                 # 0 = in-process shards
-    lookahead_us: Optional[float] = None
+    processes: int = 0                 # must be 0 (see above)
     fault_streams: str = "auto"        # auto | shared | per-component
 
     def resolved_fault_streams(self) -> str:
@@ -674,14 +673,13 @@ class ScenarioSpec:
         if ex.shards not in EXEC_SHARDS:
             problems.append(f"execution: unknown shards mode "
                             f"{ex.shards!r} (have {EXEC_SHARDS})")
-        if ex.processes < 0:
-            problems.append("execution: processes must be >= 0")
+        if ex.processes != 0:
+            problems.append("execution: process-backed shards were "
+                            "removed; processes must be 0")
         if ex.fault_streams not in FAULT_STREAM_MODES:
             problems.append(f"execution: unknown fault_streams mode "
                             f"{ex.fault_streams!r} "
                             f"(have {FAULT_STREAM_MODES})")
-        if ex.lookahead_us is not None and ex.lookahead_us <= 0:
-            problems.append("execution: lookahead_us must be positive")
         if ex.shards == "by-rack":
             # the shard executor proves bit-identity against the serial
             # run; planes that share mutable state across racks (or

@@ -253,3 +253,16 @@ def test_run_unknown_spec_exits_two_listing_known_specs(capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "no-such-spec" in err
     assert all(name in err for name in shipped_specs())
+
+
+def test_run_rejects_process_shards_in_one_line(capsys, tmp_path):
+    from repro.scenario import load_shipped
+    from repro.scenario.spec import to_dict
+    data = to_dict(load_shipped("multi-rack-rkv"))
+    data["execution"] = {"shards": "by-rack", "processes": 3}
+    path = tmp_path / "proc.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "process-backed shards were removed" in err

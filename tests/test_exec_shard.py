@@ -8,14 +8,14 @@ serial single-simulator run, and the canonical per-event digest
 virtual time running the same code in both decompositions.
 """
 
-import multiprocessing
 from dataclasses import replace
 
 import pytest
 
 from repro.check import session_digest
 from repro.check.sanitizer import SanitizerSession
-from repro.exec.shard import RackShardExecutor, run_sharded
+from repro.core.dmo import DmoError
+from repro.exec.shard import RackShardExecutor, serial_twin
 from repro.scenario import (
     AppSpec,
     ClientSpec,
@@ -26,6 +26,7 @@ from repro.scenario import (
     ScenarioError,
     ScenarioSpec,
     ServerSpec,
+    TenantSpec,
     load_shipped,
     run_scenario,
 )
@@ -38,20 +39,8 @@ try:
 except ImportError:          # pragma: no cover - hypothesis is optional
     HAVE_HYPOTHESIS = False
 
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-
-def _serial(spec):
-    """The serial reference: same spec, same fault streams as the
-    sharded run resolves (auto -> per-component), single simulator."""
-    ex = replace(spec.execution, shards="by-rack")
-    return replace(spec, execution=replace(
-        ex, shards="none", fault_streams=ex.resolved_fault_streams()))
-
-
-def _sharded(spec, **overrides):
-    return replace(spec, execution=replace(
-        spec.execution, shards="by-rack", **overrides))
+def _sharded(spec):
+    return replace(spec, execution=replace(spec.execution, shards="by-rack"))
 
 
 # -- shipped multi-rack specs ------------------------------------------------
@@ -59,7 +48,7 @@ def _sharded(spec, **overrides):
 @pytest.mark.parametrize("name", ["multi-rack-rkv", "multi-rack-chaos"])
 def test_shipped_spec_fingerprints_match(name):
     spec = load_shipped(name)
-    serial = run_scenario(_serial(spec), duration_us=2_000.0)
+    serial = run_scenario(serial_twin(spec), duration_us=2_000.0)
     executor = RackShardExecutor(_sharded(spec), duration_us=2_000.0)
     sharded = executor.run()
     assert sharded.fingerprint() == serial.fingerprint()
@@ -70,7 +59,7 @@ def test_shipped_spec_fingerprints_match(name):
 def test_canonical_event_digest_matches():
     spec = load_shipped("multi-rack-rkv")
     with SanitizerSession(guard_hazards=False) as serial_session:
-        serial = run_scenario(_serial(spec), duration_us=1_500.0)
+        serial = run_scenario(serial_twin(spec), duration_us=1_500.0)
     with SanitizerSession(guard_hazards=False) as shard_session:
         sharded = run_scenario(_sharded(spec), duration_us=1_500.0)
     assert sharded.fingerprint() == serial.fingerprint()
@@ -82,23 +71,37 @@ def test_rack_down_fault_equivalence():
     spec = replace(spec, faults=spec.faults + (
         FaultDecl(kind="rack_down", target="rack1",
                   at_us=(800.0,), duration_us=400.0),))
-    serial = run_scenario(_serial(spec), duration_us=3_000.0)
-    sharded = run_sharded(_sharded(spec), duration_us=3_000.0)
+    serial = run_scenario(serial_twin(spec), duration_us=3_000.0)
+    sharded = RackShardExecutor(spec, duration_us=3_000.0).run()
     assert serial.faults_injected > 0
     assert sharded.fingerprint() == serial.fingerprint()
 
 
-@pytest.mark.skipif(not HAVE_FORK, reason="needs the fork start method")
-def test_process_backed_shards_match():
+# -- build-time planes: one construction path for both decompositions -------
+
+def test_placement_pins_apply_to_sharded_builds():
     spec = load_shipped("multi-rack-rkv")
-    serial = run_scenario(_serial(spec), duration_us=1_500.0)
-    sharded = run_sharded(_sharded(spec), duration_us=1_500.0, processes=3)
+    app = spec.apps[0]
+    spec = replace(spec, apps=(
+        replace(app, placement=(("r0s0/memtable", "host"),)),))
+    serial = run_scenario(serial_twin(spec), duration_us=5_000.0)
+    sharded = RackShardExecutor(spec, duration_us=5_000.0).run()
     assert sharded.fingerprint() == serial.fingerprint()
+
+
+def test_tenant_dmo_budget_applies_to_sharded_builds():
+    spec = load_shipped("multi-rack-rkv")
+    spec = replace(spec, tenants=(TenantSpec(name="t", dmo_budget_bytes=1),),
+                   apps=(replace(spec.apps[0], tenant="t"),))
+    with pytest.raises(DmoError, match="budget"):
+        run_scenario(serial_twin(spec), duration_us=1_000.0)
+    with pytest.raises(DmoError, match="budget"):
+        RackShardExecutor(spec, duration_us=1_000.0).run()
 
 
 def test_run_scenario_dispatches_by_rack():
     spec = load_shipped("multi-rack-rkv")
-    serial = run_scenario(_serial(spec), duration_us=1_000.0)
+    serial = run_scenario(serial_twin(spec), duration_us=1_000.0)
     sharded = run_scenario(_sharded(spec), duration_us=1_000.0)
     assert sharded.fingerprint() == serial.fingerprint()
 
@@ -130,7 +133,7 @@ def test_single_rack_spec_degenerates_to_serial():
         apps=(AppSpec(kind="rkv", servers=("s0", "s1")),),
         fleets=(FleetSpec(client="c0", dst="shard:rkv", mode="open",
                           rate_mpps=0.05, seed=3),))
-    serial = run_scenario(_serial(spec))
+    serial = run_scenario(serial_twin(spec))
     executor = RackShardExecutor(_sharded(spec))
     sharded = executor.run()
     assert sharded.fingerprint() == serial.fingerprint()
@@ -140,9 +143,7 @@ def test_single_rack_spec_degenerates_to_serial():
 @pytest.mark.parametrize("mutation, fragment", [
     (dict(execution=ExecSpec(shards="by-rack", fault_streams="shared")),
      "per-component"),
-    (dict(execution=ExecSpec(shards="by-rack", lookahead_us=-1.0)),
-     "lookahead_us"),
-    (dict(execution=ExecSpec(shards="by-rack", processes=-2)),
+    (dict(execution=ExecSpec(shards="by-rack", processes=3)),
      "processes"),
 ])
 def test_by_rack_validation_rejections(mutation, fragment):
@@ -202,8 +203,8 @@ if HAVE_HYPOTHESIS:
     def test_random_cross_rack_traffic_is_equivalent(racks, rate, seed,
                                                      rack_down):
         spec = _random_grid_spec(racks, rate, seed, rack_down)
-        serial = run_scenario(_serial(spec))
-        sharded = run_sharded(_sharded(spec))
+        serial = run_scenario(serial_twin(spec))
+        sharded = RackShardExecutor(spec).run()
         assert sharded.fingerprint() == serial.fingerprint()
 else:                        # pragma: no cover - hypothesis is optional
     @pytest.mark.skip(reason="hypothesis not installed")
