@@ -2,15 +2,20 @@
 
 A Thompson-construction NFA regex engine supporting the subset the
 FlexStorm filter needs: literals, ``.``, character classes ``[abc]`` /
-``[a-z]``, alternation ``|``, grouping ``(...)`` and the ``* + ?``
-quantifiers.  Simulation of the NFA is the classic lock-step set-of-states
-walk — linear time, no backtracking blowup — which is why it suits a
-wimpy NIC core.
+``[a-z]`` / ``[^...]``, alternation ``|``, grouping ``(...)``, the
+``* + ?`` quantifiers and ``\\`` escapes.  ``search`` runs the NFA as a
+lazy DFA: one pass over the text, where each DFA state is the set of
+NFA states live after a character.  Re-adding the start closure at every
+step makes the match unanchored, so a match anywhere costs no restart.
+Each (state set, character) transition is computed once per compiled
+regex and cached, so a warm filter pays one dict lookup per character —
+linear time, no backtracking blowup, which is why it suits a wimpy NIC
+core.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 EPSILON = None
 
@@ -175,6 +180,15 @@ class Regex:
         for out in frag.outs:
             out.edges.append((EPSILON, accept))
         self.start = frag.start
+        self._start_set = self._closure({self.start})
+        self._sets: Dict[FrozenSet[_State], FrozenSet[_State]] = {
+            self._start_set: self._start_set}
+        #: lazy DFA: (state set, char) -> next state set, filled on use
+        self._transitions: Dict[Tuple[FrozenSet[_State], str],
+                                FrozenSet[_State]] = {}
+        self._accepting: Set[FrozenSet[_State]] = set()
+        if any(s.accepting for s in self._start_set):
+            self._accepting.add(self._start_set)
 
     @staticmethod
     def _closure(states: Set[_State]) -> FrozenSet[_State]:
@@ -188,29 +202,32 @@ class Regex:
                     stack.append(nxt)
         return frozenset(seen)
 
-    def match_here(self, text: str) -> bool:
-        """Anchored match: does a prefix of ``text`` match the pattern?"""
-        current = self._closure({self.start})
-        if any(s.accepting for s in current):
-            return True
-        for ch in text:
-            nxt: Set[_State] = set()
-            for state in current:
-                for predicate, target in state.edges:
-                    if predicate is not EPSILON and predicate(ch):
-                        nxt.add(target)
-            if not nxt:
-                return False
-            current = self._closure(nxt)
-            if any(s.accepting for s in current):
-                return True
-        return False
+    def _step(self, current: FrozenSet[_State], ch: str) -> FrozenSet[_State]:
+        """DFA transition: advance every live state on ``ch``, restart."""
+        moved = {target for state in current
+                 for predicate, target in state.edges
+                 if predicate is not EPSILON and predicate(ch)}
+        nxt = self._closure(moved | self._start_set)
+        # intern, so cache keys compare by identity on the hot path
+        nxt = self._sets.setdefault(nxt, nxt)
+        if any(s.accepting for s in nxt):
+            self._accepting.add(nxt)
+        return nxt
 
     def search(self, text: str) -> bool:
-        """Unanchored match anywhere in the text."""
-        for start in range(len(text) + 1):
-            if self.match_here(text[start:]):
+        """Unanchored match anywhere in the text, in one pass."""
+        current = self._start_set
+        accepting = self._accepting
+        if current in accepting:
+            return True
+        transitions = self._transitions
+        for ch in text:
+            nxt = transitions.get((current, ch))
+            if nxt is None:
+                nxt = transitions[current, ch] = self._step(current, ch)
+            if nxt in accepting:
                 return True
+            current = nxt
         return False
 
 

@@ -150,10 +150,15 @@ class DmoMonitor:
 
     def check(self, now: float) -> Iterator[str]:
         dmo = self.dmo
+        index = dmo.index
         seen: Dict[int, Any] = {}
         usage: Dict[str, int] = {}
         for location, table in dmo.tables.items():
             for obj in table.objects():
+                if index.get(obj.object_id) is not obj:
+                    yield (f"object {obj.object_id} sits in the "
+                           f"{location.value} table but the translation "
+                           f"index does not map its id to it")
                 if obj.object_id in seen:
                     yield (f"object {obj.object_id} (actor {obj.actor!r}) "
                            f"present in both the {seen[obj.object_id].value} "
@@ -165,6 +170,9 @@ class DmoMonitor:
                            f"{location.value} table but claims location "
                            f"{obj.location.value}")
                 usage[obj.actor] = usage.get(obj.actor, 0) + obj.size
+        for object_id in sorted(set(index) - set(seen)):
+            yield (f"object {object_id} is in the translation index but "
+                   f"in neither object table")
         for actor, region in dmo.regions.items():
             used = getattr(region, "used", None)
             capacity = getattr(region, "capacity", None)

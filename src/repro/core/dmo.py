@@ -88,8 +88,10 @@ class DmoManager:
         self._nic_dram = nic_dram
         self._region_bytes = region_bytes
         self._regions: Dict[str, Any] = {}
+        #: object ID -> live object, whichever table holds it: the one
+        #: translation every access makes (migration keeps the object)
+        self._index: Dict[int, Dmo] = {}
         self.denied_accesses = 0
-        self.translations = 0
         #: TenantPlane (docs/TENANCY.md): owning tenant per region, byte
         #: budgets and live allocation per tenant, and a counter of
         #: denials that crossed a tenant boundary (a strict subset of
@@ -106,6 +108,12 @@ class DmoManager:
     def regions(self) -> Dict[str, Any]:
         """Per-actor memory regions (read-only view for the DMO monitor)."""
         return self._regions
+
+    @property
+    def index(self) -> Dict[int, Dmo]:
+        """Object ID → object translation index (read-only view for the
+        DMO monitor, which checks it against the two tables)."""
+        return self._index
 
     # -- tenancy -----------------------------------------------------------
     def tenant_of(self, actor: str) -> str:
@@ -162,6 +170,7 @@ class DmoManager:
         for table in self.tables.values():
             for obj in list(table.owned_by(actor)):
                 table.remove(obj.object_id)
+                del self._index[obj.object_id]
                 if tenant:
                     self._tenant_used[tenant] = \
                         self._tenant_used.get(tenant, 0) - obj.size
@@ -187,6 +196,7 @@ class DmoManager:
         obj = Dmo(object_id=next(_object_ids), actor=actor, size=size,
                   start_addr=addr, location=location, data=data)
         self.tables[location].insert(obj)
+        self._index[obj.object_id] = obj
         if tenant:
             self._tenant_used[tenant] = \
                 self._tenant_used.get(tenant, 0) + size
@@ -196,6 +206,7 @@ class DmoManager:
         """dmo_free: release the object and its region space."""
         obj = self._checked(actor, object_id)
         self.tables[obj.location].remove(object_id)
+        del self._index[object_id]
         region = self._regions.get(actor)
         if region is not None:
             region.free(obj.size)
@@ -222,9 +233,10 @@ class DmoManager:
         dst.data = src.data
 
     def memmove(self, actor: str, dst_id: int, src_id: int) -> None:
-        """dmo_memmove: move data (source is cleared)."""
+        """dmo_memmove: move data (source is cleared; onto itself, a no-op)."""
         self.memcpy(actor, dst_id, src_id)
-        self._checked(actor, src_id).data = None
+        if dst_id != src_id:
+            self._checked(actor, src_id).data = None
 
     def migrate(self, actor: str, object_id: int, to: Location) -> Dmo:
         """dmo_migrate: relocate one object to the other side."""
@@ -256,28 +268,25 @@ class DmoManager:
 
     # -- internals ---------------------------------------------------------------
     def _checked(self, actor: str, object_id: int) -> Dmo:
-        self.translations += 1
-        for table in self.tables.values():
-            obj = table.get(object_id)
-            if obj is not None:
-                if obj.actor != actor:
-                    self.denied_accesses += 1
-                    mine = self._tenant_of.get(actor, "")
-                    theirs = self._tenant_of.get(obj.actor, "")
-                    if mine != theirs:
-                        # the §3.4 trap doubles as the tenant boundary:
-                        # the access never proceeds, and the monitor
-                        # flags the attempt itself as a violation
-                        self.cross_tenant_denials += 1
-                        self.last_cross_tenant = (actor, mine,
-                                                  obj.actor, theirs)
-                        raise DmoError(
-                            f"actor {actor!r} (tenant {mine or 'implicit'!r})"
-                            f" denied cross-tenant access to object "
-                            f"{object_id} owned by {obj.actor!r} "
-                            f"(tenant {theirs or 'implicit'!r})")
-                    raise DmoError(
-                        f"actor {actor!r} denied access to object {object_id} "
-                        f"owned by {obj.actor!r}")
-                return obj
-        raise DmoError(f"object {object_id} does not exist")
+        obj = self._index.get(object_id)
+        if obj is None:
+            raise DmoError(f"object {object_id} does not exist")
+        if obj.actor != actor:
+            self.denied_accesses += 1
+            mine = self._tenant_of.get(actor, "")
+            theirs = self._tenant_of.get(obj.actor, "")
+            if mine != theirs:
+                # the §3.4 trap doubles as the tenant boundary: the
+                # access never proceeds, and the monitor flags the
+                # attempt itself as a violation
+                self.cross_tenant_denials += 1
+                self.last_cross_tenant = (actor, mine, obj.actor, theirs)
+                raise DmoError(
+                    f"actor {actor!r} (tenant {mine or 'implicit'!r})"
+                    f" denied cross-tenant access to object "
+                    f"{object_id} owned by {obj.actor!r} "
+                    f"(tenant {theirs or 'implicit'!r})")
+            raise DmoError(
+                f"actor {actor!r} denied access to object {object_id} "
+                f"owned by {obj.actor!r}")
+        return obj

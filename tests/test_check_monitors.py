@@ -106,6 +106,23 @@ def test_dmo_duplicate_table_entry_violation():
     assert monitor.component == "s0"
 
 
+def test_dmo_index_out_of_step_with_tables_violation():
+    dmo = DmoManager(region_bytes=1 << 20)
+    dmo.create_region("alice")
+    obj = dmo.malloc("alice", 256)
+    monitor = DmoMonitor(dmo)
+    assert list(monitor.check(0.0)) == []
+    dmo.tables[Location.NIC].remove(obj.object_id)   # index left behind
+    messages = list(monitor.check(0.0))
+    assert any(f"object {obj.object_id} is in the translation index" in m
+               for m in messages)
+    dmo.tables[Location.NIC].insert(obj)
+    del dmo.index[obj.object_id]                     # table left behind
+    messages = list(monitor.check(0.0))
+    assert any(f"object {obj.object_id} sits in the nic table" in m
+               for m in messages)
+
+
 def test_dmo_region_accounting_violation():
     dmo = DmoManager(region_bytes=1 << 20)
     dmo.create_region("alice")

@@ -129,6 +129,9 @@ def test_dmo_memcpy_memmove(dmo):
     assert dmo.read("alice", dst.object_id) == "payload"
     dmo.memmove("alice", dst.object_id, src.object_id)
     assert dmo.read("alice", src.object_id) is None
+    # like C's memmove, a move onto itself leaves the data as it was
+    dmo.memmove("alice", dst.object_id, dst.object_id)
+    assert dmo.read("alice", dst.object_id) == "payload"
 
 
 def test_dmo_single_copy_invariant_on_migrate(dmo):
@@ -156,6 +159,27 @@ def test_dmo_destroy_region_drops_objects(dmo):
     dmo.destroy_region("alice")
     with pytest.raises(DmoError):
         dmo.read("alice", obj.object_id)
+
+
+def test_dmo_translation_through_lifecycle(dmo):
+    """Every step of an object's life keeps id -> object translation right:
+    migrated ids still read, freed and destroyed ids do not exist."""
+    kept = dmo.malloc("alice", 64, data="kept")
+    freed = dmo.malloc("alice", 64, data="freed")
+    dmo.migrate("alice", kept.object_id, Location.HOST)
+    assert dmo.read("alice", kept.object_id) == "kept"
+    assert dmo.migrate_all("alice", Location.HOST) == 64
+    assert dmo.read("alice", freed.object_id) == "freed"
+    dmo.migrate_all("alice", Location.NIC)
+    assert dmo.read("alice", kept.object_id) == "kept"
+    dmo.free("alice", freed.object_id)
+    with pytest.raises(DmoError, match="does not exist"):
+        dmo.read("alice", freed.object_id)
+    assert dmo.read("alice", kept.object_id) == "kept"
+    dmo.destroy_region("alice")
+    with pytest.raises(DmoError, match="does not exist"):
+        dmo.read("alice", kept.object_id)
+    assert dmo.index == {}
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4096), min_size=1, max_size=30))

@@ -25,7 +25,9 @@ from repro.nic import LIQUIDIO_CN2350
     ("abc", "xxabcxx", True),
     ("abc", "ab", False),
     ("a.c", "azc", True),
+    ("", "", True),
     ("a*", "", True),
+    ("x", "", False),
     ("ab*c", "ac", True),
     ("ab*c", "abbbc", True),
     ("ab+c", "ac", False),
@@ -42,6 +44,79 @@ from repro.nic import LIQUIDIO_CN2350
 ])
 def test_regex_search(pattern, text, expect):
     assert Regex(pattern).search(text) is expect
+
+
+def _reference_search(regex: Regex, text: str) -> bool:
+    """The per-offset NFA walk: an anchored lock-step simulation restarted
+    at every offset.  Quadratic, but obviously right — the oracle the
+    one-pass lazy DFA in ``Regex.search`` must agree with."""
+    def match_here(suffix: str) -> bool:
+        current = Regex._closure({regex.start})
+        if any(s.accepting for s in current):
+            return True
+        for ch in suffix:
+            nxt = {target for state in current
+                   for predicate, target in state.edges
+                   if predicate is not None and predicate(ch)}
+            if not nxt:
+                return False
+            current = Regex._closure(nxt)
+            if any(s.accepting for s in current):
+                return True
+        return False
+    return any(match_here(text[start:]) for start in range(len(text) + 1))
+
+
+_ALPHABET = "abc"
+_texts = st.text(alphabet=_ALPHABET + "d\n", max_size=12)
+
+
+@st.composite
+def _patterns(draw, depth=2):
+    """Random patterns from the filter's subset over a 3-letter alphabet."""
+    def atom(level):
+        kinds = ["lit", "dot", "class", "escape"]
+        if level > 0:
+            kinds.append("group")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "lit":
+            return draw(st.sampled_from(_ALPHABET))
+        if kind == "dot":
+            return "."
+        if kind == "escape":
+            return "\\" + draw(st.sampled_from(_ALPHABET + ".*d|"))
+        if kind == "class":
+            items = draw(st.lists(st.sampled_from(
+                list(_ALPHABET) + ["a-b", "b-c", "a-c"]), min_size=1, max_size=3))
+            negate = draw(st.booleans())
+            return "[" + ("^" if negate else "") + "".join(items) + "]"
+        return "(" + alternation(level - 1) + ")"
+
+    def concat(level):
+        quantifiers = draw(st.lists(st.sampled_from(["", "", "*", "+", "?"]),
+                                    max_size=3))
+        return "".join(atom(level) + quant for quant in quantifiers)
+
+    def alternation(level):
+        branches = draw(st.integers(min_value=1, max_value=2))
+        return "|".join(concat(level) for _ in range(branches))
+
+    return alternation(depth)
+
+
+@given(_patterns(), _texts)
+@settings(max_examples=200, deadline=None)
+def test_regex_search_agrees_with_per_offset_walk(pattern, text):
+    regex = Regex(pattern)
+    assert regex.search(text) is _reference_search(regex, text)
+
+
+@given(_patterns(), st.lists(_texts, min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_regex_warm_cache_agrees_with_fresh(pattern, texts):
+    warm = Regex(pattern)
+    for text in texts:
+        assert warm.search(text) is Regex(pattern).search(text)
 
 
 def test_regex_rejects_malformed():
