@@ -46,14 +46,6 @@ from typing import Callable, Dict, Optional
 from .experiments.report import render_series, render_table
 
 
-def _executor(jobs: int):
-    """A :class:`ParallelSweep` for ``--jobs N`` fan-out, or None serial."""
-    if jobs <= 1:
-        return None
-    from .exec import ParallelSweep
-    return ParallelSweep(jobs=jobs)
-
-
 def _table1() -> None:
     from .nic import table1_rows
     print(render_table(table1_rows(), title="Table 1: SmartNIC specifications"))
@@ -70,7 +62,7 @@ def _table3() -> None:
     print(render_table(table3_accel_rows(), title="Table 3: accelerators"))
 
 
-def _fig2(quick: bool = False, jobs: int = 1) -> None:
+def _fig2(quick: bool, executor) -> None:
     from .experiments.characterization import figure2_series
     from .nic import LIQUIDIO_CN2350
     print("Figure 2: bandwidth (Gbps) vs cores, LiquidIOII CN2350")
@@ -78,7 +70,7 @@ def _fig2(quick: bool = False, jobs: int = 1) -> None:
         print(" ", render_series(f"{size}B", *zip(*points)))
 
 
-def _fig3(quick: bool = False, jobs: int = 1) -> None:
+def _fig3(quick: bool, executor) -> None:
     from .experiments.characterization import figure2_series
     from .nic import STINGRAY_PS225
     print("Figure 3: bandwidth (Gbps) vs cores, Stingray PS225")
@@ -86,7 +78,7 @@ def _fig3(quick: bool = False, jobs: int = 1) -> None:
         print(" ", render_series(f"{size}B", *zip(*points)))
 
 
-def _fig4(quick: bool = False, jobs: int = 1) -> None:
+def _fig4(quick: bool, executor) -> None:
     from .experiments.characterization import computing_headroom_us
     from .nic import LIQUIDIO_CN2350, STINGRAY_PS225
     print("Figure 4: computing headroom (µs/packet at line rate)")
@@ -96,26 +88,31 @@ def _fig4(quick: bool = False, jobs: int = 1) -> None:
               f"1024B={computing_headroom_us(spec, 1024):.2f}")
 
 
-def _fig5(quick: bool = False, jobs: int = 1) -> None:
-    from .experiments.characterization import figure5_panel
-    duration = 8_000.0 if quick else 25_000.0
+def _grid(name: str, quick: bool, executor):
+    """One figure grid of ``exec.grids.GRID_DEFS`` at its ``--quick`` or
+    full preset, run on ``executor``: (points, results by point key)."""
+    from .exec.grids import build_grid
+    points = build_grid(name, quick)
+    return points, executor.run(points).results
+
+
+def _fig5(quick: bool, executor) -> None:
     print("Figure 5: avg/p99 latency at max throughput (CN2350)")
-    panel = figure5_panel(duration_us=duration, executor=_executor(jobs))
-    for size in (64, 512, 1024, 1500):
-        for cores in (6, 12):
-            p = panel[(size, cores)]
-            print(f"  {size:5d}B {cores:2d} cores: avg={p.avg_us:6.2f}µs "
-                  f"p99={p.p99_us:6.2f}µs")
+    points, results = _grid("fig5", quick, executor)
+    for point in points:
+        p = results[point.key]
+        print(f"  {p.frame_bytes:5d}B {p.cores:2d} cores: avg={p.avg_us:6.2f}µs "
+              f"p99={p.p99_us:6.2f}µs")
 
 
-def _fig6(quick: bool = False, jobs: int = 1) -> None:
+def _fig6(quick: bool, executor) -> None:
     from .experiments.characterization import figure6_series
     print("Figure 6: messaging latency (µs)")
     for name, points in figure6_series().items():
         print(" ", render_series(name, *zip(*points)))
 
 
-def _fig7_10(quick: bool = False, jobs: int = 1) -> None:
+def _fig7_10(quick: bool, executor) -> None:
     from .experiments.characterization import (
         figure7_series, figure8_series, figure9_series, figure10_series)
     for title, series in (
@@ -129,69 +126,58 @@ def _fig7_10(quick: bool = False, jobs: int = 1) -> None:
             print(" ", render_series(name, *zip(*points)))
 
 
-def _fig13(quick: bool = False, jobs: int = 1) -> None:
-    from .exec import ParallelSweep, grids
+def _fig13(quick: bool, executor) -> None:
     from .experiments.applications import ROLES
-    sizes = (512,) if quick else (64, 256, 512, 1024)
-    merged = ParallelSweep(jobs=jobs).run(grids.fig13_grid(quick=quick)).results
+    points, results = _grid("fig13", quick, executor)
     print("Figure 13: host cores used (10GbE CN2350)")
-    for size in sizes:
-        for system in ("dpdk", "ipipe"):
-            for role, (app, idx) in ROLES.items():
-                cores = merged[("fig13", system, app, size)].host_cores[f"s{idx}"]
-                print(f"  {size:5d}B {system:5s} {role:15s} {cores:5.2f}")
+    for point in points:
+        r = results[point.key]
+        for role, (app, idx) in ROLES.items():
+            if app == r.app:
+                print(f"  {r.packet_size:5d}B {r.system:5s} {role:15s} "
+                      f"{r.host_cores[f's{idx}']:5.2f}")
 
 
-def _fig14(quick: bool = False, jobs: int = 1) -> None:
-    from .exec import ParallelSweep, grids
-    clients = (2, 16) if quick else (2, 8, 24, 64)
-    merged = ParallelSweep(jobs=jobs).run(grids.fig14_grid(quick=quick)).results
+def _fig14(quick: bool, executor) -> None:
+    from .experiments.applications import latency_curves
+    points, results = _grid("fig14", quick, executor)
     print("Figure 14: latency vs per-core throughput (10GbE, 512B)")
-    for system in ("dpdk", "ipipe"):
-        for app in ("rta", "dt", "rkv"):
-            curve = [(merged[("fig14", system, app, c)].per_core_tput("s0"),
-                      merged[("fig14", system, app, c)].mean_latency_us)
-                     for c in clients]
-            pts = " ".join(f"{t:.2f}Mops@{l:.1f}µs" for t, l in curve)
-            print(f"  {app}-{system}: {pts}")
+    for (system, app), curve in latency_curves(points, results).items():
+        pts = " ".join(f"{t:.2f}Mops@{l:.1f}µs" for t, l in curve)
+        print(f"  {app}-{system}: {pts}")
 
 
-def _fig16(quick: bool = False, jobs: int = 1) -> None:
-    from .experiments.scheduler_study import run_point, sweep
-    from .nic import LIQUIDIO_CN2350
-    duration = 30_000.0 if quick else 100_000.0
-    loads = (0.5, 0.9) if quick else (0.3, 0.5, 0.7, 0.9)
-    for dispersion in ("low", "high"):
+def _fig16(quick: bool, executor) -> None:
+    from .experiments.scheduler_study import policy_series, run_point
+    points, results = _grid("fig16", quick, executor)
+    for dispersion, panel in policy_series(points, results).items():
         print(f"Figure 16 ({dispersion} dispersion, CN2350): p99 (µs)")
-        results = sweep(LIQUIDIO_CN2350, dispersion, loads,
-                        duration_us=duration, executor=_executor(jobs))
-        for policy, series in results.items():
+        for policy, series in panel.items():
             print(" ", render_series(policy, [l for l, _, _ in series],
                                      [p for _, _, p in series],
                                      xfmt="{:.1f}"))
     # where the sojourn time goes at the knee: a traced rerun of the
     # hybrid at the highest swept load, attributed per pipeline stage
-    _, _, stages = run_point(LIQUIDIO_CN2350, "ipipe", "high", loads[-1],
-                             duration_us=duration, traced=True)
+    knee = max((p.kwargs for p in points if p.key[1:3] == ("high", "ipipe")),
+               key=lambda kwargs: kwargs["load"])
+    _, _, stages = run_point(**knee, traced=True)
     print(f"Figure 16 stage breakdown (ipipe, high dispersion, "
-          f"load={loads[-1]:.1f}):")
+          f"load={knee['load']:.1f}):")
     for stage, st in stages.items():
         print(f"  {stage:14s} n={st['count']:<8d} p50={st['p50_us']:8.2f}µs "
               f"p99={st['p99_us']:8.2f}µs")
 
 
-def _fig17(quick: bool = False, jobs: int = 1) -> None:
-    from .experiments.applications import overhead_comparison
-    duration = 8_000.0 if quick else 15_000.0
+def _fig17(quick: bool, executor) -> None:
+    from .experiments.applications import overhead_rows
     print("Figure 17: host-only RKV CPU with vs without iPipe")
-    for load, dpdk, ipipe in overhead_comparison(
-            load_fractions=(0.5, 1.0), duration_us=duration,
-            executor=_executor(jobs)):
+    points, results = _grid("fig17", quick, executor)
+    for load, dpdk, ipipe in overhead_rows(points, results):
         print(f"  load={load:.2f}: w/o iPipe {dpdk:.2f} cores, "
               f"w/ iPipe {ipipe:.2f} cores")
 
 
-def _fig18(quick: bool = False, jobs: int = 1) -> None:
+def _fig18(quick: bool, executor) -> None:
     from .experiments.migration_study import breakdown_rows, run_migration_breakdown
     print("Figure 18: migration breakdown")
     for row in breakdown_rows(run_migration_breakdown(warmup_us=2_000.0)):
@@ -200,7 +186,7 @@ def _fig18(quick: bool = False, jobs: int = 1) -> None:
               f"p4={row.phase4_us:8.0f}µs  total={row.total_ms:.2f}ms")
 
 
-def _sec56(quick: bool = False, jobs: int = 1) -> None:
+def _sec56(quick: bool, executor) -> None:
     from .experiments.netfns import floem_vs_ipipe
     duration = 8_000.0 if quick else 12_000.0
     for size in (1024, 64):
@@ -210,7 +196,7 @@ def _sec56(quick: bool = False, jobs: int = 1) -> None:
               f"iPipe {ipipe.gbps_per_core:.2f} Gbps/core")
 
 
-def _sec57(quick: bool = False, jobs: int = 1) -> None:
+def _sec57(quick: bool, executor) -> None:
     from .experiments.netfns import firewall_latency_vs_load, ipsec_goodput_gbps
     from .nic import LIQUIDIO_CN2360
     duration = 8_000.0 if quick else 15_000.0
@@ -221,7 +207,7 @@ def _sec57(quick: bool = False, jobs: int = 1) -> None:
           f"Gbps, 25GbE={ipsec_goodput_gbps(spec=LIQUIDIO_CN2360, duration_us=duration):.1f} Gbps")
 
 
-def _plan_study(quick: bool = False, jobs: int = 1) -> None:
+def _plan_study(quick: bool, executor) -> None:
     from .experiments.plan_study import render_comparison, run_study
     study = run_study(quick=quick)
     print(render_table(render_comparison(study["comparisons"]),
@@ -234,7 +220,7 @@ def _plan_study(quick: bool = False, jobs: int = 1) -> None:
                          "recovery criterion")
 
 
-def _tenant_study(quick: bool = False, jobs: int = 1) -> None:
+def _tenant_study(quick: bool, executor) -> None:
     run, kwargs = _leg("tenant", quick)
     record = run(**kwargs)
     print("TenantPlane: noisy neighbor vs hierarchical DRR shares "
@@ -373,21 +359,22 @@ def _cmd_sweep(argv) -> int:
         description="Run an experiment grid through the parallel sweep "
                     "executor, caching point results on disk so re-runs "
                     "only recompute dirty points.")
-    parser.add_argument("grid", choices=sorted(grids.GRIDS),
+    parser.add_argument("grid", choices=sorted(grids.GRID_DEFS),
                         help="which figure/study grid to run")
     parser.add_argument("--quick", action="store_true",
                         help="shorter simulations for a fast look")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes (0 = one per CPU; default 1)")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
+    parser.add_argument("--cache-dir", default=None,
                         metavar="DIR", help="result cache directory "
-                        f"(default: {DEFAULT_CACHE_DIR})")
+                        "(default: $REPRO_CACHE_DIR, else "
+                        f"{DEFAULT_CACHE_DIR})")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every point; do not touch the cache")
     args = parser.parse_args(argv)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    report = ParallelSweep(jobs=args.jobs, cache=cache).run(
-        grids.GRIDS[args.grid](quick=args.quick))
+    with ParallelSweep(jobs=args.jobs, cache=cache) as executor:
+        report = executor.run(grids.build_grid(args.grid, args.quick))
     for key, value in report.results.items():
         text = repr(value)
         if len(text) > 110:
@@ -780,7 +767,7 @@ def _cmd_plan(argv) -> int:
                              "touch the result cache")
     args = parser.parse_args(argv)
 
-    from .exec import DEFAULT_CACHE_DIR, ResultCache
+    from .exec import ResultCache
     from .plan import (PlanError, apply_placement, plan_scenario, to_json)
     from .plan import from_file as plan_from_file
     from .scenario import ScenarioError, run_scenario
@@ -802,8 +789,7 @@ def _cmd_plan(argv) -> int:
                   f"{len(plan.actors)} actor placements)")
             return 0
 
-        cache = None if args.no_cache else ResultCache(
-            os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
+        cache = None if args.no_cache else ResultCache()
         plan = plan_scenario(spec, profile_duration_us=args.profile_us,
                              cache=cache)
         planned = apply_placement(plan, spec)
@@ -890,9 +876,9 @@ def _cmd_lint(argv) -> int:
 
 
 EXPERIMENTS: Dict[str, Callable[..., None]] = {
-    "table1": lambda quick=False, jobs=1: _table1(),
-    "table2": lambda quick=False, jobs=1: _table2(),
-    "table3": lambda quick=False, jobs=1: _table3(),
+    "table1": lambda quick, executor: _table1(),
+    "table2": lambda quick, executor: _table2(),
+    "table3": lambda quick, executor: _table3(),
     "fig2": _fig2,
     "fig3": _fig3,
     "fig4": _fig4,
@@ -950,13 +936,17 @@ def main(argv=None) -> int:
         return 0
     targets = (list(EXPERIMENTS) if args.experiments == ["all"]
                else args.experiments)
-    for name in targets:
-        fn = EXPERIMENTS.get(name)
-        if fn is None:
-            print(f"unknown experiment {name!r}; try 'list'", file=sys.stderr)
-            return 2
-        fn(quick=args.quick, jobs=args.jobs)
-        print()
+    from .exec import ParallelSweep
+    # one worker pool for the whole invocation, released on the way out
+    with ParallelSweep(jobs=args.jobs) as executor:
+        for name in targets:
+            fn = EXPERIMENTS.get(name)
+            if fn is None:
+                print(f"unknown experiment {name!r}; try 'list'",
+                      file=sys.stderr)
+                return 2
+            fn(quick=args.quick, executor=executor)
+            print()
     return 0
 
 

@@ -17,7 +17,7 @@ results.
 from .cache import DEFAULT_CACHE_DIR, ResultCache, canonical, code_fingerprint
 from .shard import RackShardExecutor, serial_twin
 from .sweep import (ParallelSweep, SweepPoint, SweepReport,
-                    result_fingerprint, run_grid)
+                    result_fingerprint)
 from . import grids
 
 __all__ = [
@@ -31,6 +31,5 @@ __all__ = [
     "SweepPoint",
     "SweepReport",
     "result_fingerprint",
-    "run_grid",
     "grids",
 ]

@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim import Simulator, Timeout, spawn
 from .cache import ResultCache, code_fingerprint
-from .grids import fig16_grid
+from .grids import build_grid
 from .sweep import ParallelSweep, result_fingerprint
 
 #: Events per microbenchmark run.
@@ -288,7 +288,7 @@ def _bench_grid(quick: bool):
     """A Figure-16-style grid: policies x loads at one dispersion."""
     loads = (0.5, 0.9) if quick else (0.3, 0.5, 0.7, 0.9)
     duration = 12_000.0 if quick else 30_000.0
-    return fig16_grid(dispersions=("high",), loads=loads,
+    return build_grid("fig16", dispersions=("high",), loads=loads,
                       duration_us=duration)
 
 
@@ -401,13 +401,13 @@ def shard_bench(spec_name: str = "multi-rack-rkv",
 
 def figure_wallclock(quick: bool = True, jobs: int = 1) -> Dict[str, float]:
     """Wall-clock seconds per figure grid through the executor."""
-    from .grids import GRIDS
     out: Dict[str, float] = {}
-    for name in ("fig5", "fig16"):
-        points = GRIDS[name](quick=quick)
-        t0 = time.perf_counter()
-        ParallelSweep(jobs=jobs).run(points)
-        out[name] = time.perf_counter() - t0
+    with ParallelSweep(jobs=jobs) as executor:
+        for name in ("fig5", "fig16"):
+            points = build_grid(name, quick)
+            t0 = time.perf_counter()
+            executor.run(points)
+            out[name] = time.perf_counter() - t0
     return out
 
 

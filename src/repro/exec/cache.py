@@ -30,7 +30,8 @@ import tempfile
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-#: Default cache location (overridable via CLI flags or REPRO_CACHE_DIR).
+#: Default cache location; ``$REPRO_CACHE_DIR`` overrides it, and an
+#: explicit ``ResultCache(root)`` (``--cache-dir``) overrides both.
 DEFAULT_CACHE_DIR = ".sweep_cache"
 
 _CODE_FP_CACHE: Dict[str, str] = {}
@@ -90,8 +91,10 @@ def canonical(obj: Any) -> str:
 class ResultCache:
     """Pickle-backed content-addressed store under one root directory."""
 
-    def __init__(self, root: str = DEFAULT_CACHE_DIR,
+    def __init__(self, root: Optional[str] = None,
                  code_fp: Optional[str] = None):
+        if root is None:
+            root = os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
         self.root = Path(root)
         self.code_fp = code_fp if code_fp is not None else code_fingerprint()
         self.hits = 0

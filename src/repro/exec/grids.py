@@ -1,11 +1,16 @@
 """Experiment grids: the paper's figures expressed as sweep points.
 
-Each builder turns one figure (or study) into a list of independent
-:class:`~repro.exec.sweep.SweepPoint` cells ready for
-:class:`~repro.exec.sweep.ParallelSweep`.  Experiment modules are
-imported lazily inside the builders so this module can be imported from
-anywhere (including pool workers unpickling point functions) without
-dragging the whole experiment surface in at import time.
+:data:`GRID_DEFS` is the one definition of each figure grid — its axes
+and its ``quick``/full presets.  :func:`build_grid` turns one into a
+list of independent :class:`~repro.exec.sweep.SweepPoint` cells ready
+for :class:`~repro.exec.sweep.ParallelSweep`; the experiment helpers
+(``figure5_panel``, ``latency_throughput_curve``,
+``overhead_comparison``, ``scheduler_study.sweep``), ``repro fig*`` and
+``repro sweep`` all build their points here, narrowing a grid through
+keyword overrides.  Experiment modules are imported lazily so this
+module can be imported from anywhere (including pool workers unpickling
+point functions) without dragging the whole experiment surface in at
+import time.
 
 Point functions must return picklable values; runners whose natural
 return value holds live simulator state (the chaos studies' ChaosReport
@@ -23,8 +28,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .sweep import SweepPoint
 
-#: Figure 13 per-size client counts (64B traffic needs more clients to
-#: reach max throughput, mirroring cli._fig13).
+#: Figure 13 per-size client counts: 64B traffic needs more clients to
+#: reach max throughput.
 _FIG13_CLIENTS = {64: 192, 256: 96, 512: 96, 1024: 96}
 
 
@@ -58,9 +63,9 @@ class GridDef:
 
     ``axes`` maps (quick, overrides) to ordered ``(name, values)`` pairs;
     cells iterate the cartesian product with the first axis outermost —
-    the loop order of the original hand-written builders.  ``key_order``
-    permutes axis names into the SweepPoint key tuple when the original
-    key order differed from the loop order.  ``cell`` maps one cell's
+    the order the helpers return and ``repro fig*`` prints.  ``key_order``
+    permutes axis names into the SweepPoint key tuple when the key order
+    differs from the loop order.  ``cell`` maps one cell's
     axis values to the exact kwargs dict the point function receives.
     """
 
@@ -72,7 +77,9 @@ class GridDef:
 
 
 def build_grid(name: str, quick: bool = False, **overrides) -> List[SweepPoint]:
-    """Materialise one grid definition into SweepPoint cells."""
+    """Materialise one grid definition into SweepPoint cells, in axis
+    order.  ``overrides`` narrow an axis or replace a preset; an override
+    of None keeps the grid's own value."""
     gd = GRID_DEFS[name]
     fn = gd.resolve()
     axes = gd.axes(quick, overrides)
@@ -100,9 +107,19 @@ def _resolve(module: str, attr: str) -> Callable[[], Callable]:
     return load
 
 
-def _fig16_nic():
+def _fig16_nic(overrides: Dict):
     from ..nic import LIQUIDIO_CN2350
-    return LIQUIDIO_CN2350
+    return overrides.get("nic") or LIQUIDIO_CN2350
+
+
+def _app_cell(o: Dict, quick: bool, quick_us: float, full_us: float,
+              **cell) -> Dict:
+    """``run_app`` kwargs for one cell: the cell's own, the duration
+    preset, then the caller's extra ``run_app`` kwargs (override
+    ``run_kwargs``, e.g. ``nic_spec`` or ``prefill_keys``)."""
+    return {**cell,
+            "duration_us": _pick(o, "duration_us", quick, quick_us, full_us),
+            **(o.get("run_kwargs") or {})}
 
 
 def _chaos_cell(cell: Dict, quick: bool, o: Dict) -> Dict:
@@ -138,25 +155,21 @@ GRID_DEFS: Dict[str, GridDef] = {
             ("app", ("rta", "dt", "rkv")),
         ],
         key_order=("system", "app", "size"),
-        cell=lambda c, quick, o: dict(
-            system=c["system"], app=c["app"], packet_size=c["size"],
-            clients=_FIG13_CLIENTS[c["size"]],
-            duration_us=_pick(o, "duration_us", quick,
-                              8_000.0, 15_000.0))),
+        cell=lambda c, quick, o: _app_cell(
+            o, quick, 8_000.0, 15_000.0, system=c["system"], app=c["app"],
+            packet_size=c["size"], clients=_FIG13_CLIENTS[c["size"]])),
     "fig14": GridDef(
         name="fig14",
         resolve=_resolve("applications", "run_app"),
         axes=lambda quick, o: [
-            ("system", ("dpdk", "ipipe")),
-            ("app", ("rta", "dt", "rkv")),
+            ("system", o.get("systems") or ("dpdk", "ipipe")),
+            ("app", o.get("apps") or ("rta", "dt", "rkv")),
             ("clients", _pick(o, "client_counts", quick,
                               (2, 16), (2, 8, 24, 64))),
         ],
-        cell=lambda c, quick, o: dict(
-            system=c["system"], app=c["app"], packet_size=512,
-            clients=c["clients"],
-            duration_us=_pick(o, "duration_us", quick,
-                              8_000.0, 12_000.0))),
+        cell=lambda c, quick, o: _app_cell(
+            o, quick, 8_000.0, 12_000.0, system=c["system"], app=c["app"],
+            packet_size=o.get("packet_size", 512), clients=c["clients"])),
     "fig16": GridDef(
         name="fig16",
         resolve=_resolve("scheduler_study", "run_point"),
@@ -168,7 +181,7 @@ GRID_DEFS: Dict[str, GridDef] = {
                            (0.5, 0.9), (0.3, 0.5, 0.7, 0.9))),
         ],
         cell=lambda c, quick, o: dict(
-            spec=_fig16_nic(), policy=c["policy"],
+            spec=_fig16_nic(o), policy=c["policy"],
             dispersion=c["dispersion"], load=c["load"],
             duration_us=_pick(o, "duration_us", quick,
                               30_000.0, 100_000.0),
@@ -181,11 +194,10 @@ GRID_DEFS: Dict[str, GridDef] = {
             ("system", ("dpdk", "ipipe-hostonly")),
         ],
         key_order=("system", "frac"),
-        cell=lambda c, quick, o: dict(
-            system=c["system"], app="rkv", packet_size=512,
-            clients=max(1, int(o.get("base_clients", 16) * c["frac"])),
-            duration_us=_pick(o, "duration_us", quick,
-                              8_000.0, 15_000.0))),
+        cell=lambda c, quick, o: _app_cell(
+            o, quick, 8_000.0, 15_000.0, system=c["system"], app="rkv",
+            packet_size=o.get("packet_size", 512),
+            clients=max(1, int(o.get("base_clients", 16) * c["frac"])))),
     "fig18": GridDef(
         name="fig18",
         resolve=lambda: fig18_point,
@@ -200,69 +212,4 @@ GRID_DEFS: Dict[str, GridDef] = {
             ("seed", o.get("seeds") or (42,)),
         ],
         cell=_chaos_cell),
-}
-
-
-# -- the historical builder names, now thin spec wrappers ---------------------
-
-def fig5_grid(quick: bool = False,
-              sizes: Sequence[int] = (64, 512, 1024, 1500),
-              cores: Sequence[int] = (6, 12),
-              duration_us: Optional[float] = None) -> List[SweepPoint]:
-    return build_grid("fig5", quick, sizes=sizes, cores=cores,
-                      duration_us=duration_us)
-
-
-def fig13_grid(quick: bool = False,
-               sizes: Optional[Sequence[int]] = None,
-               duration_us: Optional[float] = None) -> List[SweepPoint]:
-    return build_grid("fig13", quick, sizes=sizes, duration_us=duration_us)
-
-
-def fig14_grid(quick: bool = False,
-               client_counts: Optional[Sequence[int]] = None,
-               duration_us: Optional[float] = None) -> List[SweepPoint]:
-    return build_grid("fig14", quick, client_counts=client_counts,
-                      duration_us=duration_us)
-
-
-def fig16_grid(quick: bool = False,
-               dispersions: Sequence[str] = ("low", "high"),
-               loads: Optional[Sequence[float]] = None,
-               policies: Optional[Sequence[str]] = None,
-               duration_us: Optional[float] = None,
-               seed: int = 1) -> List[SweepPoint]:
-    return build_grid("fig16", quick, dispersions=dispersions, loads=loads,
-                      policies=policies, duration_us=duration_us, seed=seed)
-
-
-def fig17_grid(quick: bool = False,
-               load_fractions: Sequence[float] = (0.5, 1.0),
-               duration_us: Optional[float] = None,
-               base_clients: int = 16) -> List[SweepPoint]:
-    return build_grid("fig17", quick, load_fractions=load_fractions,
-                      duration_us=duration_us, base_clients=base_clients)
-
-
-def fig18_grid(quick: bool = False) -> List[SweepPoint]:
-    return build_grid("fig18", quick)
-
-
-def chaos_grid(quick: bool = False,
-               workloads: Sequence[str] = ("rkv", "dt", "rta"),
-               seeds: Sequence[int] = (42,),
-               trace: bool = False,
-               duration_us: Optional[float] = None) -> List[SweepPoint]:
-    return build_grid("chaos", quick, workloads=workloads, seeds=seeds,
-                      trace=trace, duration_us=duration_us)
-
-
-GRIDS = {
-    "fig5": fig5_grid,
-    "fig13": fig13_grid,
-    "fig14": fig14_grid,
-    "fig16": fig16_grid,
-    "fig17": fig17_grid,
-    "fig18": fig18_grid,
-    "chaos": chaos_grid,
 }

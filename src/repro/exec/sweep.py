@@ -215,9 +215,3 @@ class ParallelSweep:
             cache_dir=str(cache.root) if cache is not None else None,
             keys_executed=[p.key for p in todo],
         )
-
-
-def run_grid(points: Iterable[SweepPoint], jobs: int = 1,
-             cache: Optional[ResultCache] = None) -> SweepReport:
-    """One-shot convenience wrapper around :class:`ParallelSweep`."""
-    return ParallelSweep(jobs=jobs, cache=cache).run(points)

@@ -14,10 +14,10 @@ Two systems share the identical application wiring classes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..baselines import DpdkRuntime
-from ..nic import LIQUIDIO_CN2350, LIQUIDIO_CN2360, NicSpec
+from ..nic import LIQUIDIO_CN2350, NicSpec
 from ..scenario import (
     AppSpec,
     ClientSpec,
@@ -42,7 +42,6 @@ ROLES = {
     "rkv-leader": ("rkv", 0),
     "rkv-follower": ("rkv", 1),
 }
-PACKET_SIZES = (64, 256, 512, 1024)
 
 
 @dataclass
@@ -142,48 +141,6 @@ def run_app(system: str, app: str, nic_spec: NicSpec = LIQUIDIO_CN2350,
         host_cores=host_cores, nic_cores=nic_cores)
 
 
-# -- Figure 13: host cores used at max throughput ------------------------------------
-
-def figure13_cell(system: str, role: str, nic_spec: NicSpec,
-                  packet_size: int, **kwargs) -> float:
-    """Host cores used on the role's server."""
-    app, server_idx = ROLES[role]
-    result = run_app(system, app, nic_spec=nic_spec,
-                     packet_size=packet_size, **kwargs)
-    return result.host_cores[f"s{server_idx}"]
-
-
-def figure13_sweep(nic_spec: NicSpec = LIQUIDIO_CN2360,
-                   sizes: Sequence[int] = PACKET_SIZES,
-                   roles: Sequence[str] = tuple(ROLES),
-                   executor=None,
-                   **kwargs) -> Dict[str, Dict[Tuple[str, int], float]]:
-    """system → {(role, size): host cores}."""
-    out: Dict[str, Dict[Tuple[str, int], float]] = {"dpdk": {}, "ipipe": {}}
-    cache: Dict[Tuple[str, str, int], AppRunResult] = {}
-    apps = {ROLES[role][0] for role in roles}
-    if executor is not None:
-        from ..exec.sweep import SweepPoint
-        points = [
-            SweepPoint((system, app, size), run_app,
-                       dict(system=system, app=app, nic_spec=nic_spec,
-                            packet_size=size, **kwargs))
-            for system in ("dpdk", "ipipe") for app in sorted(apps)
-            for size in sizes
-        ]
-        cache = dict(executor.run(points).results)
-    for system in ("dpdk", "ipipe"):
-        for role in roles:
-            app, server_idx = ROLES[role]
-            for size in sizes:
-                key = (system, app, size)
-                if key not in cache:
-                    cache[key] = run_app(system, app, nic_spec=nic_spec,
-                                         packet_size=size, **kwargs)
-                out[system][(role, size)] = cache[key].host_cores[f"s{server_idx}"]
-    return out
-
-
 # -- Figures 14/15: latency vs per-core throughput ---------------------------------------
 
 def latency_throughput_curve(system: str, app: str,
@@ -192,28 +149,35 @@ def latency_throughput_curve(system: str, app: str,
                              client_counts: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
                              executor=None,
                              **kwargs) -> List[Tuple[float, float]]:
-    """[(per-core Mops, mean latency µs)] for the measured role's server."""
-    measured_server = "s0"   # RTA worker / DT coordinator / RKV leader
-    if executor is not None:
-        from ..exec.sweep import SweepPoint
-        points = [
-            SweepPoint((system, app, clients), run_app,
-                       dict(system=system, app=app, nic_spec=nic_spec,
-                            packet_size=packet_size, clients=clients,
-                            **kwargs))
-            for clients in client_counts
-        ]
-        merged = executor.run(points).results
-        return [(merged[(system, app, clients)].per_core_tput(measured_server),
-                 merged[(system, app, clients)].mean_latency_us)
-                for clients in client_counts]
-    curve = []
-    for clients in client_counts:
-        result = run_app(system, app, nic_spec=nic_spec,
-                         packet_size=packet_size, clients=clients, **kwargs)
-        curve.append((result.per_core_tput(measured_server),
-                      result.mean_latency_us))
-    return curve
+    """[(per-core Mops, mean latency µs)] for the measured role's server.
+
+    The points are the (system, app) row of
+    ``exec.grids.GRID_DEFS["fig14"]``, run on ``executor``, a
+    :class:`~repro.exec.sweep.ParallelSweep` (default: inline, serial);
+    ``kwargs`` go to :func:`run_app`.
+    """
+    from ..exec import ParallelSweep
+    from ..exec.grids import build_grid
+    points = build_grid(
+        "fig14", systems=(system,), apps=(app,), client_counts=client_counts,
+        packet_size=packet_size,
+        duration_us=kwargs.pop("duration_us", 20_000.0),  # run_app default
+        run_kwargs=dict(kwargs, nic_spec=nic_spec))
+    results = (executor or ParallelSweep()).run(points).results
+    return latency_curves(points, results)[(system, app)]
+
+
+def latency_curves(points, results) -> Dict[Tuple[str, str],
+                                            List[Tuple[float, float]]]:
+    """Fold fig14 grid results: (system, app) → [(per-core Mops, mean
+    latency µs)], in grid order, measured on the RTA worker / DT
+    coordinator / RKV leader (server s0)."""
+    curves: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
+    for point in points:
+        result = results[point.key]
+        curves.setdefault((result.system, result.app), []).append(
+            (result.per_core_tput("s0"), result.mean_latency_us))
+    return curves
 
 
 # -- Figure 17: iPipe host-only overhead --------------------------------------------------
@@ -228,38 +192,27 @@ def overhead_comparison(load_fractions: Sequence[float] = (0.15, 0.25, 0.35),
     Both deployments are host-only RKV (iPipe with every actor pinned to
     the host); loads are fractions of the closed-loop maximum, kept below
     saturation, and the metric is host CPU per completed operation — the
-    "same throughput" normalization §5.5 uses.
+    "same throughput" normalization §5.5 uses.  The points are
+    ``exec.grids.GRID_DEFS["fig17"]``, run on ``executor``, a
+    :class:`~repro.exec.sweep.ParallelSweep` (default: inline, serial).
     """
-    if executor is not None:
-        from ..exec.sweep import SweepPoint
-        points = [
-            SweepPoint((system, frac), run_app,
-                       dict(system=system, app="rkv",
-                            packet_size=packet_size,
-                            clients=max(1, int(base_clients * frac)),
-                            duration_us=duration_us))
-            for frac in load_fractions
-            for system in ("dpdk", "ipipe-hostonly")
-        ]
-        merged = executor.run(points).results
-        return [
-            (frac,
-             merged[("dpdk", frac)].host_cores["s0"]
-             / max(merged[("dpdk", frac)].throughput_mops, 1e-9),
-             merged[("ipipe-hostonly", frac)].host_cores["s0"]
-             / max(merged[("ipipe-hostonly", frac)].throughput_mops, 1e-9))
-            for frac in load_fractions
-        ]
-    rows = []
-    for frac in load_fractions:
-        clients = max(1, int(base_clients * frac))
-        dpdk = run_app("dpdk", "rkv", packet_size=packet_size,
-                       clients=clients, duration_us=duration_us)
-        ipipe = run_app("ipipe-hostonly", "rkv", packet_size=packet_size,
-                        clients=clients, duration_us=duration_us)
-        rows.append((
-            frac,
-            dpdk.host_cores["s0"] / max(dpdk.throughput_mops, 1e-9),
-            ipipe.host_cores["s0"] / max(ipipe.throughput_mops, 1e-9),
-        ))
-    return rows
+    from ..exec import ParallelSweep
+    from ..exec.grids import build_grid
+    points = build_grid("fig17", load_fractions=load_fractions,
+                        packet_size=packet_size, duration_us=duration_us,
+                        base_clients=base_clients)
+    results = (executor or ParallelSweep()).run(points).results
+    return overhead_rows(points, results)
+
+
+def overhead_rows(points, results) -> List[Tuple[float, float, float]]:
+    """Fold fig17 grid results into [(load, dpdk host µs/op,
+    ipipe-host-only host µs/op)], in grid order."""
+    per_op: Dict[float, Dict[str, float]] = {}
+    for point in points:
+        _, system, frac = point.key
+        result = results[point.key]
+        per_op.setdefault(frac, {})[system] = (
+            result.host_cores["s0"] / max(result.throughput_mops, 1e-9))
+    return [(frac, cost["dpdk"], cost["ipipe-hostonly"])
+            for frac, cost in per_op.items()]

@@ -144,40 +144,22 @@ def traffic_manager_experiment(frame_bytes: int, cores: int,
                      avg_us=rec.mean, p99_us=rec.p99)
 
 
-def traffic_manager_from_spec(scenario_spec, frame_bytes: int, cores: int,
-                              **kwargs) -> Fig5Point:
-    """Figure 5 driven by a ScenarioSpec: the NIC model and seed come
-    from the spec's first server (the experiment itself runs entirely
-    inside that NIC — no fabric is involved)."""
-    from ..scenario import resolve_nic
-    server = scenario_spec.racks[0].servers[0]
-    return traffic_manager_experiment(frame_bytes, cores,
-                                      spec=resolve_nic(server.nic),
-                                      seed=scenario_spec.seed, **kwargs)
-
-
 def figure5_panel(sizes: Sequence[int] = (64, 512, 1024, 1500),
                   cores: Sequence[int] = (6, 12),
                   duration_us: float = 25_000.0,
                   executor=None) -> Dict[Tuple[int, int], Fig5Point]:
-    """The full Figure-5 grid: (frame_bytes, cores) → :class:`Fig5Point`.
+    """The Figure-5 grid (``exec.grids.GRID_DEFS["fig5"]``) narrowed to
+    ``sizes`` x ``cores``: (frame_bytes, cores) → :class:`Fig5Point`.
 
-    ``executor`` routes the grid through a
-    :class:`~repro.exec.sweep.ParallelSweep`; results are bit-identical
-    to the serial loop.
+    The points run on ``executor``, a
+    :class:`~repro.exec.sweep.ParallelSweep` (default: inline, serial).
     """
-    if executor is not None:
-        from ..exec.sweep import SweepPoint
-        points = [
-            SweepPoint((size, n), traffic_manager_experiment,
-                       dict(frame_bytes=size, cores=n,
-                            duration_us=duration_us))
-            for size in sizes for n in cores
-        ]
-        return dict(executor.run(points).results)
-    return {(size, n): traffic_manager_experiment(size, n,
-                                                  duration_us=duration_us)
-            for size in sizes for n in cores}
+    from ..exec import ParallelSweep
+    from ..exec.grids import build_grid
+    points = build_grid("fig5", sizes=sizes, cores=cores,
+                        duration_us=duration_us)
+    results = (executor or ParallelSweep()).run(points).results
+    return {point.key[1:]: results[point.key] for point in points}
 
 
 # -- Figure 6: messaging latency -------------------------------------------------------

@@ -224,37 +224,37 @@ def run_point(spec: NicSpec, policy: str, dispersion: str, load: float,
     return warm_rec.mean, warm_rec.p99
 
 
+#: one policy's curve: [(load, mean µs, p99 µs), ...]
+Series = List[Tuple[float, float, float]]
+
+
 def sweep(spec: NicSpec, dispersion: str,
           loads: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.8, 0.9),
           duration_us: float = 60_000.0, seed: int = 1,
           policies: Sequence[str] = POLICIES,
-          executor=None) -> Dict[str, List[Tuple[float, float, float]]]:
-    """Full Figure-16 panel: policy → [(load, mean, p99), ...].
+          executor=None) -> Dict[str, Series]:
+    """One Figure-16 panel: policy → [(load, mean, p99), ...].
 
-    ``executor`` routes the grid through a
-    :class:`~repro.exec.sweep.ParallelSweep` (process pool and/or result
-    cache); the merged output is bit-identical to the serial loop.
+    The points are ``exec.grids.GRID_DEFS["fig16"]`` narrowed to one
+    NIC and dispersion, run on ``executor``, a
+    :class:`~repro.exec.sweep.ParallelSweep` (default: inline, serial).
     """
-    if executor is not None:
-        from ..exec.sweep import SweepPoint
-        points = [
-            SweepPoint((dispersion, policy, load), run_point,
-                       dict(spec=spec, policy=policy, dispersion=dispersion,
-                            load=load, duration_us=duration_us, seed=seed))
-            for policy in policies for load in loads
-        ]
-        merged = executor.run(points).results
-        return {
-            policy: [(load, *merged[(dispersion, policy, load)])
-                     for load in loads]
-            for policy in policies
-        }
-    results: Dict[str, List[Tuple[float, float, float]]] = {}
-    for policy in policies:
-        series = []
-        for load in loads:
-            mean, p99 = run_point(spec, policy, dispersion, load,
-                                  duration_us=duration_us, seed=seed)
-            series.append((load, mean, p99))
-        results[policy] = series
-    return results
+    from ..exec import ParallelSweep
+    from ..exec.grids import build_grid
+    points = build_grid("fig16", nic=spec, dispersions=(dispersion,),
+                        policies=policies, loads=loads,
+                        duration_us=duration_us, seed=seed)
+    results = (executor or ParallelSweep()).run(points).results
+    return policy_series(points, results)[dispersion]
+
+
+def policy_series(points, results) -> Dict[str, Dict[str, Series]]:
+    """Fold fig16 grid results: dispersion → policy → [(load, mean,
+    p99), ...], in grid order."""
+    panels: Dict[str, Dict[str, Series]] = {}
+    for point in points:
+        kw = point.kwargs
+        panel = panels.setdefault(kw["dispersion"], {})
+        panel.setdefault(kw["policy"], []).append(
+            (kw["load"], *results[point.key]))
+    return panels

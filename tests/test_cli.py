@@ -47,6 +47,34 @@ def test_quick_fig17_runs(capsys):
     assert "w/o iPipe" in out
 
 
+def test_experiments_share_one_executor_closed_on_exit(monkeypatch, capsys):
+    from repro.exec import SweepPoint
+    seen = []
+
+    def stub(quick, executor):
+        # two points on two jobs: the run starts the executor's pool
+        executor.run([SweepPoint((n,), dict, {"n": n}) for n in (1, 2)])
+        seen.append((executor, executor._pool is not None))
+
+    monkeypatch.setitem(EXPERIMENTS, "stub-a", stub)
+    monkeypatch.setitem(EXPERIMENTS, "stub-b", stub)
+    assert main(["stub-a", "stub-b", "--jobs", "2"]) == 0
+    (first, pooled_a), (second, pooled_b) = seen
+    assert first is second and pooled_a and pooled_b
+    assert first._pool is None
+
+
+def test_sweep_cache_dir_defaults_to_repro_cache_dir(monkeypatch, tmp_path,
+                                                     capsys):
+    cache_dir, cwd = tmp_path / "cache", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+    monkeypatch.chdir(cwd)
+    assert main(["sweep", "fig5", "--quick"]) == 0
+    assert len(list(cache_dir.rglob("*.pkl"))) == 8
+    assert not (cwd / ".sweep_cache").exists()
+
+
 # -- repro lint -----------------------------------------------------------------
 
 def test_lint_clean_on_package_exits_zero(capsys):

@@ -6,6 +6,7 @@ including traced scheduler points and seeded FaultPlane chaos schedules.
 """
 
 import dataclasses
+import inspect
 import pickle
 
 import pytest
@@ -17,9 +18,8 @@ from repro.exec import (
     canonical,
     code_fingerprint,
     result_fingerprint,
-    run_grid,
 )
-from repro.exec.grids import chaos_point
+from repro.exec.grids import GRID_DEFS, build_grid, chaos_point
 from repro.experiments.scheduler_study import run_point
 from repro.nic import LIQUIDIO_CN2350
 
@@ -133,12 +133,12 @@ def test_duplicate_point_keys_are_rejected():
         ParallelSweep(jobs=1).run(points)
 
 
-def test_run_grid_reports_executed_and_hits(tmp_path):
+def test_sweep_reports_executed_and_hits(tmp_path):
     cache = ResultCache(tmp_path / "c")
     points = [SweepPoint((x,), square, {"x": x}) for x in range(4)]
-    first = run_grid(points, cache=cache)
+    first = ParallelSweep(cache=cache).run(points)
     assert (first.executed, first.cache_hits) == (4, 0)
-    replay = run_grid(points, cache=ResultCache(tmp_path / "c"))
+    replay = ParallelSweep(cache=ResultCache(tmp_path / "c")).run(points)
     assert (replay.executed, replay.cache_hits) == (0, 4)
     assert replay.hit_rate == 1.0
     assert pickle.dumps(replay.results) == pickle.dumps(first.results)
@@ -227,8 +227,21 @@ def test_code_fingerprint_is_stable_within_a_process():
     assert len(code_fingerprint()) == 64
 
 
+@pytest.mark.parametrize("quick", [True, False])
+@pytest.mark.parametrize("name", sorted(GRID_DEFS))
+def test_grid_definition_builds_bindable_points(name, quick):
+    # builds only, runs nothing: every cell is keyed under its grid's
+    # name, and its kwargs bind to its point function's signature
+    points = build_grid(name, quick)
+    assert points
+    keys = [point.key for point in points]
+    assert len(set(keys)) == len(keys)
+    for point in points:
+        assert point.key[0] == name
+        inspect.signature(point.fn).bind(**point.kwargs)
+
+
 def test_chaos_grid_quick_uses_the_study_registry_preset():
-    from repro.exec.grids import build_grid
     from repro.experiments.chaos_study import STUDIES
 
     quick = build_grid("chaos", True)

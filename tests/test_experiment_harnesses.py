@@ -8,6 +8,10 @@ from repro.experiments.applications import (
     overhead_comparison,
     run_app,
 )
+from repro.experiments.characterization import (
+    figure5_panel,
+    traffic_manager_experiment,
+)
 from repro.experiments.migration_study import (
     FIG18_ACTORS,
     breakdown_rows,
@@ -24,6 +28,7 @@ from repro.experiments.scheduler_study import (
     high_dispersion_actors,
     low_dispersion_actors,
     run_point,
+    sweep,
 )
 from repro.nic import LIQUIDIO_CN2350
 
@@ -114,6 +119,49 @@ def test_overhead_comparison_reports_positive_overhead():
     load, dpdk_cores, ipipe_cores = rows[0]
     assert dpdk_cores > 0
     assert ipipe_cores > 0
+
+
+# -- sweep helpers against their point functions ------------------------------------------
+
+def _host_us_per_op(system):
+    result = run_app(system, "rkv", packet_size=512, clients=8,
+                     duration_us=2_000)
+    return result.host_cores["s0"] / max(result.throughput_mops, 1e-9)
+
+
+def _tput_and_latency(**kwargs):
+    result = run_app("ipipe", "rta", packet_size=512, clients=2,
+                     duration_us=2_000, **kwargs)
+    return result.per_core_tput("s0"), result.mean_latency_us
+
+
+HELPER_CELLS = {
+    "fig5": (lambda: figure5_panel(sizes=(512,), cores=(6,),
+                                   duration_us=2_000),
+             lambda: {(512, 6): traffic_manager_experiment(
+                 512, 6, duration_us=2_000)}),
+    "fig14": (lambda: latency_throughput_curve(
+                  "ipipe", "rta", client_counts=(2,), duration_us=2_000,
+                  prefill_keys=100),
+              lambda: [_tput_and_latency(prefill_keys=100)]),
+    "fig16": (lambda: sweep(LIQUIDIO_CN2350, "high", loads=(0.9,),
+                            policies=("ipipe",), duration_us=2_000),
+              lambda: {"ipipe": [(0.9, *run_point(
+                  LIQUIDIO_CN2350, "ipipe", "high", 0.9,
+                  duration_us=2_000))]}),
+    "fig17": (lambda: overhead_comparison(load_fractions=(0.5,),
+                                          duration_us=2_000),
+              lambda: [(0.5, _host_us_per_op("dpdk"),
+                        _host_us_per_op("ipipe-hostonly"))]),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(HELPER_CELLS))
+def test_sweep_helper_matches_its_point_function(figure):
+    # one-cell grids: the helper's grid cell and fold return exactly
+    # what calling the point function directly does
+    helper, direct = HELPER_CELLS[figure]
+    assert helper() == direct()
 
 
 # -- migration study -----------------------------------------------------------------------
