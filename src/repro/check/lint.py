@@ -17,8 +17,8 @@ Four rules, enforced over ``src/repro/``:
   comprehensions, ``set()``/``frozenset()`` calls, local names bound
   to them, or attributes named after a field that a dataclass in the
   same module annotates ``Set[...]``/``set``) inside functions that
-  schedule events or send messages (``post``, ``post_at``, ``call_at``,
-  ``call_in``, ``spawn``, ``push``, ``send``).  Set iteration order
+  schedule events or send messages (``post``, ``post_at``, ``spawn``,
+  ``push``, ``send``).  Set iteration order
   depends on ``PYTHONHASHSEED`` for str-keyed sets, so feeding it into
   the event heap breaks cross-process bit-identity; wrap the iterable in
   ``sorted(...)``.  Dict iteration is insertion-ordered in every
@@ -68,8 +68,7 @@ _WALL_CLOCK_ATTRS = {
 _DATETIME_ATTRS = {"now", "utcnow", "today"}
 #: the only attribute of the random module simulation code may touch
 _RANDOM_ALLOWED_ATTRS = {"Random"}
-_SCHEDULING_CALLS = {"post", "post_at", "call_at", "call_in", "spawn", "push",
-                     "send"}
+_SCHEDULING_CALLS = {"post", "post_at", "spawn", "push", "send"}
 _SET_CONSTRUCTORS = {"set", "frozenset"}
 _SET_ANNOTATIONS = {"set", "frozenset", "Set", "FrozenSet"}
 

@@ -178,9 +178,9 @@ def _fig17(quick: bool, executor) -> None:
 
 
 def _fig18(quick: bool, executor) -> None:
-    from .experiments.migration_study import breakdown_rows, run_migration_breakdown
     print("Figure 18: migration breakdown")
-    for row in breakdown_rows(run_migration_breakdown(warmup_us=2_000.0)):
+    (point,), results = _grid("fig18", quick, executor)
+    for row in results[point.key]:
         print(f"  {row.actor:10s} p1={row.phase1_us:6.0f}µs "
               f"p2={row.phase2_us:6.0f}µs p3={row.phase3_us:8.0f}µs "
               f"p4={row.phase4_us:8.0f}µs  total={row.total_ms:.2f}ms")
@@ -439,10 +439,7 @@ def _cmd_bench(argv) -> int:
     if "kernel" not in errored:
         print(f"  kernel: post chain {kern['post_chain_eps']:,.0f} ev/s "
               f"(seed kernel {kern['seed_chain_eps']:,.0f}; "
-              f"{kern['speedup_post_vs_seed']:.2f}x), cancel-heavy "
-              f"{kern['speedup_cancel_vs_seed']:.2f}x, peak heap "
-              f"{kern['cancel_heavy_peak_heap']:.0f} vs seed "
-              f"{kern['cancel_heavy_seed_peak_heap']:.0f}")
+              f"{kern['speedup_post_vs_seed']:.2f}x)")
     if "sweep" not in errored:
         speedup = sw.get("pool_speedup")
         pool_txt = (f"pool x{sw['pool']} {speedup:.2f}x"

@@ -457,9 +457,8 @@ class CrossRackMigrator:
             actor.migration_state = MigrationState.RUNNING
         report.phase_us[4] = sim.now - t0
 
-        sim.call_at(sim.now + window_us, self._flush_window,
-                    src_runtime, dst_runtime, tombstone_keys,
-                    ticket.service, src_node, dst_node)
+        sim.post(window_us, self._flush_window, src_runtime, dst_runtime,
+                 tombstone_keys, ticket.service, src_node, dst_node)
         self.reports.append(report)
         _trace_xrack(sim, src_node, report)
         del self._tickets[key]

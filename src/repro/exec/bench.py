@@ -3,13 +3,12 @@
 ``python -m repro bench`` runs this module and emits ``BENCH_sweep.json``
 — the committed perf baseline format CI regresses against:
 
-* **kernel** — events/sec of the DES kernel on six workload shapes
-  (timer chain via ``call_in``, handle-free ``post`` chain, a
-  generator-process Timeout loop, a cancel-heavy watchdog pattern, a
-  dense many-timer population, and open-loop Poisson arrival
-  generation), for the current kernel and for a reference copy of the
-  *seed* kernel (pre-fast-path ``heapq`` loop with per-event
-  allocation) kept here so the speedup is measured, not remembered;
+* **kernel** — events/sec of the DES kernel on four workload shapes
+  (a ``post`` timer chain, a generator-process Timeout loop, a dense
+  many-timer population, and open-loop Poisson arrival generation),
+  plus the same timer chain on a reference copy of the *seed* kernel
+  (pre-fast-path ``heapq`` loop with per-event handle allocation) kept
+  here so the speedup is measured, not remembered;
 * **sweep** — wall-clock of a Figure-16-style grid through
   :class:`~repro.exec.sweep.ParallelSweep` serially, with a process
   pool, and from a warm result cache, asserting along the way that all
@@ -48,7 +47,7 @@ import platform
 import sys
 import tempfile
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..sim import Simulator, Timeout, spawn
 from .cache import ResultCache, code_fingerprint
@@ -58,7 +57,6 @@ from .sweep import ParallelSweep, result_fingerprint
 #: Events per microbenchmark run.
 _CHAIN_EVENTS = 150_000
 _PROCESS_EVENTS = 60_000
-_CANCEL_EVENTS = 40_000
 _DENSE_TIMERS = 32_768
 _DENSE_EVENTS = 120_000
 _ARRIVAL_EVENTS = 80_000
@@ -173,43 +171,6 @@ def _process_eps(events: int = _PROCESS_EVENTS) -> float:
     return _best_of(once)
 
 
-def _cancel_heavy_eps(make_sim: Callable[[], Any],
-                      events: int = _CANCEL_EVENTS) -> Tuple[float, int]:
-    """Watchdog pattern: every event arms a far-future timer and cancels
-    it.  Returns (events/sec, peak heap length) — the seed kernel keeps
-    every tombstone; the compacting kernel bounds the heap."""
-    def once() -> Tuple[float, int]:
-        sim = make_sim()
-        count = [0]
-        peak = [0]
-
-        def work():
-            count[0] += 1
-            watchdog = sim.call_in(1e9, _noop)
-            watchdog.cancel()
-            heap_len = len(sim._heap)
-            if heap_len > peak[0]:
-                peak[0] = heap_len
-            if count[0] < events:
-                sim.call_in(1.0, work)
-
-        sim.call_in(1.0, work)
-        t0 = time.perf_counter()
-        sim.run()
-        return 2 * events / (time.perf_counter() - t0), peak[0]
-
-    best = (0.0, 0)
-    for _ in range(_REPEATS):
-        eps, peak = once()
-        if eps > best[0]:
-            best = (eps, peak)
-    return best
-
-
-def _noop():
-    pass
-
-
 def _dense_eps(timers: int = _DENSE_TIMERS,
                events: int = _DENSE_EVENTS) -> float:
     """A dense population of self-rescheduling timers with spread
@@ -262,23 +223,14 @@ def _drop_packet(packet) -> None:
 
 def kernel_bench() -> Dict[str, float]:
     seed_chain = _chain_eps(SeedSimulator)
-    chain_unpooled = _chain_eps(Simulator)
     post_chain = _chain_eps(Simulator, schedule="post")
-    seed_cancel, seed_peak = _cancel_heavy_eps(SeedSimulator)
-    cancel, peak = _cancel_heavy_eps(Simulator)
     return {
         "seed_chain_eps": seed_chain,
-        "chain_unpooled_eps": chain_unpooled,
         "post_chain_eps": post_chain,
         "process_timeout_eps": _process_eps(),
-        "cancel_heavy_eps": cancel,
-        "cancel_heavy_seed_eps": seed_cancel,
-        "cancel_heavy_peak_heap": float(peak),
-        "cancel_heavy_seed_peak_heap": float(seed_peak),
         "dense_heap_eps": _dense_eps(),
         "perpacket_arrivals_eps": _arrival_eps(),
         "speedup_post_vs_seed": post_chain / seed_chain,
-        "speedup_cancel_vs_seed": cancel / seed_cancel,
     }
 
 

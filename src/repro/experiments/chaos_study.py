@@ -119,7 +119,7 @@ class ChaosClient:
             # exponential timeout scaling, capped: late recoveries (actor
             # restarts) take longer than a lost frame
             backoff = self.timeout_us * min(2 ** (state["attempts"] - 1), 8)
-            self.sim.call_in(backoff, self._check, rid, state["attempts"])
+            self.sim.post(backoff, self._check, rid, state["attempts"])
 
     def decorate(self, pkt: Packet, rid: int) -> None:
         """Hook for subclasses to stamp extra metadata on every
@@ -145,7 +145,7 @@ class ChaosClient:
         # feed the PulsePlane's per-service SLO histograms: replies copy
         # request metadata, so steered traffic carries its service name
         service = pkt.meta.get("steer_service")
-        metrics = getattr(self.sim, "metrics", None)
+        metrics = self.sim.metrics
         if service is not None and metrics is not None:
             metrics.observe(f"svc.{service}.latency_us", latency,
                             now=self.sim.now)

@@ -102,7 +102,7 @@ def _migrate_one(spec: NicSpec, name: str, state_bytes: int, exec_us: float,
         result = yield from runtime.migrator.migrate_to_host(actor)
         holder["report"] = result
 
-    bed.sim.call_at(warmup_us, lambda: spawn(bed.sim, force()))
+    bed.sim.post_at(warmup_us, lambda: spawn(bed.sim, force()))
     deadline = warmup_us + 400_000.0
     while "report" not in holder and bed.sim.now < deadline:
         bed.sim.run(until=bed.sim.now + 5_000.0)

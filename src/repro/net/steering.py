@@ -408,7 +408,7 @@ class Rebalancer:
         if fault_plane is not None:
             for rack, at_us, _duration in fault_plane.rack_schedule():
                 when = max(self.sim.now, at_us - policy.notice_us)
-                self.sim.call_at(when, self._evacuate, rack)
+                self.sim.post_at(when, self._evacuate, rack)
             fault_plane.rack_listeners.append(self._on_rack_event)
 
     # -- event plumbing ---------------------------------------------------

@@ -199,9 +199,9 @@ class MetricsRegistry:
     """Named metric directory shared by the runtime and harnesses.
 
     Installed on the simulator as ``sim.metrics`` by
-    :class:`~repro.obs.plane.TracePlane`; instrumentation sites look it
-    up with ``getattr(sim, "metrics", None)`` so an uninstrumented run
-    pays nothing.
+    :class:`~repro.obs.plane.TracePlane`; instrumentation sites read
+    ``sim.metrics`` and skip when it is ``None``, so an uninstrumented
+    run pays one attribute read.
     """
 
     def __init__(self, sim=None, window_us: float = DEFAULT_WINDOW_US,

@@ -52,9 +52,9 @@ class TracePlane:
 
     def uninstall(self) -> None:
         """Detach from the simulator (spans already recorded are kept)."""
-        if getattr(self.sim, "tracer", None) is self.tracer:
+        if self.sim.tracer is self.tracer:
             self.sim.tracer = None
-        if getattr(self.sim, "metrics", None) is self.metrics:
+        if self.sim.metrics is self.metrics:
             self.sim.metrics = None
 
     # -- analysis ------------------------------------------------------------

@@ -299,12 +299,12 @@ class PulsePlane:
         #: scheduled a simulator event — must stay 0; the PulseMonitor
         #: turns any increment into an invariant violation.
         self.passive_schedules = 0
-        if getattr(sim, "metrics", None) is None:
+        if sim.metrics is None:
             sim.metrics = MetricsRegistry(sim)
         sim.pulse = self
 
     def uninstall(self) -> None:
-        if getattr(self.sim, "pulse", None) is self:
+        if self.sim.pulse is self:
             self.sim.pulse = None
 
     # -- registration -----------------------------------------------------

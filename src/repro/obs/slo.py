@@ -116,7 +116,7 @@ class SloEvaluator:
 
     # -- one evaluation tick ----------------------------------------------
     def evaluate(self, t: float) -> None:
-        metrics = getattr(self.sim, "metrics", None)
+        metrics = self.sim.metrics
         hist = metrics.get_histogram(self.metric) if metrics else None
         value = (EMPTY_QUANTILE if hist is None
                  else hist.percentile(self.pct, t))
@@ -146,14 +146,14 @@ class SloEvaluator:
 
     def _emit(self, kind: str, t: float, value: float,
               burn_fast: float, burn_slow: float) -> None:
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.sim.tracer
         if tracer is not None:
             tracer.instant(f"{kind}:{self.name}", "slo", track="slo",
                            slo=self.name, metric=self.metric,
                            value=None if no_data(value) else value,
                            threshold_us=self.threshold_us,
                            burn_fast=burn_fast, burn_slow=burn_slow)
-        metrics = getattr(self.sim, "metrics", None)
+        metrics = self.sim.metrics
         if metrics is not None:
             metrics.counter(kind).inc(t)
 

@@ -26,7 +26,7 @@ Parenthood is only asserted where true interval containment holds (child
 The tracer is installed on the simulator (``sim.tracer``) by
 :class:`~repro.obs.plane.TracePlane`; instrumentation sites use::
 
-    tracer = getattr(self.sim, "tracer", None)
+    tracer = self.sim.tracer
     if tracer is not None:
         ...
 

@@ -397,7 +397,7 @@ def _apply_tenancy(scenario: Scenario) -> None:
             runtime.set_tenancy(nic_shares=nic_shares or None,
                                 accel_shares=accel_shares or None,
                                 dmo_budgets=budgets or None)
-    checker = getattr(scenario.sim, "checker", None)
+    checker = scenario.sim.checker
     if checker is not None and hasattr(checker, "watch_tenancy"):
         for name in sorted(scenario.servers):
             runtime = scenario.servers[name].runtime
@@ -442,7 +442,7 @@ def _apply_placement_pins(scenario: Scenario) -> None:
             actor.location = target
             if hasattr(runtime, "update_steering"):
                 runtime.update_steering(actor)
-    checker = getattr(scenario.sim, "checker", None)
+    checker = scenario.sim.checker
     if checker is not None and hasattr(checker, "watch_plan"):
         for server in sorted(by_server):
             checker.watch_plan(server, scenario.servers[server].runtime,
@@ -646,7 +646,7 @@ def _build_steering(scenario: Scenario) -> None:
         if hasattr(runtime, "_steer_seen"):
             runtime.steer_note = (
                 lambda pkt, _c=controller, _n=name: _c.note_delivery(_n, pkt))
-    checker = getattr(scenario.sim, "checker", None)
+    checker = scenario.sim.checker
     if checker is not None and hasattr(checker, "watch_steering"):
         checker.watch_steering(controller)
 
@@ -720,7 +720,7 @@ def _build_pulse(scenario: Scenario) -> None:
         _build_tenant_pulse(scenario, pulse)
     if scenario.rebalancer is not None and scenario.rebalancer.policy.on_load:
         LoadFeed(pulse, scenario.rebalancer)
-    checker = getattr(scenario.sim, "checker", None)
+    checker = scenario.sim.checker
     if checker is not None and hasattr(checker, "watch_pulse"):
         checker.watch_pulse(pulse)
 

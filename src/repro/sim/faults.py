@@ -331,7 +331,7 @@ class FaultPlane:
         if spec.node is not None and spec.node != runtime.node_name:
             return
         for when in spec.fire_times():
-            self.sim.call_at(max(when, self.sim.now), self._fire, idx, runtime)
+            self.sim.post_at(max(when, self.sim.now), self._fire, idx, runtime)
 
     def _fire(self, idx: int, runtime) -> None:
         if self._exhausted(idx):
@@ -387,7 +387,7 @@ class FaultPlane:
         if switches is not None and self.specs[idx].target not in switches:
             return
         for when in self.specs[idx].fire_times():
-            self.sim.call_at(max(when, self.sim.now), self._fire_rack, idx)
+            self.sim.post_at(max(when, self.sim.now), self._fire_rack, idx)
 
     def _rack_links(self, rack: str) -> List:
         """Every link touching a rack: node up/downlinks + spine pair."""
@@ -421,7 +421,7 @@ class FaultPlane:
         self._record(idx, FaultKind.RACK_DOWN, rack)
         for listener in list(self.rack_listeners):
             listener("down", rack)
-        self.sim.call_at(stop, self._rack_restore, rack)
+        self.sim.post_at(stop, self._rack_restore, rack)
 
     def _rack_restore(self, rack: str) -> None:
         """The outage window expired: log the return and notify."""

@@ -3,8 +3,8 @@
 A process is a Python generator that yields *commands*:
 
 * ``Timeout(dt)`` — sleep for ``dt`` microseconds of virtual time.
-* ``Waitable``   — any object with ``add_waiter(process)`` semantics
-  (:class:`Signal`, a :class:`Process` join, store get/put operations from
+* ``Waitable``   — any object with ``subscribe(process)`` semantics
+  (:class:`Signal`, store get/put operations and doorbells from
   :mod:`repro.sim.resources`).
 
 The yielded waitable resumes the process with ``.send(value)`` once it
@@ -13,7 +13,7 @@ completes, mirroring how firmware threads block on hardware queues.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from .engine import SimulationError, Simulator
 
@@ -70,12 +70,8 @@ class Signal(Command):
             self._waiters.append(process._resume)
 
 
-class Process(Command):
-    """Drives a generator coroutine against the simulator clock.
-
-    Yield a :class:`Process` from another process to *join* it (block until
-    it returns).  The ``StopIteration`` value becomes the join value.
-    """
+class Process:
+    """Drives a generator coroutine against the simulator clock."""
 
     _ids = 0
 
@@ -85,26 +81,12 @@ class Process(Command):
         self.sim = sim
         self.gen = gen
         self.name = name or f"process-{Process._ids}"
-        self.alive = True
-        self.result: Any = None
-        self._joiners: List[Callable[[Any], None]] = []
         sim.post(0.0, self._resume, None)
 
-    # -- Command protocol: joining ------------------------------------
-    def subscribe(self, process: "Process") -> None:
-        if not self.alive:
-            process.sim.post(0.0, process._resume, self.result)
-        else:
-            self._joiners.append(process._resume)
-
-    # -- driver --------------------------------------------------------
     def _resume(self, value: Any) -> None:
-        if not self.alive:
-            return
         try:
             command = self.gen.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
+        except StopIteration:
             return
         if not isinstance(command, Command):
             raise SimulationError(
@@ -112,45 +94,8 @@ class Process(Command):
             )
         command.subscribe(self)
 
-    def _finish(self, result: Any) -> None:
-        self.alive = False
-        self.result = result
-        joiners, self._joiners = self._joiners, []
-        for resume in joiners:
-            self.sim.post(0.0, resume, result)
-
-    def kill(self) -> None:
-        """Terminate the process without resuming it again."""
-        if self.alive:
-            self.gen.close()
-            self._finish(None)
-
 
 def spawn(sim: Simulator, gen: Generator[Command, Any, Any],
           name: Optional[str] = None) -> Process:
     """Convenience wrapper to start a process."""
     return Process(sim, gen, name=name)
-
-
-def all_of(sim: Simulator, processes: Iterable[Process]) -> Signal:
-    """A signal that triggers once every given process has finished."""
-    processes = list(processes)
-    done = Signal(sim)
-    remaining = [len(processes)]
-    if not processes:
-        done.trigger([])
-        return done
-    results: List[Any] = [None] * len(processes)
-
-    def _collect(index: int, value: Any) -> None:
-        results[index] = value
-        remaining[0] -= 1
-        if remaining[0] == 0:
-            done.trigger(results)
-
-    for i, proc in enumerate(processes):
-        if not proc.alive:
-            _collect(i, proc.result)
-        else:
-            proc._joiners.append(lambda value, i=i: _collect(i, value))
-    return done

@@ -10,7 +10,7 @@ experiment harnesses use to report means and true percentiles.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .distributions import percentile
 
@@ -104,43 +104,13 @@ class LatencyRecorder:
 
 
 class UtilizationTracker:
-    """Accumulates busy time for a core; reports utilization over a window."""
+    """Accumulates busy time for a core; reports utilization over a span."""
 
     def __init__(self) -> None:
         self.busy_time = 0.0
-        self._window_start = 0.0
-        self._window_busy = 0.0
-        self.ewma = Ewma(alpha=0.3)
 
     def add_busy(self, duration: float) -> None:
         self.busy_time += duration
-        self._window_busy += duration
-
-    def roll_window(self, now: float) -> float:
-        """Close the measurement window at ``now`` and return utilization."""
-        span = now - self._window_start
-        util = (self._window_busy / span) if span > 0 else 0.0
-        util = min(util, 1.0)
-        self.ewma.update(util)
-        self._window_start = now
-        self._window_busy = 0.0
-        return util
 
     def utilization(self, elapsed: float) -> float:
         return min(self.busy_time / elapsed, 1.0) if elapsed > 0 else 0.0
-
-
-class Counter:
-    """Named monotonically increasing counters."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)

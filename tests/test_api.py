@@ -130,7 +130,7 @@ def test_runtime_snapshot(runtime):
     from repro.net import Packet
     bed.network.attach("client", lambda p: None)
     for i in range(5):
-        bed.sim.call_at(i * 10.0, bed.network.send,
+        bed.sim.post_at(i * 10.0, bed.network.send,
                         Packet("client", "server", 128))
     bed.sim.run(until=1_000.0)
     snap = snapshot(rt)

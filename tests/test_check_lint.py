@@ -99,7 +99,7 @@ def test_set_literal_and_comprehension_flagged():
     findings = _rules("""\
         def f(sim):
             for x in {1, 2, 3}:
-                sim.call_at(1.0, print, x)
+                sim.post_at(1.0, print, x)
         def g(sim, xs):
             for x in {x for x in xs}:
                 sim.post(1.0, print, x)

@@ -165,9 +165,6 @@ _CANNED_BENCH = {
         "post_chain_eps": 1_000_000.0,
         "seed_chain_eps": 800_000.0,
         "speedup_post_vs_seed": 1.25,
-        "speedup_cancel_vs_seed": 1.5,
-        "cancel_heavy_peak_heap": 100.0,
-        "cancel_heavy_seed_peak_heap": 200.0,
     },
     "sweep": {
         "points": 4, "pool": 2, "pool_speedup": 1.8,

@@ -205,7 +205,7 @@ def test_dos_actor_killed_by_watchdog():
     client = bed.add_client("client")
     gen = client.closed_loop(dst="server", clients=2, size=256)
     from repro.net import Packet
-    bed.sim.call_at(100.0, bed.network.send,
+    bed.sim.post_at(100.0, bed.network.send,
                     Packet("client", "server", 64, kind="attack"))
     bed.sim.run(until=3_000.0)
     gen.stop()

@@ -41,7 +41,7 @@ def test_corrupted_ring_messages_dropped_but_service_survives():
     replies = []
     bed.network.attach("client", lambda p: replies.append(p))
     for i in range(50):
-        bed.sim.call_at(i * 20.0, bed.network.send,
+        bed.sim.post_at(i * 20.0, bed.network.send,
                         Packet("client", "server", 256, created_at=i * 20.0))
     bed.sim.run(until=5_000.0)
     rt.stop()
@@ -104,10 +104,10 @@ def test_runaway_actor_killed_while_victims_keep_service():
     bed.network.attach("client", lambda p: replies.append(p))
     # hostile traffic first, then honest traffic
     for i in range(3):
-        bed.sim.call_at(10.0 + i, bed.network.send,
+        bed.sim.post_at(10.0 + i, bed.network.send,
                         Packet("client", "server", 64, kind="attack"))
     for i in range(40):
-        bed.sim.call_at(50.0 + i * 10.0, bed.network.send,
+        bed.sim.post_at(50.0 + i * 10.0, bed.network.send,
                         Packet("client", "server", 256,
                                created_at=50.0 + i * 10.0, kind="data"))
     bed.sim.run(until=2_000.0)
@@ -133,7 +133,7 @@ def test_overloaded_channel_drops_are_counted_not_fatal():
     bed.network.attach("client", lambda p: gen_replies.append(p))
     # burst far beyond 4 ring slots
     for i in range(64):
-        bed.sim.call_at(1.0 + i * 0.05, bed.network.send,
+        bed.sim.post_at(1.0 + i * 0.05, bed.network.send,
                         Packet("client", "server", 256,
                                created_at=1.0 + i * 0.05, kind="data"))
     bed.sim.run(until=5_000.0)
@@ -162,7 +162,7 @@ def test_storage_burst_slows_but_completes():
     replies = []
     bed.network.attach("client", lambda p: replies.append(p))
     for i in range(30):
-        bed.sim.call_at(i * 5.0, bed.network.send,
+        bed.sim.post_at(i * 5.0, bed.network.send,
                         Packet("client", "server", 128,
                                created_at=i * 5.0, kind="data"))
     bed.sim.run(until=60_000.0)

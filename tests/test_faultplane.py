@@ -115,7 +115,7 @@ def test_event_fault_respects_time_window():
                         start_us=100.0, stop_us=200.0))
     plane.wire_link(link)
     for t in (50.0, 150.0, 250.0):
-        sim.call_at(t, link.transmit, Packet("a", "b", 64, payload=t))
+        sim.post_at(t, link.transmit, Packet("a", "b", 64, payload=t))
     sim.run()
     assert [p.payload for p in got] == [50.0, 250.0]
     assert link.frames_dropped == 1
@@ -187,7 +187,7 @@ def test_core_fail_rebalances_and_service_survives():
     replies = []
     bed.network.attach("client", lambda p: replies.append(p))
     for i in range(30):
-        bed.sim.call_at(i * 50.0, bed.network.send,
+        bed.sim.post_at(i * 50.0, bed.network.send,
                         Packet("client", "server", 128, kind="data",
                                created_at=i * 50.0))
     bed.sim.run(until=5_000.0)

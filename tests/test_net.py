@@ -189,7 +189,7 @@ def test_closed_loop_generator_measures_latency():
 
     def server_receive(packet):
         # echo back after 5 µs of "processing"
-        sim.call_in(5.0, net.send, packet.reply())
+        sim.post(5.0, net.send, packet.reply())
 
     net.attach("server", server_receive)
     gen = ClosedLoopGenerator(

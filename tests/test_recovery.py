@@ -156,10 +156,10 @@ def test_crash_buffers_messages_and_restart_redelivers():
     replies = []
     bed.network.attach("client", lambda p: replies.append(p))
     for i in range(10):
-        bed.sim.call_at(i * 10.0, bed.network.send,
+        bed.sim.post_at(i * 10.0, bed.network.send,
                         Packet("client", "server", 64, kind="data",
                                payload=i, created_at=i * 10.0))
-    bed.sim.call_at(34.0, rt.crash_actor, "worker")
+    bed.sim.post_at(34.0, rt.crash_actor, "worker")
     bed.sim.run(until=5_000.0)
     rt.stop()
     assert rt.crashes == 1
@@ -211,7 +211,7 @@ def test_watchdog_kill_restarts_when_policy_allows():
     replies = []
     bed.network.attach("client", lambda p: replies.append(p))
     for i in range(3):
-        bed.sim.call_at(10.0 + i * 100.0, bed.network.send,
+        bed.sim.post_at(10.0 + i * 100.0, bed.network.send,
                         Packet("client", "server", 64, kind="data",
                                payload=i, created_at=10.0 + i * 100.0))
     bed.sim.run(until=5_000.0)

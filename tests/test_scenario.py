@@ -169,6 +169,27 @@ def test_run_scenario_fingerprint_is_deterministic():
     assert first.fingerprint() == again.fingerprint()
 
 
+#: sha256(repr(fingerprint()))[:16] of each shipped spec run to 1 ms.
+#: Virtual time must not move unless a change says so: re-pin here, and
+#: name every moved spec, only when a change means to move it.
+_PINNED_FINGERPRINTS = {
+    "multi-rack-chaos": "9e3ccde2cbc7be75",
+    "multi-rack-rebalance": "a43401aad84c701f",
+    "multi-rack-rkv": "9c4114b8f9785991",
+    "multi-tenant-mixed": "2387a31663eeca25",
+    "paper-testbed": "5c83754d470ab694",
+}
+
+
+@pytest.mark.parametrize("name", shipped_specs())
+def test_shipped_spec_fingerprint_is_pinned(name):
+    import hashlib
+    assert name in _PINNED_FINGERPRINTS, f"pin a fingerprint for {name}"
+    result = run_scenario(load_shipped(name), duration_us=1_000.0)
+    digest = hashlib.sha256(repr(result.fingerprint()).encode()).hexdigest()
+    assert digest[:16] == _PINNED_FINGERPRINTS[name]
+
+
 # -- spec-built vs hand-wired equivalence ------------------------------------
 
 def test_spec_build_matches_hand_wired_testbed():

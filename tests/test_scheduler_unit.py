@@ -47,7 +47,7 @@ class Harness:
         if at is None:
             self.queue.push(item)
         else:
-            self.sim.call_at(at, self.queue.push, item)
+            self.sim.post_at(at, self.queue.push, item)
         return msg
 
 

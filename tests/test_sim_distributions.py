@@ -149,15 +149,13 @@ def test_latency_recorder_percentiles():
 def test_utilization_tracker_window():
     tracker = UtilizationTracker()
     tracker.add_busy(30.0)
-    util = tracker.roll_window(now=100.0)
-    assert util == pytest.approx(0.3)
+    assert tracker.utilization(100.0) == pytest.approx(0.3)
     tracker.add_busy(50.0)
-    util = tracker.roll_window(now=200.0)
-    assert util == pytest.approx(0.5)
-    assert 0.3 < tracker.ewma.get() < 0.5
+    assert tracker.utilization(200.0) == pytest.approx(0.4)
+    assert tracker.utilization(0.0) == 0.0
 
 
 def test_utilization_caps_at_one():
     tracker = UtilizationTracker()
     tracker.add_busy(500.0)
-    assert tracker.roll_window(now=100.0) == 1.0
+    assert tracker.utilization(100.0) == 1.0

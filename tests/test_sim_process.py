@@ -12,7 +12,6 @@ from repro.sim import (
     Simulator,
     Store,
     Timeout,
-    all_of,
     spawn,
 )
 
@@ -33,42 +32,6 @@ def test_timeout_advances_virtual_time():
     assert marks == [0.0, 5.0, 7.5]
 
 
-def test_process_join_returns_result():
-    sim = Simulator()
-    results = []
-
-    def worker():
-        yield Timeout(3.0)
-        return "done"
-
-    def parent():
-        value = yield spawn(sim, worker())
-        results.append((sim.now, value))
-
-    spawn(sim, parent())
-    sim.run()
-    assert results == [(3.0, "done")]
-
-
-def test_joining_finished_process_resumes_immediately():
-    sim = Simulator()
-    results = []
-
-    def worker():
-        return 42
-        yield  # pragma: no cover
-
-    def parent():
-        proc = spawn(sim, worker())
-        yield Timeout(10.0)
-        value = yield proc
-        results.append(value)
-
-    spawn(sim, parent())
-    sim.run()
-    assert results == [42]
-
-
 def test_signal_wakes_all_waiters():
     sim = Simulator()
     sig = Signal(sim)
@@ -80,7 +43,7 @@ def test_signal_wakes_all_waiters():
 
     spawn(sim, waiter("a"))
     spawn(sim, waiter("b"))
-    sim.call_at(4.0, sig.trigger, "payload")
+    sim.post_at(4.0, sig.trigger, "payload")
     sim.run()
     assert sorted(woken) == [("a", "payload", 4.0), ("b", "payload", 4.0)]
 
@@ -103,7 +66,7 @@ def test_store_get_blocks_until_put():
         got.append((item, sim.now))
 
     spawn(sim, consumer())
-    sim.call_at(6.0, store.put_nowait, "pkt")
+    sim.post_at(6.0, store.put_nowait, "pkt")
     sim.run()
     assert got == [("pkt", 6.0)]
 
@@ -205,43 +168,6 @@ def test_resource_release_without_acquire_raises():
     res = Resource(sim)
     with pytest.raises(SimulationError):
         res.release()
-
-
-def test_all_of_waits_for_every_process():
-    sim = Simulator()
-    out = []
-
-    def worker(delay, value):
-        yield Timeout(delay)
-        return value
-
-    procs = [spawn(sim, worker(d, d * 10)) for d in (1.0, 3.0, 2.0)]
-    done = all_of(sim, procs)
-
-    def waiter():
-        values = yield done
-        out.append((sim.now, values))
-
-    spawn(sim, waiter())
-    sim.run()
-    assert out == [(3.0, [10.0, 30.0, 20.0])]
-
-
-def test_kill_stops_process():
-    sim = Simulator()
-    marks = []
-
-    def body():
-        yield Timeout(1.0)
-        marks.append("first")
-        yield Timeout(100.0)
-        marks.append("never")
-
-    proc = spawn(sim, body())
-    sim.call_at(2.0, proc.kill)
-    sim.run()
-    assert marks == ["first"]
-    assert not proc.alive
 
 
 # -- Doorbell: parked pollers wake as the busy-pollers they replace ----------

@@ -361,9 +361,9 @@ def test_phase3_arrival_is_buffered_then_forwarded():
                                     window_us=1_500.0)
 
     t0 = 1_000.0
-    bed.sim.call_at(t0, lambda: spawn(bed.sim, mover(), name="mover"))
+    bed.sim.post_at(t0, lambda: spawn(bed.sim, mover(), name="mover"))
     # lands mid-transfer: after drain, before the phase-4 hand-over
-    bed.sim.call_at(t0 + 45.0, client.request, "svc:rkv", "rkv-get",
+    bed.sim.post_at(t0 + 45.0, client.request, "svc:rkv", "rkv-get",
                     {"key": "key0000000000001"})
     bed.sim.run(until=20_000.0)
     assert client.lost == 0 and client.answered == 1
@@ -392,8 +392,8 @@ def test_retransmit_racing_repoint_is_suppressed():
                                     window_us=1_500.0)
 
     t0 = 1_000.0
-    bed.sim.call_at(t0, lambda: spawn(bed.sim, mover(), name="mover"))
-    bed.sim.call_at(t0 + 30.0, client.request, "svc:rkv", "rkv-put",
+    bed.sim.post_at(t0, lambda: spawn(bed.sim, mover(), name="mover"))
+    bed.sim.post_at(t0 + 30.0, client.request, "svc:rkv", "rkv-put",
                     {"key": "kk", "value": b"v" * 16}, 140)
     bed.sim.run(until=20_000.0)
     assert client.answered == 1 and client.lost == 0
@@ -434,8 +434,8 @@ def test_interrupted_migration_restarts_idempotently():
             detach=counting_detach, attach=attach, window_us=1_000.0)
         outcome["report"] = report
 
-    bed.sim.call_at(100.0, lambda: spawn(bed.sim, mover(), name="mover"))
-    bed.sim.call_at(160.0, dst_a.stop)  # dies mid-transfer
+    bed.sim.post_at(100.0, lambda: spawn(bed.sim, mover(), name="mover"))
+    bed.sim.post_at(160.0, dst_a.stop)  # dies mid-transfer
     bed.sim.run(until=20_000.0)
     assert outcome["interrupted"] == "r2s1"
     # the checkpoint was taken exactly once: the retry resumed from the

@@ -154,7 +154,7 @@ class _Harness:
         msg = Message(target=actor_name)
         msg.meta["nic_arrival"] = at
         item = WorkItem(message=msg, arrived_at=at)
-        self.sim.call_at(at, self.queue.push, item)
+        self.sim.post_at(at, self.queue.push, item)
 
 
 def _monitor_for(sched, dmo=None):

@@ -79,7 +79,7 @@ def test_dpdk_runtime_serves_requests_host_only():
     replies = []
     network.attach("client", lambda p: replies.append(p))
     for i in range(20):
-        sim.call_at(i * 10.0, network.send,
+        sim.post_at(i * 10.0, network.send,
                     Packet("client", "server", 256, payload=i))
     sim.run(until=2_000.0)
     runtime.stop()
