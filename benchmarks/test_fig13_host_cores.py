@@ -9,33 +9,29 @@ exceed the paper's while the orderings match).
 
 import pytest
 
-from repro.experiments.applications import ROLES, run_app
+from repro.exec import ParallelSweep
+from repro.exec.grids import build_grid
+from repro.experiments.applications import ROLES
 from repro.experiments.report import render_table
 from repro.nic import LIQUIDIO_CN2350, LIQUIDIO_CN2360
 
-SIZES = (64, 256, 512, 1024)
 
-
-def _sweep(nic_spec, duration_us=10_000.0):
-    cache = {}
-    for system in ("dpdk", "ipipe"):
-        for app in ("rta", "dt", "rkv"):
-            for size in SIZES:
-                clients = 192 if size == 64 else 96
-                cache[(system, app, size)] = run_app(
-                    system, app, nic_spec=nic_spec, packet_size=size,
-                    clients=clients, duration_us=duration_us,
-                    prefill_keys=4000)
-    return cache
+def _sweep(nic_spec):
+    """The full fig13 grid (the one ``repro fig13`` runs) on one NIC:
+    (system, app, size) -> AppRunResult."""
+    points = build_grid("fig13", run_kwargs={"nic_spec": nic_spec})
+    results = ParallelSweep().run(points).results
+    return {key[1:]: result for key, result in results.items()}
 
 
 def _report(cache, nic_spec, emit, title):
-    rows = [("role", "system") + tuple(f"{s}B" for s in SIZES)]
+    sizes = sorted({size for _, _, size in cache})
+    rows = [("role", "system") + tuple(f"{s}B" for s in sizes)]
     for role, (app, idx) in ROLES.items():
         for system in ("dpdk", "ipipe"):
             cells = tuple(
                 f"{cache[(system, app, size)].host_cores[f's{idx}']:.2f}"
-                for size in SIZES)
+                for size in sizes)
             rows.append((role, system) + cells)
     emit(render_table(rows, title=title))
 

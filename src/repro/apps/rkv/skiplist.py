@@ -10,7 +10,7 @@ the nodes.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ...core.dmo import DmoManager
 from ...sim import Rng
@@ -35,6 +35,10 @@ class DmoSkipList:
         # head node: no key, max-level forwards
         self._head_id = self._new_node(key=None, value_obj=NIL,
                                        level=MAX_LEVEL)
+        #: key -> node object id, filled by insert.  Exact-match ops
+        #: read the node through the DMO table in one probe; only a
+        #: new-key insert walks, for the predecessors.
+        self._index: Dict[str, int] = {}
 
     # -- node helpers (each node is one DMO) --------------------------------
     def _new_node(self, key: Optional[str], value_obj: int, level: int) -> int:
@@ -57,9 +61,8 @@ class DmoSkipList:
             level += 1
         return level
 
-    # -- operations -----------------------------------------------------------
-    def insert(self, key: str, value: bytes) -> None:
-        """Insert or overwrite.  Deletions are insertions of a marker."""
+    def _predecessors(self, key: str) -> List[int]:
+        """Per level, the id of the last node whose key sorts below ``key``."""
         update: List[int] = [self._head_id] * MAX_LEVEL
         node_id = self._head_id
         node = self._node(node_id)
@@ -74,23 +77,27 @@ class DmoSkipList:
                 else:
                     break
             update[level] = node_id
+        return update
 
-        candidate = node["forwards"][0] if node["forwards"] else NIL
-        if candidate != NIL:
-            cand_node = self._node(candidate)
-            if cand_node["key"] == key:
-                # overwrite: free old value object, attach new one
-                if cand_node["value_obj"] != NIL:
-                    old = self.dmo.read(self.owner, cand_node["value_obj"])
-                    self.byte_size -= len(old) if old else 0
-                    self.dmo.free(self.owner, cand_node["value_obj"])
-                value_obj = self.dmo.malloc(self.owner, len(value), data=value)
-                cand_node["value_obj"] = value_obj.object_id
-                cand_node["deleted"] = False
-                self.dmo.write(self.owner, candidate, cand_node)
-                self.byte_size += len(value)
-                return
+    # -- operations -----------------------------------------------------------
+    def insert(self, key: str, value: bytes) -> None:
+        """Insert or overwrite.  Deletions are insertions of a marker."""
+        node_id = self._index.get(key)
+        if node_id is not None:
+            # overwrite: free old value object, attach new one
+            node = self._node(node_id)
+            if node["value_obj"] != NIL:
+                old = self.dmo.read(self.owner, node["value_obj"])
+                self.byte_size -= len(old) if old else 0
+                self.dmo.free(self.owner, node["value_obj"])
+            value_obj = self.dmo.malloc(self.owner, len(value), data=value)
+            node["value_obj"] = value_obj.object_id
+            node["deleted"] = False
+            self.dmo.write(self.owner, node_id, node)
+            self.byte_size += len(value)
+            return
 
+        update = self._predecessors(key)
         level = self._random_level()
         value_obj = self.dmo.malloc(self.owner, len(value), data=value)
         new_id = self._new_node(key, value_obj.object_id, level)
@@ -101,63 +108,37 @@ class DmoSkipList:
             prev["forwards"][lvl] = new_id
             self.dmo.write(self.owner, update[lvl], prev)
         self.dmo.write(self.owner, new_id, new_node)
+        self._index[key] = new_id
         self.length += 1
         self.byte_size += len(key) + len(value) + 64
 
     def delete(self, key: str) -> None:
-        """LSM-style deletion: insert a tombstone marker."""
-        found = self._find(key)
-        if found is None:
-            # tombstone for a key that may exist in lower levels
+        """LSM-style deletion: mark the node as a tombstone.  A key that
+        is absent or already tombstoned gets a fresh empty value first,
+        since it may still exist in lower levels."""
+        node_id = self._index.get(key)
+        if node_id is None or self._node(node_id)["deleted"]:
             self.insert(key, b"")
-            found = self._find_node_id(key)
-            node = self._node(found)
-            node["deleted"] = True
-            self.dmo.write(self.owner, found, node)
-            return
-        node_id = self._find_node_id(key)
+            node_id = self._index[key]
         node = self._node(node_id)
         node["deleted"] = True
         self.dmo.write(self.owner, node_id, node)
 
     def get(self, key: str) -> Optional[bytes]:
         """Value for the key; None if absent or tombstoned."""
-        node_id = self._find_node_id(key)
+        node_id = self._index.get(key)
         if node_id is None:
             return None
         node = self._node(node_id)
-        if node["deleted"]:
-            return None
-        if node["value_obj"] == NIL:
+        if node["deleted"] or node["value_obj"] == NIL:
             return None
         return self.dmo.read(self.owner, node["value_obj"])
 
     def is_tombstoned(self, key: str) -> bool:
-        node_id = self._find_node_id(key)
+        node_id = self._index.get(key)
         if node_id is None:
             return False
         return self._node(node_id)["deleted"]
-
-    def _find_node_id(self, key: str) -> Optional[int]:
-        node = self._node(self._head_id)
-        for level in range(MAX_LEVEL - 1, -1, -1):
-            while True:
-                nxt = node["forwards"][level] if level < len(node["forwards"]) else NIL
-                if nxt == NIL:
-                    break
-                nxt_node = self._node(nxt)
-                if nxt_node["key"] is not None and nxt_node["key"] < key:
-                    node = nxt_node
-                else:
-                    break
-        candidate = node["forwards"][0] if node["forwards"] else NIL
-        if candidate == NIL:
-            return None
-        cand = self._node(candidate)
-        return candidate if cand["key"] == key else None
-
-    def _find(self, key: str) -> Optional[bytes]:
-        return self.get(key)
 
     def items(self) -> Iterator[Tuple[str, Optional[bytes], bool]]:
         """Ordered (key, value, deleted) triples — the flush iterator."""

@@ -37,6 +37,11 @@ from .migration import Migrator
 from .scheduler import NicScheduler, SchedulerConfig, WorkItem
 
 
+def _one_command(command):
+    """Generator yielding a single sim command."""
+    yield command
+
+
 class ExecutionContext:
     """Per-invocation services handed to an actor handler."""
 
@@ -746,17 +751,24 @@ class IPipeRuntime:
 
     # -- NIC-side handler execution ------------------------------------------------
     def _nic_executor(self, core_id: int, actor: Actor, msg: Message):
-        ctx = ExecutionContext(self, actor, core_id)
-        yield from self._drive(actor, msg, ctx)
+        return self._drive(actor, msg, ExecutionContext(self, actor, core_id))
 
     def _drive(self, actor: Actor, msg: Message, ctx: ExecutionContext):
+        """Run the handler on one message; return its command iterator.
+
+        A generator handler's own generator is returned, so whoever
+        drives it adds no frame per command.  A plain-function handler
+        has already run: it gets a one-command generator charging its
+        profile's compute, or no command when it has no profile.
+        """
         ctx._trace = msg.meta.get("trace")
         ctx._span = msg.meta.get("span")
         result = actor.exec_handler(actor, msg, ctx)
         if inspect.isgenerator(result):
-            yield from result
-        elif actor.profile is not None:
-            yield ctx.compute(profile=actor.profile)
+            return result
+        if actor.profile is not None:
+            return _one_command(ctx.compute(profile=actor.profile))
+        return iter(())
 
     def execute_for_migration(self, actor: Actor, msg: Message):
         """Drain-phase execution on the management core."""

@@ -27,10 +27,11 @@ the actor's average request size (the Figure-4 computing headroom).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, Iterator, List, Optional
 from collections import deque
 
 from ..nic.cores import CoreHealth
+from ..nic.traffic import TrafficManager
 from ..sim import LatencyTracker, Simulator, Timeout, spawn
 from .actor import Actor, ActorTable, Location, Message
 from .isolation import IsolationPolicy, Watchdog
@@ -90,8 +91,9 @@ class WorkItem:
         self.trace = trace
 
 
-#: executor(core_id, actor, message) -> generator charging virtual time
-Executor = Callable[[int, Actor, Message], object]
+#: executor(core_id, actor, message) -> the handler's command generator
+#: (an empty iterator when it charges no virtual time)
+Executor = Callable[[int, Actor, Message], Iterator]
 #: dispatch(message) -> actor or None
 Dispatcher = Callable[[Message], Optional[Actor]]
 
@@ -101,7 +103,7 @@ class NicScheduler:
 
     def __init__(self, sim: Simulator, *,
                  num_cores: int,
-                 work_queue,                      # TrafficManager-like
+                 work_queue: TrafficManager,
                  actor_table: ActorTable,
                  executor: Executor,
                  config: Optional[SchedulerConfig] = None,
@@ -317,9 +319,7 @@ class NicScheduler:
 
     # ALG 1 ---------------------------------------------------------------------
     def _fcfs_iteration(self, core_id: int):
-        item: Optional[WorkItem] = None
-        if hasattr(self.queue, "try_pop"):
-            item = self.queue.try_pop()
+        item: Optional[WorkItem] = self.queue.try_pop()
         if item is None and self.drr_runnable:
             # Work conservation: an idle FCFS core steals backlogged DRR
             # work rather than blocking while DRR cores drown (§3.2.6's
@@ -347,7 +347,7 @@ class NicScheduler:
     def _handle_item(self, core_id: int, item: WorkItem):
         """Dispatch + run one shared-queue work item (ALG 1 lines 5-12)."""
         start = self.sim.now
-        sync = getattr(self.queue, "dequeue_sync_us", 0.0)
+        sync = self.queue.dequeue_sync_us
         if sync:
             yield Timeout(sync)
 
@@ -467,9 +467,7 @@ class NicScheduler:
             # Work conservation: an idle DRR core pulls from the shared
             # queue itself — dispatching to mailboxes, or running FCFS
             # actors' requests to completion (akin to ZygOS stealing).
-            item = None
-            if hasattr(self.queue, "try_pop"):
-                item = self.queue.try_pop()
+            item = self.queue.try_pop()
             if item is not None:
                 yield from self._handle_item(core_id, item)
             else:
@@ -501,8 +499,18 @@ class NicScheduler:
         start = self.sim.now
         try:
             gen = self.executor(core_id, actor, msg)
-            if gen is not None:
-                yield from self._bounded(gen, watchdog)
+            # Drive the handler command by command.  The DoS watchdog
+            # is checked at each command boundary, before the command
+            # is handed on to the engine.
+            try:
+                command = next(gen)
+                while not watchdog.expired(self.sim.now):
+                    command = gen.send((yield command))
+            except StopIteration:
+                pass
+            else:
+                self._kill_runaway(watchdog)
+                gen.close()
         finally:
             watchdog.disarm()
             if span is not None:
@@ -543,28 +551,15 @@ class NicScheduler:
             metrics.histogram("sched.response_us").record(now, response)
             metrics.counter("sched.ops").inc(now)
 
-    def _bounded(self, gen, watchdog: Watchdog):
-        """Drive a handler generator under the DoS watchdog."""
-        try:
-            command = next(gen)
-        except StopIteration:
-            return
-        while True:
-            if watchdog.expired(self.sim.now):
-                victim = watchdog.kill(self.actors)
-                if victim is not None:
-                    if victim in self.drr_runnable:
-                        self.drr_runnable.remove(victim)
-                    self.forfeit_deficit(victim)
-                    if self.on_actor_killed is not None:
-                        self.on_actor_killed(victim)
-                gen.close()
-                return
-            result = yield command
-            try:
-                command = gen.send(result)
-            except StopIteration:
-                return
+    def _kill_runaway(self, watchdog: Watchdog) -> None:
+        """Deregister the actor whose handler outlived the watchdog."""
+        victim = watchdog.kill(self.actors)
+        if victim is not None:
+            if victim in self.drr_runnable:
+                self.drr_runnable.remove(victim)
+            self.forfeit_deficit(victim)
+            if self.on_actor_killed is not None:
+                self.on_actor_killed(victim)
 
     # -- adaptation mechanics ---------------------------------------------------
     def _downgrade_highest_dispersion(self) -> bool:

@@ -5,7 +5,7 @@ from .process import Process, Signal, Timeout, spawn
 from .resources import Doorbell, Resource, Store
 from .distributions import Rng, ZipfGenerator, percentile, rng_draw_count
 from .faults import FaultKind, FaultPlane, FaultSnapshot, FaultSpec, RecoveryPolicy
-from .stats import Ewma, LatencyRecorder, LatencyTracker, UtilizationTracker
+from .stats import LatencyRecorder, LatencyTracker, UtilizationTracker
 
 __all__ = [
     "MICROSECOND",
@@ -29,7 +29,6 @@ __all__ = [
     "ZipfGenerator",
     "percentile",
     "rng_draw_count",
-    "Ewma",
     "LatencyRecorder",
     "LatencyTracker",
     "UtilizationTracker",

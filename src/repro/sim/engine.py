@@ -109,7 +109,13 @@ class Simulator:
         """Schedule ``fn(*args)`` after ``delay`` microseconds."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        self.post_at(self._now + delay, fn, *args)
+        # post_at's push, inlined: this is the per-event path
+        when = self._now + delay
+        self._seq += 1
+        heapq.heappush(self._heap, (when, self._seq, fn, args))
+        chk = self.checker
+        if chk is not None:
+            chk.on_schedule(when, self._seq, fn)
 
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the earliest queued event, or None when empty."""

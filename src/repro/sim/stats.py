@@ -1,4 +1,4 @@
-"""Measurement utilities: EWMA trackers, latency recorders, utilization.
+"""Measurement utilities: EWMA latency trackers, recorders, utilization.
 
 The iPipe runtime's bookkeeping (§3.2.3) tracks per-actor request latency
 ``µ``, its standard deviation ``σ``, and uses ``µ + 3σ`` as the tail
@@ -10,57 +10,44 @@ experiment harnesses use to report means and true percentiles.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List
 
 from .distributions import percentile
 
 
-class Ewma:
-    """Exponentially weighted moving average of a scalar."""
+class LatencyTracker:
+    """EWMA mean/variance latency tracker with the paper's µ+3σ tail
+    estimate.
+
+    Mean and variance are plain floats, updated in place: the scheduler
+    reads :attr:`tail` on every FCFS iteration.
+    """
 
     def __init__(self, alpha: float = 0.1):
         if not 0 < alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
         self.alpha = alpha
-        self.value: Optional[float] = None
-
-    def update(self, sample: float) -> float:
-        if self.value is None:
-            self.value = sample
-        else:
-            self.value += self.alpha * (sample - self.value)
-        return self.value
-
-    def get(self, default: float = 0.0) -> float:
-        return self.value if self.value is not None else default
-
-
-class LatencyTracker:
-    """EWMA mean/std latency tracker with the paper's µ+3σ tail estimate."""
-
-    def __init__(self, alpha: float = 0.1):
-        self.mean = Ewma(alpha)
-        self.var = Ewma(alpha)
+        self.mu = 0.0
+        self.var = 0.0
         self.count = 0
 
     def record(self, sample: float) -> None:
+        if self.count:
+            prev_mean = self.mu
+            self.mu += self.alpha * (sample - prev_mean)
+            self.var += self.alpha * ((sample - prev_mean) ** 2 - self.var)
+        else:
+            self.mu = sample
         self.count += 1
-        prev_mean = self.mean.get(sample)
-        self.mean.update(sample)
-        self.var.update((sample - prev_mean) ** 2)
-
-    @property
-    def mu(self) -> float:
-        return self.mean.get()
 
     @property
     def sigma(self) -> float:
-        return math.sqrt(max(self.var.get(), 0.0))
+        return math.sqrt(max(self.var, 0.0))
 
     @property
     def tail(self) -> float:
         """The paper's approximate P99: µ + 3σ."""
-        return self.mu + 3.0 * self.sigma
+        return self.mu + 3.0 * math.sqrt(max(self.var, 0.0))
 
     @property
     def dispersion(self) -> float:

@@ -202,6 +202,7 @@ def test_dos_actor_killed_by_watchdog():
     server.runtime.dispatch_table["data"] = "good"
     server.runtime.dispatch_table["attack"] = "evil"
 
+    killed_at = _spy_on_kills(server)
     client = bed.add_client("client")
     gen = client.closed_loop(dst="server", clients=2, size=256)
     from repro.net import Packet
@@ -212,6 +213,62 @@ def test_dos_actor_killed_by_watchdog():
     assert not evil.schedulable  # killed
     assert server.runtime.config.isolation.kills == ["evil"]
     assert gen.completed > 50  # good actor kept running
+    # The watchdog is checked at each command boundary: evil is armed
+    # at ~101.2 µs and yields every 10 µs, so the first boundary past
+    # the 50 µs timeout is 60 µs in.
+    assert killed_at == [161.2044]
+
+
+def _spy_on_kills(server):
+    """Virtual times at which the server's watchdog killed an actor."""
+    sched = server.runtime.nic_scheduler
+    killed_at = []
+    notify = sched.on_actor_killed
+
+    def spy(victim):
+        killed_at.append(sched.sim.now)
+        if notify is not None:
+            notify(victim)
+
+    sched.on_actor_killed = spy
+    return killed_at
+
+
+def test_plain_function_handler_is_charged_its_profile():
+    """A handler that is a plain function (it never yields) runs once
+    per request under the scheduler and is charged one compute of its
+    actor's profile."""
+    from repro.net import Packet
+    from repro.nic.cores import time_on_nic
+    bed = make_testbed()
+    server = bed.add_server("server", LIQUIDIO_CN2350,
+                            config=SchedulerConfig(migration_enabled=False))
+    ran_at = []
+
+    def plain_handler(actor, msg, ctx):
+        ran_at.append(bed.sim.now)
+        ctx.reply(msg, payload=msg.payload, size=msg.size)
+
+    profile = WorkloadProfile("plain", 1.87, 1.4, 0.6)
+    actor = Actor("plain", plain_handler, profile=profile)
+    server.runtime.register_actor(actor, steering_keys=["data"])
+    replies = []
+    bed.network.attach("client", lambda p: replies.append(bed.sim.now))
+    for i in range(3):
+        bed.sim.post_at(10.0 + i * 50.0, bed.network.send,
+                        Packet("client", "server", 64, kind="data",
+                               payload=i, created_at=10.0 + i * 50.0))
+    bed.sim.run(until=500.0)
+    server.runtime.stop()
+    sched = server.runtime.nic_scheduler
+    assert sched.ops_completed == 3
+    assert len(ran_at) == len(replies) == 3
+    assert actor.service.mu == pytest.approx(
+        time_on_nic(profile, LIQUIDIO_CN2350))
+    # each request reaches the handler 1.2 µs after it is sent, and
+    # the reply reaches the client 1.18 µs later
+    assert ran_at == pytest.approx([11.2044, 61.2044, 111.2044])
+    assert replies == pytest.approx([12.3888, 62.3888, 112.3888])
 
 
 def test_scheduler_counts_forwarding_ops():

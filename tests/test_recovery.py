@@ -208,6 +208,15 @@ def test_watchdog_kill_restarts_when_policy_allows():
                 ctx.reply(msg, size=64)
 
     rt.register_actor(Actor("flaky", misbehaves_once), steering_keys=["data"])
+    sched = rt.nic_scheduler
+    killed_at = []
+    notify = sched.on_actor_killed
+
+    def spy(victim):
+        killed_at.append(bed.sim.now)
+        notify(victim)
+
+    sched.on_actor_killed = spy
     replies = []
     bed.network.attach("client", lambda p: replies.append(p))
     for i in range(3):
@@ -217,6 +226,9 @@ def test_watchdog_kill_restarts_when_policy_allows():
     bed.sim.run(until=5_000.0)
     rt.stop()
     assert rt.config.isolation.kills == ["flaky"]
+    # the runaway is armed at ~11.2 µs and yields every 5 µs, so the
+    # first command boundary past the 30 µs timeout is 35 µs in
+    assert killed_at == [46.2044]
     assert rt.restarts >= 1
     # the two post-runaway requests were answered after the restart
     assert len(replies) == 2

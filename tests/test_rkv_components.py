@@ -1,11 +1,14 @@
 """Unit tests for the RKV building blocks: skip list, LSM tree, Multi-Paxos."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.rkv import DmoSkipList, LsmTree, MultiPaxosNode
-from repro.core import DmoManager, Location
+from repro.apps.rkv.skiplist import MAX_LEVEL, NIL
+from repro.core import DmoError, DmoManager, Location
 from repro.sim import Rng
 
 
@@ -71,6 +74,93 @@ def test_skiplist_matches_dict_semantics(mapping):
     for k, v in mapping.items():
         assert sl.get(k) == v
     assert [k for k, _, _ in sl.items()] == sorted(mapping)
+
+
+def _oracle_node_id(sl, key):
+    """The skip list's search walk, node by node through the DMO table:
+    the lookup every exact-match op made before the key index."""
+    node = sl.dmo.read(sl.owner, sl._head_id)
+    for level in range(MAX_LEVEL - 1, -1, -1):
+        while True:
+            forwards = node["forwards"]
+            nxt = forwards[level] if level < len(forwards) else NIL
+            if nxt == NIL:
+                break
+            nxt_node = sl.dmo.read(sl.owner, nxt)
+            if nxt_node["key"] is not None and nxt_node["key"] < key:
+                node = nxt_node
+            else:
+                break
+    candidate = node["forwards"][0] if node["forwards"] else NIL
+    if candidate == NIL:
+        return None
+    return candidate if sl.dmo.read(sl.owner, candidate)["key"] == key else None
+
+
+def _oracle_get(sl, key):
+    node_id = _oracle_node_id(sl, key)
+    if node_id is None:
+        return None
+    node = sl.dmo.read(sl.owner, node_id)
+    if node["deleted"] or node["value_obj"] == NIL:
+        return None
+    return sl.dmo.read(sl.owner, node["value_obj"])
+
+
+_KEYS = st.sampled_from(["a", "ab", "b", "ba", "c"])
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert"), _KEYS, st.binary(max_size=8)),
+    st.tuples(st.just("delete"), _KEYS),
+    st.tuples(st.just("get"), _KEYS),
+    st.tuples(st.just("tombstoned"), _KEYS),
+    st.tuples(st.just("migrate"), st.sampled_from([Location.HOST,
+                                                   Location.NIC])),
+), max_size=60)
+
+
+@given(_OPS)
+@settings(max_examples=60, deadline=None)
+def test_skiplist_index_agrees_with_walk_and_dict(ops):
+    """Property: across random inserts, deletes, lookups and whole-list
+    migrations, the indexed lookups answer exactly what the search walk
+    and a plain dict model answer, and items() stays in key order."""
+    mgr = DmoManager(region_bytes=32 << 20)
+    mgr.create_region("memtable")
+    sl = DmoSkipList(mgr, "memtable", rng=Rng(5))
+    model = {}                       # key -> (value, deleted)
+    for op in ops:
+        if op[0] == "insert":
+            sl.insert(op[1], op[2])
+            model[op[1]] = (op[2], False)
+        elif op[0] == "delete":
+            sl.delete(op[1])
+            value, deleted = model.get(op[1], (b"", True))
+            model[op[1]] = (b"" if deleted else value, True)
+        elif op[0] == "migrate":
+            mgr.migrate_all("memtable", op[1])
+        else:
+            key = op[1]
+            assert sl.is_tombstoned(key) == model.get(key, (b"", False))[1]
+            value, deleted = model.get(key, (None, True))
+            assert sl.get(key) == _oracle_get(sl, key) \
+                == (None if deleted else value)
+        for key in model:
+            value, deleted = model[key]
+            assert sl.get(key) == _oracle_get(sl, key) \
+                == (None if deleted else value)
+            assert sl.is_tombstoned(key) == deleted
+        assert list(sl.items()) == [(k, *model[k]) for k in sorted(model)]
+        assert len(sl) == len(model)
+
+    # a foreign owner's read still traps in the DMO access check
+    mgr.create_region("intruder")
+    intruder = copy.copy(sl)
+    intruder.owner = "intruder"
+    for key in model:
+        with pytest.raises(DmoError):
+            intruder.get(key)
+        with pytest.raises(DmoError):
+            intruder.is_tombstoned(key)
 
 
 # -- LSM tree ----------------------------------------------------------------------

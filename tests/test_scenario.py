@@ -190,6 +190,30 @@ def test_shipped_spec_fingerprint_is_pinned(name):
     assert digest[:16] == _PINNED_FINGERPRINTS[name]
 
 
+#: (rolling step digest, events fired) of each shipped spec run to 1 ms
+#: under a SanitizerSession.  The digest folds every event's time,
+#: sequence number, callback and RNG position, so unlike the
+#: fingerprints above it sees request timing and tie order on the
+#: open-loop specs too.  Host-time work must leave it unchanged.
+_PINNED_STEP_DIGESTS = {
+    "multi-rack-chaos": (250490990, 9594),
+    "multi-rack-rebalance": (3819070101, 475),
+    "multi-rack-rkv": (2251331260, 2656),
+    "multi-tenant-mixed": (1168941524, 36781),
+    "paper-testbed": (3486288321, 32357),
+}
+
+
+@pytest.mark.parametrize("name", shipped_specs())
+def test_shipped_spec_event_sequence_is_pinned(name):
+    from repro.check import SanitizerSession
+    assert name in _PINNED_STEP_DIGESTS, f"pin a step digest for {name}"
+    with SanitizerSession(keep_records=False) as session:
+        run_scenario(load_shipped(name), duration_us=1_000.0)
+    recorder = session.recorder
+    assert (recorder.digest, recorder.steps) == _PINNED_STEP_DIGESTS[name]
+
+
 # -- spec-built vs hand-wired equivalence ------------------------------------
 
 def test_spec_build_matches_hand_wired_testbed():

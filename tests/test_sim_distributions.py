@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Ewma, LatencyRecorder, LatencyTracker, Rng, UtilizationTracker, ZipfGenerator, percentile
+from repro.sim import LatencyRecorder, LatencyTracker, Rng, UtilizationTracker, ZipfGenerator, percentile
 
 
 def test_rng_is_deterministic_per_seed():
@@ -91,16 +91,40 @@ def test_percentile_within_sample_range(samples, p):
     assert min(samples) <= value <= max(samples)
 
 
-def test_ewma_converges_to_constant():
-    ewma = Ewma(alpha=0.5)
+def test_latency_tracker_converges_to_constant():
+    tracker = LatencyTracker(alpha=0.5)
+    tracker.record(0.0)
     for _ in range(50):
-        ewma.update(10.0)
-    assert abs(ewma.get() - 10.0) < 1e-9
+        tracker.record(10.0)
+    assert abs(tracker.mu - 10.0) < 1e-9
 
 
-def test_ewma_rejects_bad_alpha():
+def test_latency_tracker_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        Ewma(alpha=0.0)
+        LatencyTracker(alpha=0.0)
+    with pytest.raises(ValueError):
+        LatencyTracker(alpha=1.5)
+
+
+def test_latency_tracker_is_the_two_ewma_recurrence():
+    """Mean and variance follow the EWMA recurrence bit for bit: the
+    first sample seeds the mean (variance 0), and each later sample
+    moves the mean, then the variance by the squared deviation from
+    the previous mean."""
+    tracker = LatencyTracker(alpha=0.1)
+    assert (tracker.mu, tracker.sigma, tracker.tail) == (0.0, 0.0, 0.0)
+    rng = Rng(3)
+    mean = var = None
+    for _ in range(500):
+        s = rng.exponential(20.0)
+        tracker.record(s)
+        prev = s if mean is None else mean
+        mean = s if mean is None else mean + 0.1 * (s - mean)
+        dev = (s - prev) ** 2
+        var = dev if var is None else var + 0.1 * (dev - var)
+        assert (tracker.mu, tracker.var) == (mean, var)
+    assert tracker.tail == mean + 3.0 * math.sqrt(var)
+    assert tracker.count == 500
 
 
 def test_latency_tracker_tail_above_mean():
