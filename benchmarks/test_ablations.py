@@ -118,9 +118,7 @@ def test_ablation_traffic_manager(once, emit):
 
         def worker():
             while True:
-                pkt = yield tm.pop()
-                yield Timeout(tm.dequeue_sync_us)
-                yield Timeout(cost)
+                pkt, _ = yield tm.pop(lambda _: cost)
                 recorder.record(sim.now - pkt.created_at)
 
         for _ in range(12):

@@ -3,14 +3,20 @@
 A Thompson-construction NFA regex engine supporting the subset the
 FlexStorm filter needs: literals, ``.``, character classes ``[abc]`` /
 ``[a-z]`` / ``[^...]``, alternation ``|``, grouping ``(...)``, the
-``* + ?`` quantifiers and ``\\`` escapes.  ``search`` runs the NFA as a
-lazy DFA: one pass over the text, where each DFA state is the set of
-NFA states live after a character.  Re-adding the start closure at every
-step makes the match unanchored, so a match anywhere costs no restart.
-Each (state set, character) transition is computed once per compiled
-regex and cached, so a warm filter pays one dict lookup per character —
-linear time, no backtracking blowup, which is why it suits a wimpy NIC
-core.
+``* + ?`` quantifiers and ``\\`` escapes.
+
+A :class:`Regex` compiles any number of patterns into one union NFA: a
+fresh start state with an ε-edge to each pattern's fragment, built at
+the NFA level, so every pattern the parser accepts composes and no
+patterns match nothing.  ``search`` runs that NFA as a lazy DFA: one
+pass over the text, where each DFA state is the set of NFA states live
+after a character.  Re-adding the start closure at every step makes
+the match unanchored, so a match anywhere costs no restart.  DFA states
+are small integers; each has one ``{char: next}`` row, filled the first
+time a character is seen in that state, and an accept flag.  A warm
+filter therefore pays one dict lookup per character for all its
+patterns together — linear time, no backtracking blowup, which is why
+it suits a wimpy NIC core.
 """
 
 from __future__ import annotations
@@ -170,25 +176,35 @@ class _Parser:
 
 
 class Regex:
-    """A compiled pattern; ``search`` finds a match anywhere in the text."""
+    """Compiled patterns; ``search`` finds a match of any one of them
+    anywhere in the text.
 
-    def __init__(self, pattern: str):
-        self.pattern = pattern
-        frag = _Parser(pattern).parse()
+    ``Regex(p)`` compiles one pattern; ``Regex(p1, p2, ...)`` their
+    union, and ``Regex()`` matches nothing.
+    """
+
+    def __init__(self, *patterns: str):
+        self.patterns = patterns
+        # the union NFA: a fresh start state with an ε-edge to each
+        # pattern's Thompson fragment, every fragment ending in one
+        # accept state
+        self.start = _State()
         accept = _State()
         accept.accepting = True
-        for out in frag.outs:
-            out.edges.append((EPSILON, accept))
-        self.start = frag.start
+        for pattern in patterns:
+            frag = _Parser(pattern).parse()
+            self.start.edges.append((EPSILON, frag.start))
+            for out in frag.outs:
+                out.edges.append((EPSILON, accept))
         self._start_set = self._closure({self.start})
-        self._sets: Dict[FrozenSet[_State], FrozenSet[_State]] = {
-            self._start_set: self._start_set}
-        #: lazy DFA: (state set, char) -> next state set, filled on use
-        self._transitions: Dict[Tuple[FrozenSet[_State], str],
-                                FrozenSet[_State]] = {}
-        self._accepting: Set[FrozenSet[_State]] = set()
-        if any(s.accepting for s in self._start_set):
-            self._accepting.add(self._start_set)
+        #: lazy DFA over integer states: the NFA set each state stands
+        #: for, its {char: next state} row (filled on use) and whether
+        #: it accepts
+        self._ids: Dict[FrozenSet[_State], int] = {}
+        self._nfa_sets: List[FrozenSet[_State]] = []
+        self._rows: List[Dict[str, int]] = []
+        self._accepts: List[bool] = []
+        self._intern(self._start_set)
 
     @staticmethod
     def _closure(states: Set[_State]) -> FrozenSet[_State]:
@@ -202,45 +218,58 @@ class Regex:
                     stack.append(nxt)
         return frozenset(seen)
 
-    def _step(self, current: FrozenSet[_State], ch: str) -> FrozenSet[_State]:
-        """DFA transition: advance every live state on ``ch``, restart."""
-        moved = {target for state in current
-                 for predicate, target in state.edges
+    def _intern(self, states: FrozenSet[_State]) -> int:
+        state = self._ids.get(states)
+        if state is None:
+            state = self._ids[states] = len(self._nfa_sets)
+            self._nfa_sets.append(states)
+            self._rows.append({})
+            self._accepts.append(any(s.accepting for s in states))
+        return state
+
+    def _step(self, state: int, ch: str) -> int:
+        """DFA transition: advance every live NFA state on ``ch`` and
+        re-add the start closure (the unanchored restart)."""
+        moved = {target for nfa_state in self._nfa_sets[state]
+                 for predicate, target in nfa_state.edges
                  if predicate is not EPSILON and predicate(ch)}
-        nxt = self._closure(moved | self._start_set)
-        # intern, so cache keys compare by identity on the hot path
-        nxt = self._sets.setdefault(nxt, nxt)
-        if any(s.accepting for s in nxt):
-            self._accepting.add(nxt)
+        nxt = self._rows[state][ch] = self._intern(
+            self._closure(moved | self._start_set))
         return nxt
 
     def search(self, text: str) -> bool:
         """Unanchored match anywhere in the text, in one pass."""
-        current = self._start_set
-        accepting = self._accepting
-        if current in accepting:
+        accepts = self._accepts
+        if accepts[0]:
             return True
-        transitions = self._transitions
+        rows = self._rows
+        state = 0
+        row = rows[0]
         for ch in text:
-            nxt = transitions.get((current, ch))
+            nxt = row.get(ch)
             if nxt is None:
-                nxt = transitions[current, ch] = self._step(current, ch)
-            if nxt in accepting:
+                nxt = self._step(state, ch)
+            if accepts[nxt]:
                 return True
-            current = nxt
+            state = nxt
+            row = rows[nxt]
         return False
 
 
 class PatternFilter:
-    """The FlexStorm filter worker: drop tuples matching no pattern."""
+    """The FlexStorm filter worker: drop tuples matching no pattern.
+
+    All patterns compile into one union :class:`Regex`, so a tuple
+    costs one pass whatever the number of patterns.
+    """
 
     def __init__(self, patterns: List[str]):
-        self.regexes = [Regex(p) for p in patterns]
+        self.regex = Regex(*patterns)
         self.passed = 0
         self.discarded = 0
 
     def interesting(self, text: str) -> bool:
-        if any(regex.search(text) for regex in self.regexes):
+        if self.regex.search(text):
             self.passed += 1
             return True
         self.discarded += 1

@@ -143,6 +143,8 @@ def nstack_get_wqe(message: Message) -> Optional[Packet]:
 
 
 def nstack_recv(runtime: IPipeRuntime):
-    """(*) Process command: block until the shared queue yields a work
-    item (used by the scheduler's FCFS loop)."""
+    """(*) Process command: block until the shared queue hands over a
+    work item, pay the queue's dequeue sync, and resume with ``(item,
+    t)``, ``t`` being the handoff time (the scheduler's FCFS loop
+    blocks the same way; see :meth:`TrafficManager.pop`)."""
     return runtime.nic.traffic_manager.pop()

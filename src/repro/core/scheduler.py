@@ -91,6 +91,11 @@ class WorkItem:
         self.trace = trace
 
 
+def _forward_cost(item: WorkItem) -> float:
+    """Service a blocking dequeue charges: a raw forward's cost, else 0."""
+    return item.forward_cost_us if item.message is None else 0.0
+
+
 #: executor(core_id, actor, message) -> the handler's command generator
 #: (an empty iterator when it charges no virtual time)
 Executor = Callable[[int, Actor, Message], Iterator]
@@ -320,41 +325,54 @@ class NicScheduler:
     # ALG 1 ---------------------------------------------------------------------
     def _fcfs_iteration(self, core_id: int):
         item: Optional[WorkItem] = self.queue.try_pop()
-        if item is None and self.drr_runnable:
+        if item is not None:
+            yield from self._handle_item(core_id, item)
+        elif self.drr_runnable:
             # Work conservation: an idle FCFS core steals backlogged DRR
             # work rather than blocking while DRR cores drown (§3.2.6's
             # stealing, mirrored from the FCFS side).
             stole = yield from self._steal_drr_work(core_id)
             if not stole:
                 yield Timeout(self.config.idle_poll_us)
-        elif item is None:
-            item = yield self.queue.pop()
-        if item is not None:
-            yield from self._handle_item(core_id, item)
+        else:
+            # block; the queue charges the sync and a raw forward's cost
+            item, start = yield self.queue.pop(_forward_cost)
+            yield from self._handle_item(core_id, item, start)
 
         # -- adaptation checks (lines 13-24 of ALG 1) -------------------------
         now = self.sim.now
-        if (self.config.downgrade_enabled
-                and self.fcfs_tracker.tail > self.config.tail_thresh_us
-                and now - self._last_downgrade >= self.config.adapt_cooldown_us):
+        config = self.config
+        if (config.downgrade_enabled
+                and self.fcfs_tracker.tail > config.tail_thresh_us
+                and now - self._last_downgrade >= config.adapt_cooldown_us):
             if self._downgrade_highest_dispersion():
                 self._last_downgrade = now
-        if core_id == self.mgmt_core:
+        if (core_id == self.mgmt_core and config.migration_enabled
+                and not self._migration_inflight
+                and now - self._last_migration >= config.migration_cooldown_us):
             yield from self._management_checks()
-        if self.config.autoscale:
+        if (config.autoscale
+                and self.sim.now - self._window_start >= config.util_window_us):
             self._autoscale(core_id)
 
-    def _handle_item(self, core_id: int, item: WorkItem):
-        """Dispatch + run one shared-queue work item (ALG 1 lines 5-12)."""
-        start = self.sim.now
-        sync = self.queue.dequeue_sync_us
-        if sync:
-            yield Timeout(sync)
+    def _handle_item(self, core_id: int, item: WorkItem,
+                     start: Optional[float] = None):
+        """Dispatch + run one shared-queue work item (ALG 1 lines 5-12).
+
+        ``start`` is the handoff time when :meth:`TrafficManager.pop`
+        already charged the sync and the forward cost; ``None`` (a
+        ``try_pop`` item) pays them here.
+        """
+        if start is None:
+            start = self.sim.now
+            sync = self.queue.dequeue_sync_us
+            if sync:
+                yield Timeout(sync)
+            if item.message is None and item.forward_cost_us > 0:
+                yield Timeout(item.forward_cost_us)
 
         if item.message is None:
             # raw forwarding work (transit traffic, host-originated TX)
-            if item.forward_cost_us > 0:
-                yield Timeout(item.forward_cost_us)
             if item.forward_action is not None:
                 item.forward_action()
             self._account(core_id, "fcfs", self.sim.now - start)
@@ -461,7 +479,8 @@ class NicScheduler:
                     >= self.config.adapt_cooldown_us):
                 if self._upgrade_lowest_dispersion():
                     self._last_upgrade = self.sim.now
-        if self.config.autoscale:
+        if (self.config.autoscale and self.sim.now - self._window_start
+                >= self.config.util_window_us):
             self._autoscale(core_id)
         if not did_work:
             # Work conservation: an idle DRR core pulls from the shared
@@ -600,11 +619,11 @@ class NicScheduler:
         return True
 
     def _management_checks(self):
-        """Push/pull migration, run on the dedicated management core."""
-        if not self.config.migration_enabled or self._migration_inflight:
-            return
-        if self.sim.now - self._last_migration < self.config.migration_cooldown_us:
-            return
+        """Push/pull migration, run on the dedicated management core.
+
+        The caller checks first that migration is enabled, idle and out
+        of its cooldown.
+        """
         mean = self.fcfs_tracker.mu
         if mean > self.config.mean_thresh_us and self.on_push_migration:
             victim = self._heaviest_nic_actor()
@@ -681,9 +700,8 @@ class NicScheduler:
         return min(self._group_busy[group] / (elapsed * cores), 1.0)
 
     def _autoscale(self, core_id: int) -> None:
-        elapsed = self.sim.now - self._window_start
-        if elapsed < self.config.util_window_us:
-            return
+        """Regroup cores once per utilisation window; the caller checks
+        that the window has elapsed."""
         fcfs_n = self.fcfs_cores()
         drr_n = self.drr_cores()
         fcfs_util = self._group_utilization("fcfs")

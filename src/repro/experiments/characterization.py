@@ -121,9 +121,8 @@ def traffic_manager_experiment(frame_bytes: int, cores: int,
 
     def worker(core_id: int):
         while True:
-            pkt = yield nic.traffic_manager.pop()
-            yield Timeout(nic.traffic_manager.dequeue_sync_us)
-            yield Timeout(cost)
+            # one resume per packet: the dequeue sync, then the echo cost
+            pkt, _ = yield nic.traffic_manager.pop(lambda _: cost)
             recorder.record(sim.now - pkt.created_at)
 
     for core in range(cores):

@@ -11,12 +11,32 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Optional, Tuple
 
-from ..sim import Simulator, Store
+from ..sim import Simulator
+from ..sim.process import Command, Process
 from ..net import Packet
 from .calibration import HW_SHARED_QUEUE_SYNC_US, SW_SHARED_QUEUE_SYNC_US
 from .specs import NicSpec
+
+
+class _Pop(Command):
+    """A core's blocking dequeue; see :meth:`TrafficManager.pop`."""
+
+    __slots__ = ("manager", "service")
+
+    def __init__(self, manager: "TrafficManager",
+                 service: Optional[Callable[[Any], float]]):
+        self.manager = manager
+        self.service = service
+
+    def subscribe(self, process: Process) -> None:
+        manager = self.manager
+        if manager.items:
+            manager._hand(process, self.service, manager.items.popleft())
+        else:
+            manager._waiters.append((process, self.service))
 
 
 class TrafficManager:
@@ -25,36 +45,62 @@ class TrafficManager:
     ``dequeue_sync_us`` is the per-dequeue synchronization tax — tiny when
     a hardware traffic manager provides the queue, ~10x larger for a
     software (spinlock) shuffle queue.
+
+    :meth:`pop` charges that tax itself.  An item is *handed* to a core
+    at time ``t``: when the core asks while the queue holds work, or,
+    for cores blocked on an empty queue, in FIFO order as items are
+    pushed.  The core then resumes once, at ``(t + dequeue_sync_us) +
+    service(item)`` (the ``service`` term only when it is given and
+    positive), and receives ``(item, t)`` — the float a
+    ``Timeout(sync)``, ``Timeout(service)`` chain started at ``t``
+    would reach, with ``t`` itself exact.  :meth:`try_pop` charges
+    nothing; its caller pays the sync.
+
+    Same-timestamp caveat: the resume is posted at the handoff, not
+    from a wake event at ``t`` as that chain's ``Timeout`` was.  So
+    against an event at exactly the resume time that was posted
+    between the push and such a wake, the core can now run first.
     """
 
-    def __init__(self, sim: Simulator, hardware: bool = True,
-                 capacity: Optional[int] = None):
+    def __init__(self, sim: Simulator, hardware: bool = True):
         self.sim = sim
         self.hardware = hardware
-        self.queue = Store(sim, capacity=capacity)
+        self.items: Deque[Any] = deque()
+        #: blocked cores, FIFO: (process, service)
+        self._waiters: Deque[Tuple[Process, Any]] = deque()
         self.dequeue_sync_us = (
             HW_SHARED_QUEUE_SYNC_US if hardware else SW_SHARED_QUEUE_SYNC_US)
         self.enqueued = 0
-        self.dropped = 0
 
     def push(self, packet: Packet) -> None:
         """Hardware enqueue of an arriving packet (work item)."""
-        try:
-            self.queue.put_nowait(packet)
-            self.enqueued += 1
-        except Exception:
-            self.dropped += 1
+        self.enqueued += 1
+        if self._waiters:
+            process, service = self._waiters.popleft()
+            self._hand(process, service, packet)
+        else:
+            self.items.append(packet)
 
-    def pop(self):
-        """Process command: block until a work item is available."""
-        return self.queue.get()
+    def pop(self, service: Optional[Callable[[Any], float]] = None) -> _Pop:
+        """Process command: dequeue a work item, paying the sync and then
+        ``service(item)`` microseconds; resumes with ``(item, t)``."""
+        return _Pop(self, service)
 
     def try_pop(self):
         """Immediate dequeue; returns None when the queue is empty."""
-        return self.queue.try_get_nowait()
+        return self.items.popleft() if self.items else None
+
+    def _hand(self, process: Process, service, item) -> None:
+        t = self.sim.now
+        when = t + self.dequeue_sync_us
+        if service is not None:
+            cost = service(item)
+            if cost > 0:
+                when += cost
+        self.sim.post_at(when, process._resume, (item, t))
 
     def __len__(self) -> int:
-        return len(self.queue)
+        return len(self.items)
 
 
 class NicSwitch:

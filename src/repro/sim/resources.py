@@ -2,8 +2,9 @@
 
 These mirror the hardware abstractions the paper relies on:
 
-* :class:`Store` — an unbounded (or bounded) FIFO; the shared work queue a
-  hardware traffic manager exposes to NIC cores is a ``Store``.
+* :class:`Store` — an unbounded (or bounded) FIFO with blocking ``get``
+  (host queues; the NIC cores' shared work queue is the traffic
+  manager's own, which charges its dequeue sync on the handoff).
 * :class:`Resource` — counted capacity with FIFO waiters (e.g. DMA engine
   channels, accelerator units).
 * :class:`Doorbell` — parks an idle busy-poller and wakes it on its own

@@ -80,6 +80,11 @@ def test_fig5_shared_queue_scales_with_little_latency_penalty():
     # throughput doubled.
     assert twelve.avg_us < six.avg_us * 1.35
     assert twelve.p99_us < six.p99_us * 1.6
+    # exact values: a change to how the shared queue charges its sync
+    # must not move virtual time
+    assert (six.avg_us, six.p99_us) == (3.4675695448161945, 9.348778661922363)
+    assert (twelve.avg_us, twelve.p99_us) == (2.3624085442466383,
+                                              2.360000000000582)
 
 
 # -- Figures 6-10 ---------------------------------------------------------------------------

@@ -313,15 +313,91 @@ def test_traffic_manager_push_pop_fifo():
 
     def core():
         while len(got) < 2:
-            pkt = yield tm.pop()
-            got.append(pkt.payload)
+            pkt, t = yield tm.pop()
+            got.append((pkt.payload, t, sim.now))
 
     spawn(sim, core())
     tm.push(Packet("a", "b", 64, payload=1))
     tm.push(Packet("a", "b", 64, payload=2))
     sim.run()
-    assert got == [1, 2]
-    assert tm.enqueued == 2
+    sync = tm.dequeue_sync_us
+    # each pop is handed its item when it asks, and pays the sync
+    assert got == [(1, 0.0, 0.0 + sync), (2, sync, sync + sync)]
+    assert tm.enqueued == 2 and len(tm) == 0
+
+
+@pytest.mark.parametrize("hardware,sync", [(True, 0.02), (False, 0.18)])
+def test_traffic_manager_blocked_cores_resume_once_in_fifo_order(hardware,
+                                                                 sync):
+    sim = Simulator()
+    tm = TrafficManager(sim, hardware=hardware)
+    assert tm.dequeue_sync_us == sync
+    resumed = []
+
+    def core(name):
+        pkt, t = yield tm.pop(lambda pkt: pkt.payload)
+        resumed.append((name, pkt.src, t, sim.now))
+
+    calls = {}
+    for name in ("c0", "c1", "c2"):
+        proc = spawn(sim, core(name))
+        calls[name] = 0
+
+        def counted(value, proc=proc, name=name, resume=proc._resume):
+            calls[name] += 1
+            resume(value)
+
+        proc._resume = counted
+    # (push time, service): the float sums are not associative, so
+    # only the old chain's order of additions reproduces them
+    pushes = [(0.1, 0.3), (0.3, 0.1), (2.9, 0.0)]
+    for i, (at, service) in enumerate(pushes):
+        sim.post_at(at, tm.push, Packet(f"p{i}", "b", 64, payload=service))
+    sim.run()
+    expected = []
+    for i, (name, (at, service)) in enumerate(zip(("c0", "c1", "c2"),
+                                                  pushes)):
+        # what Timeout(sync) and then Timeout(service) from `at` reach
+        when = at + sync
+        if service > 0:
+            when = when + service
+        expected.append((name, f"p{i}", at, when))
+    # (sorted by core: with the SW sync, c1 resumes a hair before c0)
+    assert sorted(resumed) == expected
+    # the start was posted before the wrap: one resume per handed item
+    assert calls == {"c0": 1, "c1": 1, "c2": 1}
+
+
+def test_try_pop_core_pays_its_own_sync():
+    from repro.core.actor import ActorTable
+    from repro.core.scheduler import NicScheduler, SchedulerConfig, WorkItem
+    sim = Simulator()
+    tm = TrafficManager(sim, hardware=False)
+    done = []
+
+    def item(cost):
+        return WorkItem(forward_cost_us=cost,
+                        forward_action=lambda: done.append(sim.now))
+
+    # two items queued before the core starts: it takes both with
+    # try_pop and charges Timeout(sync), Timeout(cost) itself; the third
+    # arrives while it blocks in pop(), which charges the same sum
+    tm.push(item(0.3))
+    tm.push(item(0.1))
+    sched = NicScheduler(
+        sim, num_cores=1, work_queue=tm, actor_table=ActorTable(),
+        executor=None, config=SchedulerConfig(
+            migration_enabled=False, downgrade_enabled=False,
+            autoscale=False))
+    sim.post_at(2.9, tm.push, item(0.1))
+    sim.run(until=10.0)
+    sched.stop()
+    sync = tm.dequeue_sync_us
+    first = (0.0 + sync) + 0.3
+    second = (first + sync) + 0.1
+    third = (2.9 + sync) + 0.1
+    assert done == [first, second, third]
+    assert sched.forwards_completed == 3
 
 
 def test_nic_switch_steers_by_rule():

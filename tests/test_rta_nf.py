@@ -119,6 +119,15 @@ def test_regex_warm_cache_agrees_with_fresh(pattern, texts):
         assert warm.search(text) is Regex(pattern).search(text)
 
 
+@given(st.lists(_patterns(), max_size=4), _texts)
+@settings(max_examples=200, deadline=None)
+def test_pattern_filter_union_agrees_with_each_pattern(patterns, text):
+    # one union DFA over all patterns (top-level `|` included) answers
+    # what searching each pattern alone would; no patterns match nothing
+    expect = any(_reference_search(Regex(p), text) for p in patterns)
+    assert PatternFilter(patterns).interesting(text) is expect
+
+
 def test_regex_rejects_malformed():
     for bad in ("(", "[abc", "*a", "a\\"):
         with pytest.raises(RegexError):

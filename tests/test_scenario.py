@@ -194,13 +194,15 @@ def test_shipped_spec_fingerprint_is_pinned(name):
 #: under a SanitizerSession.  The digest folds every event's time,
 #: sequence number, callback and RNG position, so unlike the
 #: fingerprints above it sees request timing and tie order on the
-#: open-loop specs too.  Host-time work must leave it unchanged.
+#: open-loop specs too.  Host-time work must leave it unchanged; a
+#: change that removes events re-pins it and shows that the rest of the
+#: sequence kept its order.
 _PINNED_STEP_DIGESTS = {
-    "multi-rack-chaos": (250490990, 9594),
-    "multi-rack-rebalance": (3819070101, 475),
-    "multi-rack-rkv": (2251331260, 2656),
-    "multi-tenant-mixed": (1168941524, 36781),
-    "paper-testbed": (3486288321, 32357),
+    "multi-rack-chaos": (4265420649, 7791),
+    "multi-rack-rebalance": (3244337673, 420),
+    "multi-rack-rkv": (429575719, 2224),
+    "multi-tenant-mixed": (4143269989, 30828),
+    "paper-testbed": (1339467565, 26641),
 }
 
 
@@ -212,6 +214,39 @@ def test_shipped_spec_event_sequence_is_pinned(name):
         run_scenario(load_shipped(name), duration_us=1_000.0)
     recorder = session.recorder
     assert (recorder.digest, recorder.steps) == _PINNED_STEP_DIGESTS[name]
+
+
+#: (CRC-32 folded over (repr(now), src, kind, size) at every
+#: ClientPort.receive, replies received) of each shipped spec run to
+#: 1 ms.  The open-loop fingerprints hold only counts, so this is the
+#: pin that sees reply timing on every spec; unlike the step digests it
+#: does not move when events that change no state are added or removed.
+_PINNED_REPLY_TIMING = {
+    "multi-rack-chaos": (2055048439, 350),
+    "multi-rack-rebalance": (1053256841, 10),
+    "multi-rack-rkv": (3754918783, 80),
+    "multi-tenant-mixed": (1883217323, 2164),
+    "paper-testbed": (2234586504, 1692),
+}
+
+
+@pytest.mark.parametrize("name", shipped_specs())
+def test_shipped_spec_reply_timing_is_pinned(name, monkeypatch):
+    import zlib
+    from repro.scenario.build import ClientPort
+    assert name in _PINNED_REPLY_TIMING, f"pin a reply timing for {name}"
+    folded = [0, 0]
+    receive = ClientPort.receive
+
+    def timed(port, packet):
+        record = (repr(port.sim.now), packet.src, packet.kind, packet.size)
+        folded[0] = zlib.crc32(repr(record).encode(), folded[0])
+        folded[1] += 1
+        receive(port, packet)
+
+    monkeypatch.setattr(ClientPort, "receive", timed)
+    run_scenario(load_shipped(name), duration_us=1_000.0)
+    assert tuple(folded) == _PINNED_REPLY_TIMING[name]
 
 
 # -- spec-built vs hand-wired equivalence ------------------------------------
