@@ -25,6 +25,7 @@ from ..host.stacks import StackCosts, dpdk_stack
 from ..nic.calibration import dpdk_recv_us, dpdk_send_us
 from ..net import Network, Packet
 from ..nic.accelerators import AcceleratorBank
+from ..nic.cores import TimeFactors
 from ..nic.dma import DmaEngine
 from ..sim import Doorbell, Simulator, Store, Timeout, UtilizationTracker, spawn
 
@@ -45,6 +46,8 @@ class DpdkRuntime:
         self.dmo = DmoManager()
         self.storage: StorageService = host.storage
         self.dispatch_table: Dict[str, str] = {}
+        #: (profile, on_nic) -> time per reference µs (ctx.compute)
+        self.time_factors = TimeFactors(None, host.spec)
         #: accelerator profiles for ctx.accelerator's host-software path
         self.nic = SimpleNamespace(
             accelerators=AcceleratorBank(sim),

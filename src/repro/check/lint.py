@@ -1,6 +1,6 @@
 """``repro lint``: a static pass banning nondeterminism hazards.
 
-Four rules, enforced over ``src/repro/``:
+Five rules, enforced over ``src/repro/``:
 
 * **wall-clock** — calls to host clocks (``time.time``, ``time.time_ns``,
   ``time.monotonic[_ns]``, ``time.perf_counter[_ns]``,
@@ -30,6 +30,11 @@ Four rules, enforced over ``src/repro/``:
   of the same seed in fresh interpreters — invisible to an in-process
   replay.  Use ``zlib.crc32(key.encode())``; an int-only hash that is
   stable across processes may carry an inline allow with its reason.
+* **clock-write** — assignments to an attribute named ``now``
+  (``sim.now = t``, ``x.now += dt``, ``setattr(x, "now", t)``).
+  ``Simulator.now`` is a plain attribute, read on every event; only
+  the run loop may move the clock, so the one allowed file is
+  ``sim/engine.py``.
 
 Suppression: a finding on a line containing ``# lint: allow[rule]`` (or
 a bare ``# lint: allow``) is dropped — reserve it for sites with a
@@ -51,6 +56,8 @@ RULES: Dict[str, str] = {
     "unordered-iter": "set iteration feeding event scheduling or sends; "
                       "sort it",
     "builtin-hash": "builtin hash() is salted per process; use zlib.crc32",
+    "clock-write": "assignment to .now; only the run loop in sim/engine.py "
+                   "moves the clock",
 }
 
 #: path-prefix allowlist (POSIX-style, relative to the linted root):
@@ -59,6 +66,8 @@ PATH_ALLOW: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     # exec/ is the benchmarking/executor layer: wall-clock measurement
     # is its purpose, never an input to virtual time.
     ("exec/", ("wall-clock",)),
+    # the run loop owns the virtual clock
+    ("sim/engine.py", ("clock-write",)),
 )
 
 _WALL_CLOCK_ATTRS = {
@@ -146,6 +155,31 @@ def _call_finding(node: ast.Call, imports: _ModuleImports) -> Optional[Tuple[str
     return None
 
 
+def _writes_now(target: ast.AST) -> bool:
+    """Whether an assignment target (or any element of an unpacking
+    target) is an attribute named ``now``."""
+    if isinstance(target, ast.Attribute):
+        return target.attr == "now"
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(_writes_now(elt) for elt in target.elts)
+    if isinstance(target, ast.Starred):
+        return _writes_now(target.value)
+    return False
+
+
+def _clock_write(node: ast.AST) -> bool:
+    """Whether ``node`` assigns an attribute named ``now``."""
+    if isinstance(node, ast.Assign):
+        return any(_writes_now(t) for t in node.targets)
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return _writes_now(node.target)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr" and len(node.args) >= 2):
+        name = node.args[1]
+        return isinstance(name, ast.Constant) and name.value == "now"
+    return False
+
+
 def _is_setish(node: ast.AST, set_names: Set[str],
                set_fields: Set[str]) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
@@ -225,6 +259,10 @@ def lint_source(source: str, path: str = "<string>") -> List[LintFinding]:
     findings: List[LintFinding] = []
 
     for node in ast.walk(tree):
+        if _clock_write(node):
+            findings.append(LintFinding(
+                path=path, line=node.lineno, rule="clock-write",
+                message="assignment to .now outside the run loop"))
         if isinstance(node, ast.Call):
             hit = _call_finding(node, imports)
             if hit is not None:

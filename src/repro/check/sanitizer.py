@@ -275,7 +275,7 @@ class SanitizerSession:
         return any(sim._running for sim in self.sims)
 
     def _sim_now(self) -> float:
-        return max((sim._now for sim in self.sims if sim._running),
+        return max((sim.now for sim in self.sims if sim._running),
                    default=0.0)
 
     def _guard(self, module, name: str, kind: str) -> None:

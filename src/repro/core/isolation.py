@@ -78,10 +78,14 @@ class Watchdog:
         self.policy = policy
         self._armed_at: Optional[float] = None
         self._actor: Optional[Actor] = None
+        #: budget of the armed actor's tenant, resolved by :meth:`arm`
+        self._timeout_us = policy.timeout_us
 
     def arm(self, now: float, actor: Actor) -> None:
         self._armed_at = now
         self._actor = actor
+        self._timeout_us = self.policy.tenant_timeout_us.get(
+            actor.tenant, self.policy.timeout_us)
 
     def disarm(self) -> None:
         self._armed_at = None
@@ -90,10 +94,7 @@ class Watchdog:
     def expired(self, now: float) -> bool:
         if self._armed_at is None:
             return False
-        tenant = getattr(self._actor, "tenant", "")
-        timeout = self.policy.tenant_timeout_us.get(
-            tenant, self.policy.timeout_us)
-        return now - self._armed_at > timeout
+        return now - self._armed_at > self._timeout_us
 
     def kill(self, table) -> Optional[Actor]:
         """Deregister the offending actor: dispatch-table removal + state

@@ -19,13 +19,13 @@ lives — so migrating an actor automatically re-times its execution.
 
 from __future__ import annotations
 
-import inspect
+from types import GeneratorType
 from typing import Callable, Dict, List, Optional
 
 from ..host.machine import HostMachine, StorageService
 from ..host.stacks import StackCosts, ipipe_host_stack
 from ..net import Network, Packet, line_rate_pps
-from ..nic.cores import WorkloadProfile, time_on_host, time_on_nic
+from ..nic.cores import TimeFactors, WorkloadProfile
 from ..nic.device import SmartNic
 from ..nic.dma import DmaEngine
 from ..sim import Doorbell, Simulator, Store, Timeout, UtilizationTracker, spawn
@@ -74,19 +74,14 @@ class ExecutionContext:
         host-speedup (computed from the profile, or a default 2.8x).
         """
         prof = profile or self.actor.profile
-        if us is None:
-            if prof is None:
+        on_nic = self.actor.location is Location.NIC
+        if prof is None:
+            if us is None:
                 raise ValueError("no cost given and actor has no profile")
-            base = prof.exec_us
+            factor = 1.0 if on_nic else 1.0 / 2.8
         else:
-            base = us
-        if self.on_nic:
-            factor = (time_on_nic(prof, self.runtime.nic.spec) / prof.exec_us
-                      if prof is not None else 1.0)
-        else:
-            factor = (time_on_host(prof, self.runtime.host.spec) / prof.exec_us
-                      if prof is not None else 1.0 / 2.8)
-        return Timeout(base * factor * scale)
+            factor = self.runtime.time_factors[prof, on_nic]
+        return Timeout((prof.exec_us if us is None else us) * factor * scale)
 
     def accelerator(self, name: str, nbytes: int = 1024, batch: int = 1):
         """Generator charging a domain-specific accelerator invocation.
@@ -236,6 +231,8 @@ class IPipeRuntime:
             # retransmit finally lands
             self.rchannel.on_deliverable["to_nic"] = self._nic_channel_arrival
         self.dispatch_table: Dict[str, str] = {}
+        #: (profile, on_nic) -> time per reference µs (ctx.compute)
+        self.time_factors = TimeFactors(nic.spec, host.spec)
         self._migration_buffers: Dict[str, List[Message]] = {}
         self.migrator = Migrator(self)
 
@@ -764,7 +761,7 @@ class IPipeRuntime:
         ctx._trace = msg.meta.get("trace")
         ctx._span = msg.meta.get("span")
         result = actor.exec_handler(actor, msg, ctx)
-        if inspect.isgenerator(result):
+        if isinstance(result, GeneratorType):
             return result
         if actor.profile is not None:
             return _one_command(ctx.compute(profile=actor.profile))

@@ -208,7 +208,7 @@ class NicScheduler:
         """
         if actor.deficit:
             self.deficit_forfeited_us += actor.deficit
-            tenant = getattr(actor, "tenant", "")
+            tenant = actor.tenant
             self.tenant_forfeited_us[tenant] = \
                 self.tenant_forfeited_us.get(tenant, 0.0) + actor.deficit
             actor.deficit = 0.0
@@ -234,17 +234,17 @@ class NicScheduler:
         """
         if not self.tenant_shares:
             return 1.0
-        share = self.tenant_shares.get(getattr(actor, "tenant", ""))
+        tenant = actor.tenant
+        share = self.tenant_shares.get(tenant)
         if share is None or share <= 0.0:
             return 1.0
-        tenant = actor.tenant
         members = 0
         total = 0
         for a in self.drr_runnable:
             if not a.schedulable:
                 continue
             total += 1
-            if getattr(a, "tenant", "") == tenant:
+            if a.tenant == tenant:
                 members += 1
         if members == 0 or total == 0:
             return 1.0
@@ -271,16 +271,19 @@ class NicScheduler:
         """Permanently fail one core and rebalance the survivors.
 
         Takes effect at the core's next scheduling boundary (cooperative,
-        the same granularity as the DoS watchdog).  If the management
-        core dies, management duty is promoted to the next live FCFS
-        core; the FCFS floor and a live DRR core (when DRR work exists)
-        are then restored by converting survivors.
+        the same granularity as the DoS watchdog); a core blocked on the
+        empty shared queue is withdrawn from it at once, so it takes no
+        further item.  If the management core dies, management duty is
+        promoted to the next live FCFS core; the FCFS floor and a live
+        DRR core (when DRR work exists) are then restored by converting
+        survivors.
         """
         if not 0 <= core_id < self.num_cores:
             return False
         if not self.core_health.alive(core_id):
             return False
         self.core_health.fail(core_id)
+        self.queue.withdraw(self._procs[core_id])
         prev_mode = self.core_mode[core_id]
         self.core_mode[core_id] = "failed"
         self.core_failures += 1
@@ -310,105 +313,119 @@ class NicScheduler:
 
     # -- core main loops ----------------------------------------------------------
     def _core_loop(self, core_id: int):
+        """One NIC core.  ALG 1 (FCFS) runs in this frame, so a handler
+        command crosses only :meth:`_run_actor` on its way to the
+        engine; a DRR core runs :meth:`_drr_iteration`."""
+        sim = self.sim
+        queue = self.queue
+        config = self.config
+        health = self.core_health
+        core_mode = self.core_mode
+        # the queue charges the sync and a raw forward's cost
+        blocking_pop = queue.pop(_forward_cost)
         while self._running:
-            if not self.core_health.alive(core_id):
+            if not health.alive(core_id):
                 return             # failed core: its loop ends for good
-            stall = self.core_health.stall_remaining(core_id, self.sim.now)
+            stall = health.stall_remaining(core_id, sim.now)
             if stall > 0.0:
                 yield Timeout(stall)
                 continue
-            if self.core_mode[core_id] == "fcfs":
-                yield from self._fcfs_iteration(core_id)
-            else:
+            if core_mode[core_id] != "fcfs":
                 yield from self._drr_iteration(core_id)
+                continue
 
-    # ALG 1 ---------------------------------------------------------------------
-    def _fcfs_iteration(self, core_id: int):
-        item: Optional[WorkItem] = self.queue.try_pop()
-        if item is not None:
-            yield from self._handle_item(core_id, item)
-        elif self.drr_runnable:
-            # Work conservation: an idle FCFS core steals backlogged DRR
-            # work rather than blocking while DRR cores drown (§3.2.6's
-            # stealing, mirrored from the FCFS side).
-            stole = yield from self._steal_drr_work(core_id)
-            if not stole:
-                yield Timeout(self.config.idle_poll_us)
-        else:
-            # block; the queue charges the sync and a raw forward's cost
-            item, start = yield self.queue.pop(_forward_cost)
-            yield from self._handle_item(core_id, item, start)
+            # ALG 1 lines 3-12: take one work item, dispatch and run it
+            item: Optional[WorkItem] = queue.try_pop()
+            if item is not None:
+                start = sim.now
+                yield from self._pay_for_try_pop(item)
+            elif self.drr_runnable:
+                # Work conservation: an idle FCFS core steals backlogged
+                # DRR work rather than blocking while DRR cores drown
+                # (§3.2.6's stealing, mirrored from the FCFS side).
+                stole = yield from self._steal_drr_work(core_id)
+                if not stole:
+                    yield Timeout(config.idle_poll_us)
+            else:
+                item, start = yield blocking_pop
+            if item is not None:
+                actor = self._dispatch(core_id, item, start)
+                if actor is not None:
+                    yield from self._run_actor(core_id, actor, item.message,
+                                               item.arrived_at, "fcfs")
 
-        # -- adaptation checks (lines 13-24 of ALG 1) -------------------------
-        now = self.sim.now
-        config = self.config
-        if (config.downgrade_enabled
-                and self.fcfs_tracker.tail > config.tail_thresh_us
-                and now - self._last_downgrade >= config.adapt_cooldown_us):
-            if self._downgrade_highest_dispersion():
-                self._last_downgrade = now
-        if (core_id == self.mgmt_core and config.migration_enabled
-                and not self._migration_inflight
-                and now - self._last_migration >= config.migration_cooldown_us):
-            yield from self._management_checks()
-        if (config.autoscale
-                and self.sim.now - self._window_start >= config.util_window_us):
-            self._autoscale(core_id)
+            # -- adaptation checks (lines 13-24 of ALG 1) ---------------------
+            now = sim.now
+            if (config.downgrade_enabled
+                    and self.fcfs_tracker.tail > config.tail_thresh_us
+                    and now - self._last_downgrade >= config.adapt_cooldown_us):
+                if self._downgrade_highest_dispersion():
+                    self._last_downgrade = now
+            if (core_id == self.mgmt_core and config.migration_enabled
+                    and not self._migration_inflight
+                    and now - self._last_migration
+                    >= config.migration_cooldown_us):
+                yield from self._management_checks()
+            if (config.autoscale
+                    and sim.now - self._window_start >= config.util_window_us):
+                self._autoscale(core_id)
 
-    def _handle_item(self, core_id: int, item: WorkItem,
-                     start: Optional[float] = None):
-        """Dispatch + run one shared-queue work item (ALG 1 lines 5-12).
+    def _pay_for_try_pop(self, item: WorkItem):
+        """Charge a ``try_pop`` item what a blocking pop charges inside
+        the queue: the dequeue sync, then a raw forward's cost."""
+        sync = self.queue.dequeue_sync_us
+        if sync:
+            yield Timeout(sync)
+        if item.message is None and item.forward_cost_us > 0:
+            yield Timeout(item.forward_cost_us)
 
-        ``start`` is the handoff time when :meth:`TrafficManager.pop`
-        already charged the sync and the forward cost; ``None`` (a
-        ``try_pop`` item) pays them here.
+    def _dispatch(self, core_id: int, item: WorkItem,
+                  start: float) -> Optional[Actor]:
+        """ALG 1's dispatch of one paid-for work item (lines 5-11).
+
+        ``start`` is when the item was taken.  Returns the actor whose
+        handler must run now; anything else (a raw forward, a message
+        handed back to the router or parked in a DRR mailbox) is done
+        here and accounted from ``start``, and None is returned.
         """
-        if start is None:
-            start = self.sim.now
-            sync = self.queue.dequeue_sync_us
-            if sync:
-                yield Timeout(sync)
-            if item.message is None and item.forward_cost_us > 0:
-                yield Timeout(item.forward_cost_us)
-
-        if item.message is None:
+        now = self.sim.now
+        message = item.message
+        if message is None:
             # raw forwarding work (transit traffic, host-originated TX)
             if item.forward_action is not None:
                 item.forward_action()
-            self._account(core_id, "fcfs", self.sim.now - start)
-            self.fcfs_tracker.record(self.sim.now - item.arrived_at)
+            self._account(core_id, "fcfs", now - start)
+            self.fcfs_tracker.record(now - item.arrived_at)
             self.forwards_completed += 1
             tracer = self.sim.tracer
             if tracer is not None:
                 tracer.record_span(
-                    "forward", "forward", item.arrived_at, self.sim.now,
+                    "forward", "forward", item.arrived_at, now,
                     trace=item.trace, node=self.node_name,
                     track=f"core{core_id}", wait_us=start - item.arrived_at)
-            return
+            return None
 
-        actor = self.actors.lookup(item.message.target)
+        actor = self.actors.lookup(message.target)
         if actor is None:
             # hand it back to the router: a crashed-but-restartable actor
             # buffers the message; anything else stays a drop
             if self.redeliver is not None:
-                self.redeliver(item.message)
-            self._account(core_id, "fcfs", self.sim.now - start)
-            return
-        if not actor.schedulable or actor.location is not Location.NIC:
+                self.redeliver(message)
+        elif not actor.schedulable or actor.location is not Location.NIC:
             # The actor migrated (or is mid-migration) after this item was
             # queued — hand the message back to the runtime's router, which
             # buffers it or crosses the channel, instead of dropping it.
             if self.redeliver is not None and not actor.deregistered:
-                self.redeliver(item.message)
-            self._account(core_id, "fcfs", self.sim.now - start)
-            return
-        if actor.is_drr:
-            actor.mailbox.append(item.message)
-            self._account(core_id, "fcfs", self.sim.now - start)
+                self.redeliver(message)
+        elif actor.is_drr:
+            actor.mailbox.append(message)
+            self._account(core_id, "fcfs", now - start)
             self._maybe_drr_mailbox_migration(actor)
-            return
-        yield from self._run_actor(core_id, actor, item.message,
-                                   item.arrived_at, group="fcfs")
+            return None
+        else:
+            return actor
+        self._account(core_id, "fcfs", now - start)
+        return None
 
     def _steal_drr_work(self, core_id: int):
         """Run one request from the most backlogged DRR actor (or False)."""
@@ -442,7 +459,7 @@ class NicScheduler:
                 quantum *= self._tenant_quantum_scale(actor)
             actor.deficit += quantum
             self.quantum_granted_us += quantum
-            tenant = getattr(actor, "tenant", "")
+            tenant = actor.tenant
             self.tenant_granted_us[tenant] = \
                 self.tenant_granted_us.get(tenant, 0.0) + quantum
             # ALG 2 compares the deficit against the actor's *execution*
@@ -487,10 +504,15 @@ class NicScheduler:
             # queue itself — dispatching to mailboxes, or running FCFS
             # actors' requests to completion (akin to ZygOS stealing).
             item = self.queue.try_pop()
-            if item is not None:
-                yield from self._handle_item(core_id, item)
-            else:
+            if item is None:
                 yield Timeout(self.config.idle_poll_us)
+                return
+            start = self.sim.now
+            yield from self._pay_for_try_pop(item)
+            actor = self._dispatch(core_id, item, start)
+            if actor is not None:
+                yield from self._run_actor(core_id, actor, item.message,
+                                           item.arrived_at, "fcfs")
 
     # -- handler execution -------------------------------------------------------
     def _run_actor(self, core_id: int, actor: Actor, msg: Message,
@@ -499,13 +521,15 @@ class NicScheduler:
             # exec_lock held elsewhere: requeue behind current work
             actor.mailbox.append(msg)
             return
-        tracer = self.sim.tracer
+        sim = self.sim
+        start = sim.now
+        tracer = sim.tracer
         span = None
         if tracer is not None:
             tctx = msg.meta.get("trace")
-            if arrived_at and self.sim.now > arrived_at:
+            if arrived_at and start > arrived_at:
                 tracer.record_span(
-                    "queue-wait", "sched.wait", arrived_at, self.sim.now,
+                    "queue-wait", "sched.wait", arrived_at, start,
                     trace=tctx, node=self.node_name, track=f"core{core_id}",
                     actor=actor.name, group=group)
             span = tracer.start_span(
@@ -514,8 +538,7 @@ class NicScheduler:
                 actor=actor.name, core=core_id, group=group, loc="nic")
             msg.meta["span"] = span
         watchdog = self._watchdogs[core_id]
-        watchdog.arm(self.sim.now, actor)
-        start = self.sim.now
+        watchdog.arm(start, actor)
         try:
             gen = self.executor(core_id, actor, msg)
             # Drive the handler command by command.  The DoS watchdog
@@ -523,7 +546,7 @@ class NicScheduler:
             # is handed on to the engine.
             try:
                 command = next(gen)
-                while not watchdog.expired(self.sim.now):
+                while not watchdog.expired(sim.now):
                     command = gen.send((yield command))
             except StopIteration:
                 pass
@@ -544,12 +567,14 @@ class NicScheduler:
                     parked = actor.mailbox.popleft()
                     self.queue.push(WorkItem(
                         message=parked,
-                        arrived_at=parked.meta.get("nic_arrival", self.sim.now)))
-        busy = self.sim.now - start
-        response = self.sim.now - (arrived_at or start)
-        wait = max(start - (arrived_at or start), 0.0)
+                        arrived_at=parked.meta.get("nic_arrival", sim.now)))
+        now = sim.now
+        busy = now - start
+        origin = arrived_at or start
+        response = now - origin
+        wait = max(start - origin, 0.0)
         self._account(core_id, group, busy)
-        tenant = getattr(actor, "tenant", "")
+        tenant = actor.tenant
         self.tenant_busy_us[tenant] = \
             self.tenant_busy_us.get(tenant, 0.0) + busy
         actor.record_execution(response, msg.size, service_us=busy)
@@ -562,9 +587,8 @@ class NicScheduler:
         tracker = self.fcfs_tracker if core_mode == "fcfs" else self.drr_tracker
         tracker.record(wait)
         self.ops_completed += 1
-        metrics = self.sim.metrics
+        metrics = sim.metrics
         if metrics is not None:
-            now = self.sim.now
             metrics.histogram("sched.wait_us").record(now, wait)
             metrics.histogram("sched.service_us").record(now, busy)
             metrics.histogram("sched.response_us").record(now, response)

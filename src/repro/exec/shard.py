@@ -45,7 +45,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..net.link import Link
-from ..net.packet import Packet, serialization_delay_us
+from ..net.packet import Packet
 from ..net.switch import SpineSwitch
 from ..net.fabric import DEFAULT_UPLINK_MULTIPLIER, Fabric
 from ..scenario.build import Scenario, build
@@ -74,8 +74,7 @@ class _BoundaryLink(Link):
 
     def transmit(self, packet: Packet) -> float:
         start = max(self.sim.now, self._next_free)
-        ser = serialization_delay_us(self.bandwidth_gbps, packet.size)
-        done = start + ser
+        done = start + self.serialization_us(packet.size)
         self._next_free = done
         deliver_at = done + self.propagation_us
         self.frames_sent += 1

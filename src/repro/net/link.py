@@ -8,7 +8,7 @@ packets-per-second limit rather than a bits-per-second one.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from ..sim import Simulator
 from .packet import Packet, serialization_delay_us
@@ -45,17 +45,26 @@ class Link:
         self.fault_plane = None
         self.frames_dropped = 0
         self.frames_corrupted = 0
+        #: frame size -> serialization time at this link's rate
+        self._ser_us: Dict[int, float] = {}
 
     def connect(self, receiver: Receiver) -> None:
         self.receiver = receiver
+
+    def serialization_us(self, size: int) -> float:
+        """Time to clock a ``size``-byte frame out, computed once per size."""
+        ser = self._ser_us.get(size)
+        if ser is None:
+            ser = self._ser_us[size] = serialization_delay_us(
+                self.bandwidth_gbps, size)
+        return ser
 
     def transmit(self, packet: Packet) -> float:
         """Enqueue a frame; returns its delivery time at the receiver."""
         if self.receiver is None:
             raise RuntimeError(f"{self.name}: no receiver connected")
         start = max(self.sim.now, self._next_free)
-        ser = serialization_delay_us(self.bandwidth_gbps, packet.size)
-        done = start + ser
+        done = start + self.serialization_us(packet.size)
         self._next_free = done
         deliver_at = done + self.propagation_us
         self.frames_sent += 1

@@ -17,7 +17,7 @@ little from a beefy host core and are the best offload candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
 from .specs import HostSpec, NicSpec, LIQUIDIO_CN2350
 
@@ -90,6 +90,30 @@ def time_on_host(profile: WorkloadProfile, host: HostSpec) -> float:
     freq_ratio = LIQUIDIO_CN2350.freq_ghz / host.freq_ghz
     mem_ratio = host.memory.dram_ns / LIQUIDIO_CN2350.memory.dram_ns
     return compute_us * freq_ratio / HOST_ARCH_GAIN + stall_us * mem_ratio
+
+
+class TimeFactors(dict):
+    """``(profile, on_nic) -> time per reference µs`` on one server.
+
+    The value is :func:`time_on_nic` (or :func:`time_on_host`) over the
+    profile's ``exec_us``, computed on first use; a runtime holds one
+    for ``ExecutionContext.compute``.  ``nic`` may be None on a server
+    whose actors all run on the host.
+    """
+
+    def __init__(self, nic: Optional[NicSpec], host: HostSpec):
+        super().__init__()
+        self.nic = nic
+        self.host = host
+
+    def __missing__(self, key: Tuple[WorkloadProfile, bool]) -> float:
+        profile, on_nic = key
+        if on_nic:
+            cost = time_on_nic(profile, self.nic)
+        else:
+            cost = time_on_host(profile, self.host)
+        factor = self[key] = cost / profile.exec_us
+        return factor
 
 
 def host_speedup(profile: WorkloadProfile, host: HostSpec) -> float:

@@ -83,12 +83,19 @@ class TrafficManager:
 
     def pop(self, service: Optional[Callable[[Any], float]] = None) -> _Pop:
         """Process command: dequeue a work item, paying the sync and then
-        ``service(item)`` microseconds; resumes with ``(item, t)``."""
+        ``service(item)`` microseconds; resumes with ``(item, t)``.  The
+        command keeps no state between uses, so a core may yield the
+        same one for every dequeue."""
         return _Pop(self, service)
 
     def try_pop(self):
         """Immediate dequeue; returns None when the queue is empty."""
         return self.items.popleft() if self.items else None
+
+    def withdraw(self, process: Process) -> None:
+        """Take a blocked core out of the waiters (it failed): the items
+        pushed from now on go to the cores still waiting."""
+        self._waiters = deque(w for w in self._waiters if w[0] is not process)
 
     def _hand(self, process: Process, service, item) -> None:
         t = self.sim.now

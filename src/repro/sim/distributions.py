@@ -58,6 +58,14 @@ class Rng:
         _draws += 1
         return seq[self._random.randrange(len(seq))]
 
+    def picks(self, seq: Sequence, k: int) -> List:
+        """``k`` independent :meth:`choice` draws, in one call."""
+        global _draws
+        _draws += k
+        pick = self._random.randrange
+        n = len(seq)
+        return [seq[pick(n)] for _ in range(k)]
+
     def random(self) -> float:
         global _draws
         _draws += 1

@@ -63,7 +63,10 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current virtual time in microseconds.  A plain attribute, read
+        #: on every event; only :meth:`run` writes it (``repro lint`` rule
+        #: ``clock-write`` flags any other assignment under ``src/repro``).
+        self.now: float = 0.0
         self._heap: List[Tuple] = []
         self._seq: int = 0
         self._running = False
@@ -88,16 +91,11 @@ class Simulator:
         #: sanitizer digests prove it).
         self.pulse = None
 
-    @property
-    def now(self) -> float:
-        """Current virtual time in microseconds."""
-        return self._now
-
     def post_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute virtual time ``when``."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule into the past: {when} < now {self._now}"
+                f"cannot schedule into the past: {when} < now {self.now}"
             )
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, fn, args))
@@ -110,7 +108,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         # post_at's push, inlined: this is the per-event path
-        when = self._now + delay
+        when = self.now + delay
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, fn, args))
         chk = self.checker
@@ -140,19 +138,19 @@ class Simulator:
         try:
             while heap and heap[0][0] <= bound:
                 when, seq, fn, args = pop(heap)
-                self._now = when
+                self.now = when
                 if pl is not None:
                     pl.after_step(when)
                 fn(*args)
                 if chk is not None:
                     chk.after_step(when, seq, fn)
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
                 if pl is not None:
                     pl.after_step(until)
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def pending(self) -> int:
         """Number of events still queued.  O(1)."""

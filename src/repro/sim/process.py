@@ -2,7 +2,8 @@
 
 A process is a Python generator that yields *commands*:
 
-* ``Timeout(dt)`` — sleep for ``dt`` microseconds of virtual time.
+* ``Timeout(dt)`` — sleep for ``dt`` microseconds of virtual time
+  (:meth:`Process._resume` posts the wake itself).
 * ``Waitable``   — any object with ``subscribe(process)`` semantics
   (:class:`Signal`, store get/put operations and doorbells from
   :mod:`repro.sim.resources`).
@@ -35,9 +36,6 @@ class Timeout(Command):
             raise SimulationError(f"negative timeout: {delay}")
         self.delay = delay
         self.value = value
-
-    def subscribe(self, process: "Process") -> None:
-        process.sim.post(self.delay, process._resume, self.value)
 
 
 class Signal(Command):
@@ -88,11 +86,15 @@ class Process:
             command = self.gen.send(value)
         except StopIteration:
             return
-        if not isinstance(command, Command):
+        # a sleep, the most common command, is posted here directly
+        if type(command) is Timeout:
+            self.sim.post(command.delay, self._resume, command.value)
+        elif isinstance(command, Command):
+            command.subscribe(self)
+        else:
             raise SimulationError(
                 f"{self.name} yielded {command!r}, expected a Command"
             )
-        command.subscribe(self)
 
 
 def spawn(sim: Simulator, gen: Generator[Command, Any, Any],

@@ -98,7 +98,7 @@ class TwitterWorkload:
         self.tuples_per_request = max(1, (packet_size - 64) // tuple_bytes)
 
     def next_tuple(self) -> str:
-        words = [str(self.rng.choice(_WORDS)) for _ in range(3)]
+        words = self.rng.picks(_WORDS, 3)
         if self.rng.random() < 0.6:
             words.append(_HASHTAGS[self.zipf.draw()])
         return " ".join(words)

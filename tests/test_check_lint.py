@@ -195,6 +195,43 @@ def test_builtin_hash_flagged():
     assert findings == [("builtin-hash", 3)]
 
 
+# -- clock-write -----------------------------------------------------------------
+
+def test_clock_writes_flagged():
+    findings = _rules("""\
+        def f(sim, other, t):
+            sim.now = t
+            other.sim.now += 1.0
+            sim.now: float = t
+            a, (sim.now, b) = 1, (t, 2)
+            setattr(sim, "now", t)
+    """)
+    assert findings == [("clock-write", 2), ("clock-write", 3),
+                        ("clock-write", 4), ("clock-write", 5),
+                        ("clock-write", 6)]
+
+
+def test_clock_reads_and_other_names_not_flagged():
+    assert _rules("""\
+        import datetime
+        def f(sim, t):
+            now = sim.now
+            sim._now = t
+            sim.now_us = t
+            setattr(sim, "then", t)
+            sim.now == t
+            return datetime.datetime.now()
+    """) == [("wall-clock", 8)]
+
+
+def test_path_allowlist_exempts_the_run_loop_only(tmp_path):
+    path = tmp_path / "engine.py"
+    path.write_text("def run(sim, when):\n    sim.now = when\n")
+    assert lint_file(str(path), rel_path="sim/engine.py") == []
+    findings = lint_file(str(path), rel_path="sim/process.py")
+    assert [(f.rule, f.line) for f in findings] == [("clock-write", 2)]
+
+
 # -- allowlists ------------------------------------------------------------------
 
 def test_inline_allow_suppresses_named_rule(tmp_path):

@@ -6,7 +6,7 @@ from repro.core import Actor, Location, SchedulerConfig
 from repro.core.actor import Message, MigrationState
 from repro.core.scheduler import WorkItem
 from repro.experiments.testbed import make_testbed
-from repro.nic import LIQUIDIO_CN2350, WorkloadProfile
+from repro.nic import LIQUIDIO_CN2350, STINGRAY_PS225, WorkloadProfile
 from repro.sim import Timeout, spawn
 
 
@@ -465,3 +465,90 @@ def test_run_without_horizon_terminates_on_idle_runtime():
     assert rt.host_ops == 1
     assert sim.pending() == 0
     assert end < 50.0
+
+
+# -- the cached cost model ----------------------------------------------------------
+
+def _app_profiles():
+    """Every WorkloadProfile defined at module level under repro.apps."""
+    import importlib
+    import pkgutil
+
+    import repro.apps
+    found = {}
+    for info in pkgutil.walk_packages(repro.apps.__path__, "repro.apps."):
+        for value in vars(importlib.import_module(info.name)).values():
+            if isinstance(value, WorkloadProfile):
+                found[value.name] = value
+    return [found[name] for name in sorted(found)]
+
+
+def _uncached(runtime, profile, on_nic, us=None, scale=1.0):
+    """ExecutionContext.compute's formula, derived afresh on every call."""
+    from repro.nic.cores import time_on_host, time_on_nic
+    base = profile.exec_us if us is None else us
+    if on_nic:
+        factor = time_on_nic(profile, runtime.nic.spec) / profile.exec_us
+    else:
+        factor = time_on_host(profile, runtime.host.spec) / profile.exec_us
+    return base * factor * scale
+
+
+@pytest.mark.parametrize("nic_spec", [LIQUIDIO_CN2350, STINGRAY_PS225])
+def test_compute_matches_the_uncached_cost_model(nic_spec):
+    from repro.core import api
+    from repro.core.runtime import ExecutionContext
+    profiles = _app_profiles()
+    assert {"rkv_memtable", "rta_filter", "dt_logger", "firewall",
+            "ipsec"} <= {p.name for p in profiles}
+    bed = make_testbed()
+    server = bed.add_server("server", nic_spec,
+                            config=SchedulerConfig(migration_enabled=False))
+    rt = server.runtime
+    probe = Actor("probe", echo_handler, profile=profiles[0])
+    rt.register_actor(probe)
+    bare = Actor("bare", echo_handler)
+    rt.register_actor(bare)
+    sides = []
+
+    def check(on_nic):
+        assert (probe.location is Location.NIC) == on_nic
+        ctx = ExecutionContext(rt, probe, core_id=0)
+        for prof in profiles:
+            for _ in range(2):       # the first call fills the cache
+                assert ctx.compute(profile=prof).delay == \
+                    _uncached(rt, prof, on_nic)
+                assert ctx.compute(us=3.3, profile=prof, scale=0.37).delay \
+                    == _uncached(rt, prof, on_nic, us=3.3, scale=0.37)
+        assert ctx.compute().delay == _uncached(rt, profiles[0], on_nic)
+        sides.append(on_nic)
+
+    def flip_and_check():
+        check(True)
+        yield from api.actor_migrate(rt, "probe")
+        check(False)
+        yield from api.actor_migrate(rt, "probe")
+        check(True)
+
+    spawn(bed.sim, flip_and_check())
+    bed.sim.run(until=20_000.0)
+    assert sides == [True, False, True]
+    # no profile: the fixed reference factors
+    ctx = ExecutionContext(rt, bare, core_id=0)
+    assert ctx.compute(us=2.0).delay == 2.0 * 1.0 * 1.0
+    bare.location = Location.HOST
+    assert ctx.compute(us=2.0, scale=0.5).delay == 2.0 * (1.0 / 2.8) * 0.5
+    with pytest.raises(ValueError):
+        ctx.compute()
+
+
+def test_time_factors_are_per_server():
+    bed = make_testbed()
+    liquidio = bed.add_server("a", LIQUIDIO_CN2350).runtime
+    stingray = bed.add_server("b", STINGRAY_PS225).runtime
+    prof = _app_profiles()[0]
+    assert liquidio.time_factors is not stingray.time_factors
+    assert (liquidio.time_factors[prof, True]
+            != stingray.time_factors[prof, True])
+    assert liquidio.time_factors[prof, True] == \
+        _uncached(liquidio, prof, True) / prof.exec_us

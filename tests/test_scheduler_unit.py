@@ -5,7 +5,7 @@ import pytest
 from repro.core.actor import Actor, ActorTable, Location, Message
 from repro.core.scheduler import NicScheduler, SchedulerConfig, WorkItem
 from repro.nic import TrafficManager
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator, Timeout, UtilizationTracker
 
 
 class Harness:
@@ -148,3 +148,97 @@ def test_wait_statistic_measures_queueing_not_service():
     assert tracker.count == 2
     # EWMA mean of (≈0, ≈49) stays well below the 50µs service time
     assert tracker.mu < 30.0
+
+
+def _bare_scheduler(sim, queue, cores, table=None, executor=None):
+    """A scheduler with no adaptation and one utilization tracker per
+    core, so each core's accounting can be read back."""
+    util = [UtilizationTracker() for _ in range(cores)]
+    sched = NicScheduler(
+        sim, num_cores=cores, work_queue=queue,
+        actor_table=table or ActorTable(), executor=executor,
+        config=SchedulerConfig(migration_enabled=False,
+                               downgrade_enabled=False, autoscale=False),
+        core_util=util)
+    return sched, util
+
+
+def test_failed_core_blocked_on_the_queue_takes_no_item():
+    sim = Simulator()
+    queue = TrafficManager(sim, hardware=True)
+    sched, util = _bare_scheduler(sim, queue, cores=2)
+    served = []
+    sim.run(until=1.0)                 # both cores block on the empty queue
+    assert sched.fail_core(0)
+    queue.push(WorkItem(forward_cost_us=0.5,
+                        forward_action=lambda: served.append(sim.now),
+                        arrived_at=1.0))
+    sim.run(until=10.0)
+    sched.stop()
+    done = (1.0 + queue.dequeue_sync_us) + 0.5
+    assert served == [done]
+    assert sched.forwards_completed == 1
+    # core 1 served it; the failed core's accounting did not move
+    assert util[0].busy_time == 0.0
+    assert util[1].busy_time == done - 1.0
+
+
+def test_each_item_charges_sync_forward_cost_and_account_once():
+    """The FCFS loop takes items two ways: ``try_pop`` when work is
+    queued (the core pays the sync and a raw forward's cost itself) and
+    a blocking ``pop`` (the queue charges them).  Either way an item
+    pays them once and is accounted once."""
+    sim = Simulator()
+    queue = TrafficManager(sim, hardware=False)
+    sync = queue.dequeue_sync_us
+    table = ActorTable()
+
+    def handler(actor, msg, ctx):
+        yield Timeout(2.0)
+
+    table.register(Actor("a", handler))
+    forwarded = []
+
+    def forward(cost, at):
+        return WorkItem(forward_cost_us=cost, arrived_at=at,
+                        forward_action=lambda: forwarded.append(sim.now))
+
+    def message(at):
+        msg = Message(target="a")
+        msg.meta["nic_arrival"] = at
+        return WorkItem(message=msg, arrived_at=at)
+
+    # queued before the core starts: taken with try_pop
+    queue.push(forward(0.3, 0.0))
+    queue.push(message(0.0))
+    # pushed while the core blocks on the empty queue
+    sim.post_at(10.0, queue.push, forward(0.1, 10.0))
+    sim.post_at(20.0, queue.push, message(20.0))
+    sched, util = _bare_scheduler(
+        sim, queue, cores=1, table=table,
+        executor=lambda core, actor, msg: actor.exec_handler(actor, msg,
+                                                              None))
+    accounted = []
+    account = sched._account
+
+    def counted(core_id, group, busy_us):
+        accounted.append((sim.now, group, busy_us))
+        account(core_id, group, busy_us)
+
+    sched._account = counted
+    sim.run(until=50.0)
+    sched.stop()
+
+    f1 = (0.0 + sync) + 0.3            # try_pop forward: start 0
+    e2 = (f1 + sync) + 2.0             # try_pop message: runs after sync
+    f3 = (10.0 + sync) + 0.1           # handed forward: start 10
+    e4 = (20.0 + sync) + 2.0           # handed message: no forward cost
+    expected = [(f1, "fcfs", f1 - 0.0), (e2, "fcfs", e2 - (f1 + sync)),
+                (f3, "fcfs", f3 - 10.0), (e4, "fcfs", e4 - (20.0 + sync))]
+    assert accounted == expected
+    assert forwarded == [f1, f3]
+    assert sched.forwards_completed == 2 and sched.ops_completed == 2
+    busy = 0.0
+    for _, _, b in expected:
+        busy += b
+    assert util[0].busy_time == busy

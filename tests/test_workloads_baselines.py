@@ -7,13 +7,14 @@ from repro.core import Actor, Location
 from repro.host import HostMachine
 from repro.net import Network, Packet
 from repro.nic import HOST_XEON_E5_2680, LIQUIDIO_CN2350, SmartNic, WorkloadProfile
-from repro.sim import Simulator
+from repro.sim import Simulator, rng_draw_count
 from repro.workloads import (
     KvWorkload,
     TwitterWorkload,
     TxnWorkload,
     value_bytes_for_packet,
 )
+from repro.workloads.generators import _HASHTAGS, _WORDS
 
 
 # -- workloads -------------------------------------------------------------------
@@ -137,3 +138,29 @@ def test_floem_charges_queue_overhead():
     assert replies
     # RTT includes the FLOEM queue tax on top of wire + 2µs handler
     assert replies[0] > 2.0 + FLOEM_QUEUE_OVERHEAD_US
+
+
+class _ChoiceTwitter(TwitterWorkload):
+    """The tuple stream as it was before its word picks went through
+    one ``Rng.picks`` call: three ``choice`` draws.  The oracle for the
+    tuples and for the RNG-stream position."""
+
+    def next_tuple(self):
+        words = [str(self.rng.choice(_WORDS)) for _ in range(3)]
+        if self.rng.random() < 0.6:
+            words.append(_HASHTAGS[self.zipf.draw()])
+        return " ".join(words)
+
+
+@pytest.mark.parametrize("seed", [17, 0, 4, 2024])
+def test_twitter_stream_matches_the_choice_oracle(seed):
+    new = TwitterWorkload(packet_size=512, seed=seed)
+    old = _ChoiceTwitter(packet_size=512, seed=seed)
+    for _ in range(100):
+        before = rng_draw_count()
+        got = new.next_request()
+        drawn = rng_draw_count() - before
+        before = rng_draw_count()
+        want = old.next_request()
+        assert got == want
+        assert drawn == rng_draw_count() - before
