@@ -46,14 +46,13 @@ from ..obs import TracePlane
 from ..scenario import (
     AppSpec,
     ClientSpec,
-    FaultDecl,
     ObsSpec,
     RackSpec,
     ScenarioSpec,
     ServerSpec,
     build,
 )
-from ..sim import FaultKind, Simulator, Timeout, spawn
+from ..sim import FaultKind, FaultSpec, Simulator, Timeout, spawn
 
 #: extra drain time granted after the nominal run when requests are
 #: still outstanding (recovery in progress)
@@ -432,12 +431,12 @@ def run_rkv_chaos(seed: int = 42, loss: float = 0.02,
     """
     nodes = ("s0", "s1", "s2")
     faults = [
-        FaultDecl(kind=FaultKind.LINK_LOSS, target="*", probability=loss),
-        FaultDecl(kind=FaultKind.DMA_TORN, target="s0.chan.*",
+        FaultSpec(kind=FaultKind.LINK_LOSS, target="*", probability=loss),
+        FaultSpec(kind=FaultKind.DMA_TORN, target="s0.chan.*",
                   every_nth=torn_every_nth),
     ]
     if crash_memtable:
-        faults.append(FaultDecl(kind=FaultKind.ACTOR_CRASH,
+        faults.append(FaultSpec(kind=FaultKind.ACTOR_CRASH,
                                 target="memtable", node="s0",
                                 at_us=(duration_us * 0.25,)))
     spec = _chaos_spec(
@@ -520,8 +519,8 @@ def run_dt_chaos(seed: int = 42, loss: float = 0.005,
         "chaos-dt", seed, duration_us, nodes,
         AppSpec(kind="dt", servers=nodes,
                 options=(("log_segment_bytes", 1 << 20),)),
-        (FaultDecl(kind=FaultKind.LINK_LOSS, target="*", probability=loss),
-         FaultDecl(kind=FaultKind.DMA_TORN, target="s0.chan.*",
+        (FaultSpec(kind=FaultKind.LINK_LOSS, target="*", probability=loss),
+         FaultSpec(kind=FaultKind.DMA_TORN, target="s0.chan.*",
                    every_nth=torn_every_nth)),
         trace)
 
@@ -557,14 +556,14 @@ def run_rta_chaos(seed: int = 42, loss: float = 0.01,
     spec = _chaos_spec(
         "chaos-rta", seed, duration_us, ("s0",),
         AppSpec(kind="rta", servers=("s0",)),
-        (FaultDecl(kind=FaultKind.LINK_LOSS, target="*", probability=loss),
-         FaultDecl(kind=FaultKind.CORE_FAIL, target="3", node="s0",
+        (FaultSpec(kind=FaultKind.LINK_LOSS, target="*", probability=loss),
+         FaultSpec(kind=FaultKind.CORE_FAIL, target="3", node="s0",
                    at_us=(duration_us * 0.2,)),
-         FaultDecl(kind=FaultKind.CORE_STALL, target="1", node="s0",
+         FaultSpec(kind=FaultKind.CORE_STALL, target="1", node="s0",
                    at_us=(duration_us * 0.3,), duration_us=2_000.0),
-         FaultDecl(kind=FaultKind.ACTOR_CRASH, target="counter", node="s0",
+         FaultSpec(kind=FaultKind.ACTOR_CRASH, target="counter", node="s0",
                    at_us=(duration_us * 0.4,)),
-         FaultDecl(kind=FaultKind.RING_STALL, target="s0.chan.to_host",
+         FaultSpec(kind=FaultKind.RING_STALL, target="s0.chan.to_host",
                    at_us=(duration_us * 0.5,), duration_us=1_000.0)),
         trace)
 

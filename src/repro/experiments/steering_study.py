@@ -37,13 +37,12 @@ from __future__ import annotations
 from ..net import Packet
 from ..scenario import (
     AppSpec,
-    FaultDecl,
     ObsSpec,
     RebalanceSpec,
     ScenarioSpec,
     SteeringSpec,
 )
-from ..sim import FaultKind, spawn
+from ..sim import FaultKind, FaultSpec, spawn
 from .chaos_study import (
     ChaosClient,
     ChaosReport,
@@ -89,7 +88,7 @@ def rebalance_spec(seed: int = 42, duration_us: float = 40_000.0,
         steering=(SteeringSpec(service="rkv", app="rkv",
                                window_us=1_500.0),),
         rebalance=RebalanceSpec(notice_us=notice_us),
-        faults=(FaultDecl(kind=FaultKind.RACK_DOWN, target="rack1",
+        faults=(FaultSpec(kind=FaultKind.RACK_DOWN, target="rack1",
                           at_us=(duration_us * 0.45,),
                           duration_us=duration_us * 0.25),),
         observability=ObsSpec(trace=trace,

@@ -40,7 +40,6 @@ from typing import Dict, List
 from ..scenario import (
     AppSpec,
     ClientSpec,
-    FaultDecl,
     ObsSpec,
     PulseSpec,
     RackSpec,
@@ -48,7 +47,7 @@ from ..scenario import (
     ServerSpec,
     TenantSpec,
 )
-from ..sim import FaultKind, Timeout, spawn
+from ..sim import FaultKind, FaultSpec, Timeout, spawn
 from .chaos_study import ChaosClient, ChaosReport, flood, rkv_traffic, run_leg
 
 #: NIC-core shares when isolation is on (sum <= 1 by spec validation).
@@ -116,16 +115,16 @@ def tenant_spec(isolation: bool, seed: int = 42,
         ),
         tenants=tenants,
         faults=tuple(
-            [FaultDecl(kind=FaultKind.LINK_LOSS, target="*",
+            [FaultSpec(kind=FaultKind.LINK_LOSS, target="*",
                        probability=loss)] if loss > 0 else []
         ) + (
-            FaultDecl(kind=FaultKind.DMA_TORN, target="s0.chan.*",
+            FaultSpec(kind=FaultKind.DMA_TORN, target="s0.chan.*",
                       every_nth=400),
         ) + tuple(
             # the chaos leg of the study: most of s0's NIC cores fail
             # early, so every tenant is squeezed onto a sliver of the
             # NIC and the share split actually decides who gets served
-            FaultDecl(kind=FaultKind.CORE_FAIL, target=str(core),
+            FaultSpec(kind=FaultKind.CORE_FAIL, target=str(core),
                       node="s0", at_us=(core_fail_at_us,))
             for core in range(alive_cores, 12)
         ),

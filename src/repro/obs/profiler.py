@@ -108,19 +108,6 @@ def fold(spans: Iterable[Span],
     return rows
 
 
-def actor_attribution(spans: Iterable[Span]) -> List[Dict[str, Any]]:
-    """Per ``(node, actor)`` service-time attribution — the placement
-    planner's input table (:mod:`repro.plan`).
-
-    Only ``service`` spans count (queueing and transport belong to the
-    stage table, not to the actor): rows carry ``node``, ``actor``,
-    ``count``, ``total_us``, ``mean_us``, sorted by descending total.
-    """
-    rows = fold((s for s in spans if s.cat == "service"),
-                by=("node", "actor"))
-    return [r for r in rows if r["actor"]]
-
-
 def render_flame(rows: List[Dict[str, Any]], by: Sequence[str],
                  limit: int = 40, total_us: Optional[float] = None) -> str:
     """Terse terminal table of a fold — ``repro top``'s output."""

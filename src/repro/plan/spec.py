@@ -5,7 +5,7 @@ and the *input* of :func:`apply_placement`, which rewrites a
 :class:`~repro.scenario.spec.ScenarioSpec` so the planned placement is
 what :func:`repro.scenario.build` assembles — no imperative steps, no
 runtime hooks.  Like scenario specs, plans are plain frozen dataclasses:
-JSON round-trippable with unknown-field rejection, ``validate()``-checked,
+JSON round-trippable through the scenario spec codec, ``validate()``-checked,
 and fingerprint-stable across processes (the fingerprint is a CRC over
 the canonical JSON form, so byte-identical plans hash identically and a
 cached plan can be trusted by content).
@@ -28,7 +28,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
-from ..scenario.spec import AppSpec, ScenarioError, ScenarioSpec
+from ..scenario.spec import AppSpec, ScenarioSpec, decode, to_dict
 
 PLAN_VERSION = 1
 
@@ -141,47 +141,11 @@ class PlacementSpec:
 
 # -- serialisation ------------------------------------------------------------
 
-def to_dict(plan: PlacementSpec) -> Dict[str, Any]:
-    """Plain-data form (JSON-ready; tuples become lists)."""
-    def convert(obj):
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            out = {}
-            for f in dataclasses.fields(obj):
-                value = getattr(obj, f.name)
-                if value == f.default and not isinstance(value, tuple):
-                    if f.default is not dataclasses.MISSING:
-                        continue
-                out[f.name] = convert(value)
-            return out
-        if isinstance(obj, (list, tuple)):
-            return [convert(v) for v in obj]
-        return obj
-    return convert(plan)
-
-
 def from_dict(data: Dict[str, Any]) -> PlacementSpec:
-    """Rebuild a plan from :func:`to_dict` output; unknown keys raise so
-    typos do not silently no-op (the scenario-spec contract)."""
-    if not isinstance(data, dict):
-        raise PlanError(
-            [f"a plan must be an object, not {type(data).__name__}"])
-
-    def build(cls, payload):
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise PlanError(
-                [f"{cls.__name__}: unknown field(s) {sorted(unknown)}"])
-        return cls(**payload)
-
-    assignments = tuple(
-        build(ShardAssignment, {**a, "servers": tuple(a.get("servers", ()))})
-        for a in data.get("assignments", []))
-    actors = tuple(build(ActorPlacement, p) for p in data.get("actors", []))
-    top = {k: v for k, v in data.items()
-           if k not in ("assignments", "actors")}
-    return build(PlacementSpec, {**top, "assignments": assignments,
-                                 "actors": actors})
+    """Rebuild a plan from :func:`to_dict` output through the scenario
+    spec codec: unknown keys and mistyped values raise :class:`PlanError`
+    naming their path, so typos do not silently no-op."""
+    return decode(PlacementSpec, data, PlanError)
 
 
 def to_json(plan: PlacementSpec, indent: int = 2) -> str:

@@ -15,7 +15,6 @@ from .spec import (
     AppSpec,
     ClientSpec,
     FabricSpec,
-    FaultDecl,
     FleetSpec,
     NIC_CATALOG,
     ObsSpec,
@@ -59,7 +58,6 @@ __all__ = [
     "ClientPort",
     "ClientSpec",
     "FabricSpec",
-    "FaultDecl",
     "FleetSpec",
     "NIC_CATALOG",
     "ObsSpec",

@@ -27,7 +27,7 @@ from ..net import (
     Packet,
 )
 from ..nic import NicSpec, SmartNic, host_for
-from ..sim import FaultPlane, FaultSpec, RecoveryPolicy, Rng, Simulator
+from ..sim import FaultPlane, RecoveryPolicy, Rng, Simulator
 from .spec import (
     AppSpec,
     FabricSpec,
@@ -539,13 +539,8 @@ def build(spec: ScenarioSpec, sim: Optional[Simulator] = None,
         streams = spec.execution.resolved_fault_streams()
         plane = FaultPlane(sim, seed=spec.seed,
                            component_streams=streams == "per-component")
-        for decl in spec.faults:
-            plane.add(FaultSpec(
-                kind=decl.kind, target=decl.target, node=decl.node,
-                probability=decl.probability, every_nth=decl.every_nth,
-                at_us=tuple(decl.at_us), period_us=decl.period_us,
-                start_us=decl.start_us, stop_us=decl.stop_us,
-                duration_us=decl.duration_us, max_count=decl.max_count))
+        for fault in spec.faults:
+            plane.add(fault)
         scenario.fault_plane = plane
 
     delay = spec.observability.recovery_restart_delay_us
@@ -691,7 +686,6 @@ def _build_pulse(scenario: Scenario) -> None:
     steering and the rebalancer, and PulsePlane construction schedules
     nothing, so the event schedule is untouched."""
     from ..obs.pulse import LoadFeed, PulsePlane
-    from ..obs.slo import SloEvaluator
     spec = scenario.spec
     ps = spec.observability.pulse
     pulse = PulsePlane(scenario.sim, period_us=ps.period_us,
@@ -710,12 +704,7 @@ def _build_pulse(scenario: Scenario) -> None:
     for slo in spec.observability.slos:
         pulse.watch_service(slo.service, pct=slo.pct,
                             window_us=slo.window_us)
-        pulse.add_evaluator(SloEvaluator(
-            scenario.sim, pulse.store, name=slo.slo_name(),
-            metric=slo.metric(), threshold_us=slo.threshold_us,
-            pct=slo.pct, window_us=slo.window_us,
-            slow_windows=slo.slow_windows, budget=slo.budget,
-            burn_threshold=slo.burn_threshold, period_us=ps.period_us))
+        _add_slo_evaluator(scenario, pulse, slo, slo.slo_name())
     if spec.tenants:
         _build_tenant_pulse(scenario, pulse)
     if scenario.rebalancer is not None and scenario.rebalancer.policy.on_load:
@@ -730,9 +719,7 @@ def _build_tenant_pulse(scenario: Scenario, pulse) -> None:
     the schedulers' busy ledgers, ``tenant.steer.<t>`` over the tenant's
     SLO services, ``tenant.svc.<t>.*`` quantiles, and one tenant-named
     SLO evaluator per :attr:`TenantSpec.slos` entry."""
-    from ..obs.slo import SloEvaluator
     spec = scenario.spec
-    ps = spec.observability.pulse
     schedulers = [scenario.servers[n].runtime.nic_scheduler
                   for n in sorted(scenario.servers)
                   if hasattr(scenario.servers[n].runtime, "nic_scheduler")]
@@ -748,10 +735,18 @@ def _build_tenant_pulse(scenario: Scenario, pulse) -> None:
                 watched.add((slo.service, slo.pct))
                 pulse.watch_service(slo.service, pct=slo.pct,
                                     window_us=slo.window_us)
-            pulse.add_evaluator(SloEvaluator(
-                scenario.sim, pulse.store,
-                name=f"{tenant.name}.{slo.slo_name()}",
-                metric=slo.metric(), threshold_us=slo.threshold_us,
-                pct=slo.pct, window_us=slo.window_us,
-                slow_windows=slo.slow_windows, budget=slo.budget,
-                burn_threshold=slo.burn_threshold, period_us=ps.period_us))
+            _add_slo_evaluator(scenario, pulse, slo,
+                               f"{tenant.name}.{slo.slo_name()}")
+
+
+def _add_slo_evaluator(scenario: Scenario, pulse, slo: SLOSpec,
+                       name: str) -> None:
+    """Evaluate ``slo`` every pulse under ``name`` (one SloEvaluator per
+    observability SLO and per tenant SLO)."""
+    from ..obs.slo import SloEvaluator
+    pulse.add_evaluator(SloEvaluator(
+        scenario.sim, pulse.store, name=name, metric=slo.metric(),
+        threshold_us=slo.threshold_us, pct=slo.pct,
+        window_us=slo.window_us, slow_windows=slo.slow_windows,
+        budget=slo.budget, burn_threshold=slo.burn_threshold,
+        period_us=scenario.spec.observability.pulse.period_us))

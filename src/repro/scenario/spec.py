@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import typing
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..nic import (
     BLUEFIELD_1M332A,
@@ -29,7 +30,8 @@ from ..nic import (
     NicSpec,
     STINGRAY_PS225,
 )
-from ..sim.faults import ALL_KINDS, EVENT_KINDS
+from ..core.scheduler import SchedulerConfig
+from ..sim.faults import EVENT_KINDS, FaultSpec
 
 SPEC_VERSION = 1
 
@@ -49,6 +51,7 @@ SYSTEMS = ("ipipe", "ipipe-hostonly", "dpdk", "floem")
 APP_KINDS = ("rkv", "dt", "rta", "firewall", "ipsec", "none")
 WORKLOAD_KINDS = ("kv", "txn", "twitter", "none")
 FLEET_MODES = ("closed", "open")
+SCHEDULER_KEYS = frozenset(f.name for f in dataclasses.fields(SchedulerConfig))
 
 
 class ScenarioError(ValueError):
@@ -77,7 +80,7 @@ class ServerSpec:
     """One server box: NIC model, runtime system, host resources."""
 
     name: str
-    nic: str = LIQUIDIO_CN2350.model
+    nic: Union[str, NicSpec] = LIQUIDIO_CN2350.model   # catalog name/alias
     system: str = "ipipe"          # ipipe | ipipe-hostonly | dpdk | floem
     host_workers: Optional[int] = None
     host_cores: Optional[int] = None
@@ -200,23 +203,6 @@ class FleetSpec:
 
 
 @dataclass(frozen=True)
-class FaultDecl:
-    """Declarative fault-plane entry (mirrors ``repro.sim.FaultSpec``)."""
-
-    kind: str
-    target: str = "*"
-    node: Optional[str] = None
-    probability: float = 0.0
-    every_nth: int = 0
-    at_us: Tuple[float, ...] = ()
-    period_us: float = 0.0
-    start_us: float = 0.0
-    stop_us: float = float("inf")
-    duration_us: float = 0.0
-    max_count: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class SteeringSpec:
     """One steered service: a VIP consistently hashed over backends.
 
@@ -285,16 +271,45 @@ class SLOSpec:
     def metric(self) -> str:
         return f"svc.{self.service}.latency_us"
 
+    def problems(self, services, pulse: Optional[PulseSpec]) -> List[str]:
+        """Everything wrong with this SLO, given the declared services
+        (steering services and app kinds) and the pulse sampling."""
+        label = f"slo {self.slo_name()}"
+        out = []
+        if self.service not in services:
+            out.append(f"{label}: service {self.service!r} names no "
+                       f"declared steering service or app")
+        if self.threshold_us <= 0:
+            out.append(f"{label}: threshold_us must be positive "
+                       f"(got {self.threshold_us})")
+        if self.window_us <= 0:
+            out.append(f"{label}: window_us must be positive "
+                       f"(got {self.window_us})")
+        elif pulse is not None and pulse.period_us > 0 \
+                and self.window_us < pulse.period_us:
+            out.append(f"{label}: window_us {self.window_us} is shorter "
+                       f"than the pulse period {pulse.period_us} "
+                       f"(no sample fits)")
+        if not 0.0 < self.pct <= 100.0:
+            out.append(f"{label}: pct must be in (0, 100] (got {self.pct})")
+        if not 0.0 < self.budget <= 1.0:
+            out.append(f"{label}: budget must be in (0, 1] "
+                       f"(got {self.budget})")
+        if self.slow_windows < 1:
+            out.append(f"{label}: slow_windows must be >= 1 "
+                       f"(got {self.slow_windows})")
+        if self.burn_threshold <= 0:
+            out.append(f"{label}: burn_threshold must be positive "
+                       f"(got {self.burn_threshold})")
+        return out
+
     @classmethod
     def from_text(cls, text: str) -> "SLOSpec":
         from ..obs.slo import parse_slo
         try:
-            parsed = parse_slo(text)
+            return cls(**parse_slo(text))
         except ValueError as exc:
             raise ScenarioError([str(exc)]) from None
-        return cls(service=parsed["service"], pct=parsed["pct"],
-                   threshold_us=parsed["threshold_us"],
-                   window_us=parsed["window_us"], name=parsed["name"])
 
 
 @dataclass(frozen=True)
@@ -355,7 +370,7 @@ class ScenarioSpec:
     apps: Tuple[AppSpec, ...] = ()
     fleets: Tuple[FleetSpec, ...] = ()
     tenants: Tuple[TenantSpec, ...] = ()
-    faults: Tuple[FaultDecl, ...] = ()
+    faults: Tuple[FaultSpec, ...] = ()
     steering: Tuple[SteeringSpec, ...] = ()
     rebalance: Optional[RebalanceSpec] = None
     observability: ObsSpec = ObsSpec()
@@ -417,6 +432,11 @@ class ScenarioSpec:
             if not isinstance(server.nic, NicSpec) \
                     and server.nic not in NIC_CATALOG:
                 problems.append(f"{server.name}: unknown NIC {server.nic!r}")
+            unknown = sorted(k for k, _ in server.scheduler
+                             if k not in SCHEDULER_KEYS)
+            if unknown:
+                problems.append(f"{server.name}: unknown scheduler key(s) "
+                                f"{unknown} (see SchedulerConfig)")
         known = set(self.server_names())
         clients = set(self.client_names())
         app_kinds = {a.kind for a in self.apps}
@@ -461,6 +481,12 @@ class ScenarioSpec:
             if fleet.mode == "open" and fleet.rate_mpps <= 0:
                 problems.append(f"fleet {fleet.client}: open-loop needs "
                                 f"rate_mpps > 0")
+            if fleet.mode == "closed" and fleet.clients < 1:
+                problems.append(f"fleet {fleet.client}: closed-loop needs "
+                                f"clients >= 1")
+            if fleet.think_time_us < 0:
+                problems.append(f"fleet {fleet.client}: think_time_us must "
+                                f"be >= 0")
         steering_names = [st.service for st in self.steering]
         for fleet in self.fleets:
             if fleet.dst.startswith("shard:"):
@@ -514,7 +540,7 @@ class ScenarioSpec:
                             f"rebalance: service {service!r} must be backed "
                             f"by app='rkv' (the only app with cross-rack "
                             f"state hooks)")
-                    else:
+                    elif "rkv" in app_kinds:   # else reported above
                         app = next(a for a in self.apps if a.kind == "rkv")
                         groups = app.replica_groups(self.server_names())
                         if any(len(g) > 1 for g in groups):
@@ -562,40 +588,9 @@ class ScenarioSpec:
             problems.append(
                 "observability: SLOs declared without pulse sampling "
                 "(set observability.pulse)")
+        services = set(steering_names) | app_kinds
         for slo in self.observability.slos:
-            label = f"slo {slo.slo_name()}"
-            if (slo.service not in steering_names
-                    and slo.service not in app_kinds):
-                problems.append(
-                    f"{label}: service {slo.service!r} names no declared "
-                    f"steering service or app")
-            if slo.threshold_us <= 0:
-                problems.append(
-                    f"{label}: threshold_us must be positive "
-                    f"(got {slo.threshold_us})")
-            if slo.window_us <= 0:
-                problems.append(
-                    f"{label}: window_us must be positive "
-                    f"(got {slo.window_us})")
-            elif pulse is not None and pulse.period_us > 0 \
-                    and slo.window_us < pulse.period_us:
-                problems.append(
-                    f"{label}: window_us {slo.window_us} is shorter than "
-                    f"the pulse period {pulse.period_us} (no sample fits)")
-            if not 0.0 < slo.pct <= 100.0:
-                problems.append(
-                    f"{label}: pct must be in (0, 100] (got {slo.pct})")
-            if not 0.0 < slo.budget <= 1.0:
-                problems.append(
-                    f"{label}: budget must be in (0, 1] (got {slo.budget})")
-            if slo.slow_windows < 1:
-                problems.append(
-                    f"{label}: slow_windows must be >= 1 "
-                    f"(got {slo.slow_windows})")
-            if slo.burn_threshold <= 0:
-                problems.append(
-                    f"{label}: burn_threshold must be positive "
-                    f"(got {slo.burn_threshold})")
+            problems += slo.problems(services, pulse)
         tenant_names = [t.name for t in self.tenants]
         tenant_set = set(tenant_names)
         if len(tenant_set) != len(tenant_names):
@@ -630,11 +625,8 @@ class ScenarioSpec:
                 except ScenarioError as exc:
                     problems.append(f"{label}: {exc.problems[0]}")
                     continue
-                if (slo.service not in steering_names
-                        and slo.service not in app_kinds):
-                    problems.append(
-                        f"{label}: SLO service {slo.service!r} names no "
-                        f"declared steering service or app")
+                problems += [f"{label}: {problem}"
+                             for problem in slo.problems(services, pulse)]
             if tenant.slos and pulse is None:
                 problems.append(
                     f"{label}: SLOs declared without pulse sampling "
@@ -659,16 +651,13 @@ class ScenarioSpec:
                     f"fleet {fleet.client}: tenant {fleet.tenant!r} "
                     f"not declared")
         rack_name_set = set(rack_names)
-        for decl in self.faults:
-            if decl.kind not in ALL_KINDS:
-                problems.append(f"fault: unknown kind {decl.kind!r} "
-                                f"(have {sorted(ALL_KINDS)})")
-            if decl.node is not None and decl.node not in known:
-                problems.append(f"fault {decl.kind}: unknown node "
-                                f"{decl.node!r}")
-            if decl.kind == "rack_down" and decl.target not in rack_name_set:
+        for fault in self.faults:
+            if fault.node is not None and fault.node not in known:
+                problems.append(f"fault {fault.kind}: unknown node "
+                                f"{fault.node!r}")
+            if fault.kind == "rack_down" and fault.target not in rack_name_set:
                 problems.append(f"fault rack_down: unknown rack "
-                                f"{decl.target!r}")
+                                f"{fault.target!r}")
         ex = self.execution
         if ex.shards not in EXEC_SHARDS:
             problems.append(f"execution: unknown shards mode "
@@ -714,11 +703,11 @@ class ScenarioSpec:
                     "execution: by-rack sharding needs "
                     "fabric.inter_rack_propagation_us > 0 (it is the "
                     "conservative lookahead)")
-            for decl in self.faults:
-                if decl.kind in EVENT_KINDS and decl.max_count is not None:
+            for fault in self.faults:
+                if fault.kind in EVENT_KINDS and fault.max_count is not None:
                     problems.append(
                         f"execution: by-rack sharding cannot honour "
-                        f"max_count on event fault {decl.kind!r} (the cap "
+                        f"max_count on event fault {fault.kind!r} (the cap "
                         f"is a global count across shards)")
         if self.duration_us <= 0:
             problems.append("duration_us must be positive")
@@ -727,10 +716,11 @@ class ScenarioSpec:
         return self
 
 
-# -- serialisation ------------------------------------------------------------
+# -- serialisation: one codec for scenario specs and placement plans ----------
 
-def to_dict(spec: ScenarioSpec) -> Dict[str, Any]:
-    """Plain-data form (JSON/TOML-ready; tuples become lists)."""
+def to_dict(spec) -> Dict[str, Any]:
+    """Plain-data form of a spec tree (JSON/TOML-ready; tuples become
+    lists, infinity becomes ``"inf"``)."""
     def convert(obj):
         if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
             out = {}
@@ -752,80 +742,111 @@ def to_dict(spec: ScenarioSpec) -> Dict[str, Any]:
     return convert(spec)
 
 
-def _pairs(value) -> Tuple[Tuple[str, Any], ...]:
-    """Option mappings arrive as dicts from JSON/TOML; specs store
-    hashable (key, value) pairs."""
+#: per dataclass: (field name, resolved type, required) rows
+_FIELDS: Dict[type, List[Tuple[str, Any, bool]]] = {}
+
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
+               bool: "true or false"}
+
+
+def _fields(cls) -> List[Tuple[str, Any, bool]]:
+    rows = _FIELDS.get(cls)
+    if rows is None:        # resolve the (postponed) annotations once
+        hints = typing.get_type_hints(cls)
+        rows = _FIELDS[cls] = [
+            (f.name, hints[f.name],
+             f.default is dataclasses.MISSING
+             and f.default_factory is dataclasses.MISSING)
+            for f in dataclasses.fields(cls)]
+    return rows
+
+
+def _describe(value) -> str:
     if isinstance(value, dict):
-        return tuple(sorted(value.items()))
-    return tuple(tuple(item) for item in value)
+        return "an object"
+    if isinstance(value, (list, tuple)):
+        return "a list"
+    return "null" if value is None else repr(value)
+
+
+def decode(cls, data, error=ScenarioError, path: str = ""):
+    """Build dataclass ``cls`` from :func:`to_dict`-style plain data.
+
+    Each field is read by its declared type: nested dataclasses from
+    objects (``true`` means every field at its default; a class with a
+    ``from_text`` also takes its compact string form), ``Optional[X]``
+    from null or X, ``Tuple[X, ...]`` from lists (pairs also from an
+    object, as its sorted items), floats from numbers or ``"inf"``.
+    Anything else — a type mismatch, an unknown or missing field, a
+    constructor's ``ValueError`` — raises ``error([problem])`` with the
+    problem qualified by its path, e.g. ``fleets[0]: missing field
+    'dst'``.
+    """
+    def fail(problem):
+        raise error([f"{path or cls.__name__}: {problem}"]) from None
+
+    if dataclasses.is_dataclass(cls):
+        if isinstance(data, str) and hasattr(cls, "from_text"):
+            try:
+                return cls.from_text(data)
+            except ValueError as exc:
+                fail(exc)
+        if data is True:
+            data = {}
+        if not isinstance(data, dict):
+            fail(f"must be an object, not {_describe(data)}")
+        rows = _fields(cls)
+        unknown = set(data) - {name for name, _, _ in rows}
+        if unknown:
+            fail(f"unknown field(s) {sorted(unknown)}")
+        kwargs = {}
+        for name, ftype, required in rows:
+            if name in data:
+                kwargs[name] = decode(ftype, data[name], error,
+                                      f"{path}.{name}" if path else name)
+            elif required:
+                fail(f"missing field {name!r}")
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            fail(exc)
+    args = typing.get_args(cls)
+    origin = typing.get_origin(cls)
+    if origin is typing.Union:
+        if data is None and type(None) in args:
+            return None
+        # Optional[X], or str | dataclass: an object picks the dataclass
+        options = [t for t in args if t is not type(None)]
+        pick = next((t for t in options if dataclasses.is_dataclass(t)
+                     == isinstance(data, dict)), options[0])
+        return decode(pick, data, error, path)
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            pairs = typing.get_origin(args[0]) is tuple
+            if pairs and isinstance(data, dict):
+                data = sorted(data.items())    # {"key": value} → pairs
+            if not isinstance(data, (list, tuple)):
+                fail(f"must be {'an object or ' if pairs else ''}a list, "
+                     f"not {_describe(data)}")
+            args = (args[0],) * len(data)
+        elif not isinstance(data, (list, tuple)) or len(data) != len(args):
+            fail(f"must be a list of {len(args)}, not {_describe(data)}")
+        return tuple(decode(t, v, error, f"{path}[{i}]")
+                     for i, (t, v) in enumerate(zip(args, data)))
+    if cls is Any:
+        return data
+    if cls is float and data == "inf":
+        return float("inf")
+    if isinstance(data, bool) and cls is not bool \
+            or not isinstance(data, (int, float) if cls is float else cls):
+        fail(f"must be {_TYPE_NAMES.get(cls, cls)}, not {_describe(data)}")
+    return data
 
 
 def from_dict(data: Dict[str, Any]) -> ScenarioSpec:
     """Rebuild a spec from :func:`to_dict` output (or hand-written
     JSON/TOML); unknown keys raise so typos do not silently no-op."""
-    if not isinstance(data, dict):
-        raise ScenarioError(
-            [f"a spec must be an object, not {type(data).__name__}"])
-
-    def build(cls, payload):
-        known = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = set(payload) - set(known)
-        if unknown:
-            raise ScenarioError(
-                [f"{cls.__name__}: unknown field(s) {sorted(unknown)}"])
-        kwargs = {}
-        for key, value in payload.items():
-            if key == "stop_us" and value == "inf":
-                value = float("inf")
-            kwargs[key] = value
-        return cls(**kwargs)
-
-    racks = []
-    for rack in data.get("racks", []):
-        servers = tuple(build(ServerSpec, {**s, "scheduler": _pairs(
-            s.get("scheduler", ()))}) for s in rack.get("servers", []))
-        clients = tuple(build(ClientSpec, c) for c in rack.get("clients", []))
-        racks.append(RackSpec(name=rack["name"], servers=servers,
-                              clients=clients))
-    apps = tuple(build(AppSpec, {**a, "servers": tuple(a.get("servers", ())),
-                                 "options": _pairs(a.get("options", ())),
-                                 "placement": _pairs(a.get("placement", ()))})
-                 for a in data.get("apps", []))
-    fleets = tuple(build(FleetSpec, f) for f in data.get("fleets", []))
-    tenants = tuple(
-        build(TenantSpec, {**t, "slos": tuple(t.get("slos", ()))})
-        for t in data.get("tenants", []))
-    faults = tuple(build(FaultDecl, {**d, "at_us": tuple(d.get("at_us", ()))})
-                   for d in data.get("faults", []))
-    steering = tuple(
-        build(SteeringSpec, {**s, "backends": tuple(s.get("backends", ()))})
-        for s in data.get("steering", []))
-    rebalance_data = data.get("rebalance")
-    rebalance = (build(RebalanceSpec, rebalance_data)
-                 if rebalance_data is not None else None)
-    obs_data = dict(data.get("observability", {}))
-    pulse_data = obs_data.pop("pulse", None)
-    if pulse_data is None:
-        pulse = None
-    elif pulse_data is True:
-        pulse = PulseSpec()        # "pulse": true — defaults
-    else:
-        pulse = build(PulseSpec, pulse_data)
-    slos = tuple(
-        SLOSpec.from_text(s) if isinstance(s, str) else build(SLOSpec, s)
-        for s in obs_data.pop("slos", ()))
-    obs = build(ObsSpec, {**obs_data, "pulse": pulse, "slos": slos})
-    fabric = build(FabricSpec, data.get("fabric", {}))
-    execution = build(ExecSpec, data.get("execution", {}))
-    top = {k: v for k, v in data.items()
-           if k not in ("racks", "apps", "fleets", "tenants", "faults",
-                        "steering", "rebalance", "observability", "fabric",
-                        "execution")}
-    return build(ScenarioSpec, {
-        **top, "racks": tuple(racks), "fabric": fabric, "apps": apps,
-        "fleets": fleets, "tenants": tenants, "faults": faults,
-        "steering": steering, "rebalance": rebalance, "observability": obs,
-        "execution": execution})
+    return decode(ScenarioSpec, data)
 
 
 def to_json(spec: ScenarioSpec, indent: int = 2) -> str:
@@ -854,16 +875,6 @@ def from_file(path: str) -> ScenarioSpec:
     if str(path).endswith(".toml"):
         return from_toml(text)
     return from_json(text)
-
-
-def canonical_key(spec: ScenarioSpec) -> str:
-    """Stable string form for cache keys (see ``repro.exec.cache``).
-
-    Dataclass canonicalisation is field-ordered and address-free, so
-    logically-equal specs produce equal keys across processes.
-    """
-    from ..exec.cache import canonical
-    return canonical(spec)
 
 
 # -- convenience constructors -------------------------------------------------

@@ -20,7 +20,6 @@ from repro.scenario import (
     AppSpec,
     ClientSpec,
     FabricSpec,
-    FaultDecl,
     FleetSpec,
     RackSpec,
     ScenarioError,
@@ -31,6 +30,7 @@ from repro.scenario import (
     run_scenario,
 )
 from repro.scenario.spec import ExecSpec
+from repro.sim import FaultSpec
 
 try:
     from hypothesis import given, settings
@@ -69,7 +69,7 @@ def test_canonical_event_digest_matches():
 def test_rack_down_fault_equivalence():
     spec = load_shipped("multi-rack-rkv")
     spec = replace(spec, faults=spec.faults + (
-        FaultDecl(kind="rack_down", target="rack1",
+        FaultSpec(kind="rack_down", target="rack1",
                   at_us=(800.0,), duration_us=400.0),))
     serial = run_scenario(serial_twin(spec), duration_us=3_000.0)
     sharded = RackShardExecutor(spec, duration_us=3_000.0).run()
@@ -182,7 +182,7 @@ def _random_grid_spec(racks: int, rate_mpps: float, seed: int,
             clients=(ClientSpec(f"c{idx}"),) if idx == 0 else ()))
     faults = ()
     if rack_down:
-        faults = (FaultDecl(kind="rack_down", target="rack1",
+        faults = (FaultSpec(kind="rack_down", target="rack1",
                             at_us=(250.0,), duration_us=150.0),)
     return ScenarioSpec(
         name=f"grid-{racks}r", seed=seed, duration_us=800.0,

@@ -151,12 +151,12 @@ def test_apply_placement_is_stable_and_round_trips():
     planned.validate()
     # deterministic transform: byte-identical spec JSON both times
     assert spec_to_json(planned) == spec_to_json(apply_placement(plan, spec))
-    # the placement field survives the spec's own JSON round trip
-    # (canonical JSON, not dataclass equality: nic specs deserialize
-    # to their dict form)
+    # the placement field survives the spec's own JSON round trip, and
+    # so does the NicSpec object the deployment was built with
     text = spec_to_json(planned)
     reloaded = spec_from_json(text)
     assert spec_to_json(reloaded) == text
+    assert reloaded == planned
     assert tuple(a.placement for a in reloaded.apps) \
         == tuple(a.placement for a in planned.apps)
 

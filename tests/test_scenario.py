@@ -10,7 +10,6 @@ from repro.scenario import (
     AppSpec,
     ClientSpec,
     FabricSpec,
-    FaultDecl,
     FleetSpec,
     RackSpec,
     ScenarioError,
@@ -25,7 +24,7 @@ from repro.scenario import (
     three_servers,
     to_json,
 )
-from repro.sim import Rng, Simulator
+from repro.sim import FaultSpec, Rng, Simulator
 
 
 def _rkv_spec(**kwargs):
@@ -60,13 +59,40 @@ def test_validate_accepts_the_paper_shapes():
     (dict(fleets=(FleetSpec(client="client", dst="ghost"),)), "unknown dst"),
     (dict(fleets=(FleetSpec(client="client", dst="shard:dt"),)),
      "names no declared app"),
-    (dict(faults=(FaultDecl(kind="meteor", target="*"),)), "unknown kind"),
     (dict(duration_us=0.0), "duration_us"),
 ])
 def test_validate_rejects(mutation, fragment):
     with pytest.raises(ScenarioError) as exc:
         _rkv_spec(**mutation).validate()
     assert fragment in str(exc.value)
+
+
+def test_unknown_fault_kind_is_rejected_on_load():
+    # FaultSpec refuses an unknown kind at construction, so the check
+    # lives on the JSON path and names the entry
+    text = to_json(_rkv_spec()).replace(
+        '"faults": []', '"faults": [{"kind": "meteor", "target": "*"}]')
+    with pytest.raises(ScenarioError) as exc:
+        from_json(text)
+    assert str(exc.value) == "faults[0]: unknown fault kind 'meteor'"
+
+
+@pytest.mark.parametrize("mutation", [
+    dict(fleets=(FleetSpec(client="client", dst="s0", clients=0),)),
+    dict(fleets=(FleetSpec(client="client", dst="s0", think_time_us=-1.0),)),
+    dict(racks=(RackSpec(name="rack0", servers=(ServerSpec(
+        name="s0", scheduler=(("no_such_knob", 1),)),),
+        clients=(ClientSpec("client"),)),)),
+], ids=["closed-fleet-without-clients", "negative-think-time",
+        "unknown-scheduler-key"])
+def test_validate_rejects_what_build_or_run_would_raise_on(mutation):
+    # each of these used to validate and then fail in build() or run()
+    # with a ValueError, SimulationError or TypeError
+    spec = _rkv_spec(**mutation)
+    with pytest.raises(ScenarioError):
+        spec.validate()
+    with pytest.raises(ScenarioError):
+        run_scenario(spec, duration_us=500.0)
 
 
 def test_sharded_app_needs_enough_servers():
@@ -97,7 +123,7 @@ def test_json_round_trip_preserves_the_spec():
         fleets=(FleetSpec(client="c0", dst="shard:rkv", mode="open",
                           rate_mpps=0.05, workload="kv",
                           connections=1_000_000),),
-        faults=(FaultDecl(kind="link_loss", target="*", probability=0.01),))
+        faults=(FaultSpec(kind="link_loss", target="*", probability=0.01),))
     assert from_json(to_json(spec)) == spec
 
 

@@ -21,6 +21,7 @@ from repro.scenario import (
     TenantSpec,
     build,
     from_dict,
+    load_shipped,
     to_dict,
 )
 from repro.sim import Simulator, Timeout
@@ -98,6 +99,25 @@ def test_zero_share_tenant_is_allowed():
     for tenant in flat["tenants"]:
         tenant["nic_core_share"] = 0.0
     from_dict(flat).validate()
+
+
+@pytest.mark.parametrize("text", [
+    "rkv p150 < 40us over 2ms",        # pct out of (0, 100]
+    "rkv p99 < 40us over 1us",         # window shorter than the pulse
+    "rkv p99 < 0us over 2ms",          # used to raise in build()
+])
+def test_tenant_slos_are_checked_like_observability_slos(text):
+    base = to_dict(load_shipped("multi-tenant-mixed"))
+    as_observed = {**base, "observability": {
+        **base["observability"], "slos": [text]}}
+    with pytest.raises(ScenarioError) as observed:
+        from_dict(as_observed).validate()
+    (problem,) = observed.value.problems
+    assert problem.startswith("slo rkv-p")
+    base["tenants"][0]["slos"] = [text]
+    with pytest.raises(ScenarioError) as tenant:
+        from_dict(base).validate()
+    assert tenant.value.problems == [f"tenant gold: {problem}"]
 
 
 def test_tenant_slo_without_pulse_fails_validation():
