@@ -70,6 +70,11 @@ class SchedulerConfig:
     migration_cooldown_us: float = 2_000.0
     isolation: IsolationPolicy = field(default_factory=IsolationPolicy)
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.stats_alpha <= 1.0:
+            raise ValueError(f"stats_alpha must lie in (0, 1] "
+                             f"(got {self.stats_alpha})")
+
 
 class WorkItem:
     """What the traffic manager queue carries: a message bound for an

@@ -24,6 +24,7 @@ from ..scenario import (
     FabricSpec,
     FleetSpec,
     RackSpec,
+    RkvOptions,
     ScenarioSpec,
     ServerSpec,
     build,
@@ -74,13 +75,13 @@ def deployment_spec(system: str, app: str, nic_spec: NicSpec,
     """The §5.1 deployment as data: three servers, one closed-loop fleet."""
     if app not in APP_WORKLOADS:
         raise ValueError(f"unknown app {app!r}")
-    options = []
+    options = None
     if app == "rkv":
         # steady state: the hottest keys are memtable-resident (the
         # paper measures warmed-up systems)
-        options = [("prefill_keys", prefill_keys),
-                   ("prefill_value_bytes",
-                    value_bytes_for_packet(packet_size))]
+        options = RkvOptions(
+            prefill_keys=prefill_keys,
+            prefill_value_bytes=value_bytes_for_packet(packet_size))
     return ScenarioSpec(
         name=f"{system}-{app}", seed=seed, duration_us=duration_us,
         racks=(RackSpec(
@@ -90,7 +91,7 @@ def deployment_spec(system: str, app: str, nic_spec: NicSpec,
             clients=(ClientSpec("client"),)),),
         fabric=FabricSpec(bandwidth_gbps=nic_spec.bandwidth_gbps),
         apps=(AppSpec(kind=app, servers=("s0", "s1", "s2"), leader="s0",
-                      options=tuple(options)),),
+                      options=options),),
         fleets=(FleetSpec(client="client", dst="s0", mode="closed",
                           clients=clients, size=packet_size,
                           workload=APP_WORKLOADS[app], seed=seed),))

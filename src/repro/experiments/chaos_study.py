@@ -46,8 +46,10 @@ from ..obs import TracePlane
 from ..scenario import (
     AppSpec,
     ClientSpec,
+    DtOptions,
     ObsSpec,
     RackSpec,
+    RkvOptions,
     ScenarioSpec,
     ServerSpec,
     build,
@@ -442,7 +444,7 @@ def run_rkv_chaos(seed: int = 42, loss: float = 0.02,
     spec = _chaos_spec(
         "chaos-rkv", seed, duration_us, nodes,
         AppSpec(kind="rkv", servers=nodes, leader="s0",
-                options=(("memtable_limit", 256 * 1024),)),
+                options=RkvOptions(memtable_limit=256 * 1024)),
         faults, trace)
     value = bytes(value_bytes)
 
@@ -518,7 +520,7 @@ def run_dt_chaos(seed: int = 42, loss: float = 0.005,
     spec = _chaos_spec(
         "chaos-dt", seed, duration_us, nodes,
         AppSpec(kind="dt", servers=nodes,
-                options=(("log_segment_bytes", 1 << 20),)),
+                options=DtOptions(log_segment_bytes=1 << 20)),
         (FaultSpec(kind=FaultKind.LINK_LOSS, target="*", probability=loss),
          FaultSpec(kind=FaultKind.DMA_TORN, target="s0.chan.*",
                    every_nth=torn_every_nth)),

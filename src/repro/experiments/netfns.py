@@ -21,6 +21,7 @@ from ..scenario import (
     AppSpec,
     ClientSpec,
     FabricSpec,
+    FirewallOptions,
     RackSpec,
     ScenarioSpec,
     ServerSpec,
@@ -79,8 +80,8 @@ def firewall_latency_vs_load(rule_count: int = 8192, packet_size: int = 1024,
                 clients=(ClientSpec("client"),)),),
             fabric=FabricSpec(bandwidth_gbps=spec.bandwidth_gbps),
             apps=(AppSpec(kind="firewall", servers=("fw",),
-                          options=(("rule_count", rule_count),
-                                   ("rule_seed", seed))),)))
+                          options=FirewallOptions(rule_count=rule_count,
+                                                  rule_seed=seed)),)))
         server = bed.servers["fw"]
         rng = Rng(seed + 1)
 

@@ -41,6 +41,7 @@ from ..scenario import (
     ObsSpec,
     PulseSpec,
     RebalanceSpec,
+    RkvOptions,
     ScenarioSpec,
     SLOSpec,
     SteeringSpec,
@@ -61,7 +62,7 @@ def slo_spec(seed: int = 42, duration_us: float = 40_000.0,
         racks=(chaos_rack("rack0", ("r0s0", "r0s1"), ("aggr0",)),
                chaos_rack("rack1", ("r1s0", "r1s1"), ("victim0",))),
         apps=(AppSpec(kind="rkv", servers=("r0s0",), shards=1,
-                      options=(("memtable_limit", 256 * 1024),)),),
+                      options=RkvOptions(memtable_limit=256 * 1024)),),
         steering=(SteeringSpec(service="rkv", app="rkv",
                                window_us=1_500.0),),
         # sustain long enough that the burn-rate breach (which needs a

@@ -39,6 +39,7 @@ from ..scenario import (
     AppSpec,
     ObsSpec,
     RebalanceSpec,
+    RkvOptions,
     ScenarioSpec,
     SteeringSpec,
 )
@@ -84,7 +85,7 @@ def rebalance_spec(seed: int = 42, duration_us: float = 40_000.0,
                                ("client0",) if i == 0 else ())
                     for i in range(3)),
         apps=(AppSpec(kind="rkv", servers=shard_homes, shards=3,
-                      options=(("memtable_limit", 256 * 1024),)),),
+                      options=RkvOptions(memtable_limit=256 * 1024)),),
         steering=(SteeringSpec(service="rkv", app="rkv",
                                window_us=1_500.0),),
         rebalance=RebalanceSpec(notice_us=notice_us),

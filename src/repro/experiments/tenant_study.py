@@ -40,9 +40,11 @@ from typing import Dict, List
 from ..scenario import (
     AppSpec,
     ClientSpec,
+    DtOptions,
     ObsSpec,
     PulseSpec,
     RackSpec,
+    RkvOptions,
     ScenarioSpec,
     ServerSpec,
     TenantSpec,
@@ -108,9 +110,9 @@ def tenant_spec(isolation: bool, seed: int = 42,
                      ClientSpec("batch0"))),),
         apps=(
             AppSpec(kind="rkv", servers=("s0",), shards=1, tenant="victim",
-                    options=(("memtable_limit", 256 * 1024),)),
+                    options=RkvOptions(memtable_limit=256 * 1024)),
             AppSpec(kind="dt", servers=("s0", "s1"), tenant="batch",
-                    options=(("log_segment_bytes", 1 << 20),)),
+                    options=DtOptions(log_segment_bytes=1 << 20)),
             AppSpec(kind="rta", servers=("s0",), tenant="aggressor"),
         ),
         tenants=tenants,

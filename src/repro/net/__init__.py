@@ -20,7 +20,7 @@ from .pktgen import ClosedLoopGenerator, OpenLoopGenerator
 from .steering import (
     MaglevTable,
     MovableBackend,
-    RebalancePolicy,
+    RebalanceSpec,
     Rebalancer,
     SteeringController,
 )
@@ -47,7 +47,7 @@ __all__ = [
     "OpenLoopGenerator",
     "MaglevTable",
     "MovableBackend",
-    "RebalancePolicy",
+    "RebalanceSpec",
     "Rebalancer",
     "SteeringController",
 ]

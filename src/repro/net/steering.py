@@ -334,15 +334,16 @@ class SteeringController:
 # -- rebalancing policy -------------------------------------------------------
 
 @dataclass(frozen=True)
-class RebalancePolicy:
-    """Knobs for the rack-evacuation and load-rebalancing policies."""
+class RebalanceSpec:
+    """Policy reacting to rack outages — and, with ``on_load``, to
+    sustained per-backend utilization skew measured by the PulsePlane."""
 
+    #: The steered service to rebalance (default: the first declared).
+    service: str = ""
     #: Start evacuating this many µs before a scheduled rack outage.
     notice_us: float = 1_000.0
     #: Migrate shards back to their home servers when the rack returns.
     return_home: bool = True
-    #: Forwarding-window length handed to each migration.
-    window_us: float = DEFAULT_WINDOW_US
     #: React to PulsePlane utilization samples (LoadFeed) — migrate the
     #: hottest backend off an overloaded server on *sustained* skew.
     on_load: bool = False
@@ -382,16 +383,18 @@ class Rebalancer:
     """
 
     def __init__(self, sim: Simulator, controller: SteeringController,
-                 migrator, policy: RebalancePolicy, service: str,
+                 migrator, policy: RebalanceSpec, service: str,
                  backends: Dict[str, MovableBackend],
                  runtimes: Dict[str, object],
                  rack_of: Callable[[str], Optional[str]],
-                 fault_plane=None) -> None:
+                 window_us: float, fault_plane=None) -> None:
         self.sim = sim
         self.controller = controller
         self.migrator = migrator
         self.policy = policy
         self.service = service
+        #: forwarding-window length handed to each migration
+        self.window_us = window_us
         self.backends = backends
         self.runtimes = runtimes
         self.rack_of = rack_of
@@ -528,7 +531,7 @@ class Rebalancer:
                 self.runtimes[src], self.runtimes[dst],
                 list(movable.actors), service=self.service,
                 detach=movable.detach, attach=movable.attach,
-                window_us=self.policy.window_us)
+                window_us=self.window_us)
         except MigrationInterrupted:
             # Destination died mid-move; shard is still safe at the
             # source (checkpoint retained) — put the placement back so a

@@ -27,7 +27,7 @@ from .profile import (ActorProfile, PlanProfile, StageProfile,
                       profile_scenario)
 from .spec import (ActorPlacement, PlacementSpec, PlanError,
                    ShardAssignment, apply_placement, from_dict, from_file,
-                   from_json, planned_app_kinds, to_dict, to_json)
+                   from_json, to_dict, to_json)
 from .solver import APP_ACTORS, HOST_UTIL_CAP, NIC_UTIL_CAP, solve
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "NIC_UTIL_CAP", "PlacementSpec", "PlanError", "PlanProfile",
     "ShardAssignment", "StageProfile", "apply_placement", "compute_plan",
     "from_dict", "from_file", "from_json", "plan_scenario",
-    "planned_app_kinds", "profile_scenario", "solve", "to_dict", "to_json",
+    "profile_scenario", "solve", "to_dict", "to_json",
 ]
 
 

@@ -28,7 +28,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
-from ..scenario.spec import AppSpec, ScenarioSpec, decode, to_dict
+from ..scenario.spec import ScenarioSpec, decode, to_dict
 
 PLAN_VERSION = 1
 
@@ -233,8 +233,3 @@ def apply_placement(plan: PlacementSpec, spec: ScenarioSpec) -> ScenarioSpec:
             app, servers=tuple(_dealt_servers(groups)), leader=None,
             placement=pins))
     return dataclasses.replace(spec, apps=tuple(new_apps))
-
-
-def planned_app_kinds(spec: ScenarioSpec) -> List[AppSpec]:
-    """The apps a planner can place (the three paper applications)."""
-    return [a for a in spec.apps if a.kind in ("rkv", "dt", "rta")]

@@ -14,13 +14,17 @@ package under ``scenario/specs/``.
 from .spec import (
     AppSpec,
     ClientSpec,
+    DtOptions,
     FabricSpec,
+    FirewallOptions,
     FleetSpec,
     NIC_CATALOG,
     ObsSpec,
     PulseSpec,
     RackSpec,
     RebalanceSpec,
+    RkvOptions,
+    RtaOptions,
     ScenarioError,
     ScenarioSpec,
     ServerSpec,
@@ -57,13 +61,17 @@ __all__ = [
     "BuiltApp",
     "ClientPort",
     "ClientSpec",
+    "DtOptions",
     "FabricSpec",
+    "FirewallOptions",
     "FleetSpec",
     "NIC_CATALOG",
     "ObsSpec",
     "PulseSpec",
     "RackSpec",
     "RebalanceSpec",
+    "RkvOptions",
+    "RtaOptions",
     "Scenario",
     "ScenarioError",
     "ScenarioResult",

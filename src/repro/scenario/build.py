@@ -12,9 +12,9 @@ same event sequence as the seed's hand-wired testbeds.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from functools import lru_cache
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from ..baselines import DpdkRuntime, FloemRuntime
 from ..core import IPipeRuntime, Location, SchedulerConfig
@@ -28,9 +28,11 @@ from ..net import (
 )
 from ..nic import NicSpec, SmartNic, host_for
 from ..sim import FaultPlane, RecoveryPolicy, Rng, Simulator
+from ..workloads import KvWorkload, TwitterWorkload, TxnWorkload
 from .spec import (
     AppSpec,
     FabricSpec,
+    FirewallOptions,
     FleetSpec,
     ScenarioError,
     ScenarioSpec,
@@ -117,9 +119,6 @@ class BuiltApp:
         self.leaders: List[str] = []
         self.nodes: Dict[str, object] = {}   # server name -> app node
 
-    def shard_for_key(self, key: str) -> int:
-        return zlib.crc32(str(key).encode()) % max(len(self.groups), 1)
-
 
 @dataclass
 class Scenario:
@@ -185,25 +184,20 @@ def make_server(sim: Simulator, network: Fabric, name: str,
         host_workers = host_for(nic_spec).cores
     machine = HostMachine(sim, host_for(nic_spec), name=name,
                           cores=host_cores or host_for(nic_spec).cores)
-    if system == "ipipe":
-        nic = SmartNic(sim, nic_spec, name=f"{name}.nic")
+    nic = None if system == "dpdk" else SmartNic(sim, nic_spec,
+                                                 name=f"{name}.nic")
+    if system in ("ipipe", "ipipe-hostonly"):
+        host_only = system == "ipipe-hostonly"
+        if host_only and config is None:
+            config = SchedulerConfig(migration_enabled=False)
         runtime = IPipeRuntime(sim, nic, machine, network, name,
                                config=config, host_workers=host_workers,
-                               reliable=reliable, fault_plane=fault_plane,
-                               recovery=recovery)
-    elif system == "ipipe-hostonly":
-        nic = SmartNic(sim, nic_spec, name=f"{name}.nic")
-        runtime = IPipeRuntime(
-            sim, nic, machine, network, name,
-            config=config or SchedulerConfig(migration_enabled=False),
-            host_workers=host_workers, host_only=True,
-            reliable=reliable, fault_plane=fault_plane, recovery=recovery)
+                               host_only=host_only, reliable=reliable,
+                               fault_plane=fault_plane, recovery=recovery)
     elif system == "floem":
-        nic = SmartNic(sim, nic_spec, name=f"{name}.nic")
         runtime = FloemRuntime(sim, nic, machine, network, name,
                                host_workers=host_workers)
     elif system == "dpdk":
-        nic = None
         runtime = DpdkRuntime(sim, machine, network, name,
                               workers=host_workers,
                               link_bandwidth_gbps=nic_spec.bandwidth_gbps)
@@ -257,6 +251,84 @@ def _install_payload_router(scenario: Scenario, name: str) -> None:
         scenario.network.egress(runtime.node_name).receiver = routed
 
 
+def _rkv_node(runtime, name, group, leader, options):
+    from ..apps.rkv import RkvNode
+    kwargs = ({} if options.memtable_limit is None
+              else {"memtable_limit": options.memtable_limit})
+    node = RkvNode(runtime, [p for p in group if p != name],
+                   initial_leader=leader, **kwargs)
+    if options.prefill_keys:
+        node.prefill(options.prefill_keys, options.prefill_value_bytes)
+    return node
+
+
+def _dt_node(runtime, name, group, leader, options):
+    from ..apps.dt import DtCoordinatorNode, DtParticipantNode
+    if name != leader:
+        return DtParticipantNode(runtime)
+    kwargs = ({} if options.log_segment_bytes is None
+              else {"log_segment_bytes": options.log_segment_bytes})
+    return DtCoordinatorNode(
+        runtime, participant_nodes=[p for p in group if p != leader],
+        **kwargs)
+
+
+def _rta_node(runtime, name, group, leader, options):
+    from ..apps.rta import RtaWorkerNode
+    aggregate = options.aggregate
+    if aggregate is None and len(group) > 1:
+        aggregate = leader
+    return RtaWorkerNode(runtime, aggregate_node=aggregate)
+
+
+@lru_cache(maxsize=1)
+def _ruleset(options: FirewallOptions):
+    """One app's ruleset, generated once for all of its nodes (a tuple
+    of frozen rules, so sharing it is safe)."""
+    from ..apps.nf import generate_ruleset
+    return tuple(generate_ruleset(options.rule_count,
+                                  rng=Rng(options.rule_seed)))
+
+
+def _firewall_node(runtime, name, group, leader, options):
+    from ..apps.nf import FirewallNode
+    node = FirewallNode(runtime, rules=_ruleset(options))
+    runtime.dispatch_table["data"] = "firewall"
+    return node
+
+
+def _ipsec_node(runtime, name, group, leader, options):
+    from ..apps.nf import IpsecNode
+    node = IpsecNode(runtime)
+    original = runtime.on_packet
+
+    def esp(packet, original=original):
+        # a gateway's whole ingress is ESP traffic
+        packet.kind = "esp-pkt"
+        original(packet)
+    runtime.nic.packet_handler = esp
+    return node
+
+
+class AppKind(NamedTuple):
+    """How to place one app kind (the keys of ``spec.APP_OPTIONS``)."""
+
+    #: ``(runtime, name, group, leader, options) -> node`` per server;
+    #: None places nothing
+    node: Optional[Callable]
+    routed: bool                 # requests route by their payload's kind
+
+
+APP_NODES: Dict[str, AppKind] = {
+    "rkv": AppKind(_rkv_node, True),
+    "dt": AppKind(_dt_node, True),
+    "rta": AppKind(_rta_node, True),
+    "firewall": AppKind(_firewall_node, False),
+    "ipsec": AppKind(_ipsec_node, False),
+    "none": AppKind(None, False),
+}
+
+
 def _build_app(scenario: Scenario, app: AppSpec) -> BuiltApp:
     """Place one app.  Replica groups (and leaders) are always computed
     from the *spec's* full server list, but nodes are only instantiated
@@ -264,85 +336,17 @@ def _build_app(scenario: Scenario, app: AppSpec) -> BuiltApp:
     passes a partial server set and peers address remote group members
     by name over the fabric, exactly as the serial build does."""
     built = BuiltApp(app, app.replica_groups(scenario.spec.server_names()))
-    if app.kind == "none":
+    make = APP_NODES[app.kind].node
+    if make is None:
         return built
-    runtimes = {n: s.runtime for n, s in scenario.servers.items()}
-    if app.kind == "rkv":
-        from ..apps.rkv import RkvNode
-        memtable_limit = app.option("memtable_limit")
-        prefill_keys = app.option("prefill_keys", 0)
-        prefill_value_bytes = app.option("prefill_value_bytes", 64)
-        for group_idx, group in enumerate(built.groups):
-            leader = (app.leader if app.leader in group else group[0])
-            built.leaders.append(leader)
-            for name in group:
-                if name not in runtimes:
-                    continue
-                kwargs = {}
-                if memtable_limit is not None:
-                    kwargs["memtable_limit"] = memtable_limit
-                node = RkvNode(runtimes[name],
-                               [p for p in group if p != name],
-                               initial_leader=leader, **kwargs)
-                if prefill_keys:
-                    node.prefill(prefill_keys, prefill_value_bytes)
-                built.nodes[name] = node
-    elif app.kind == "dt":
-        from ..apps.dt import DtCoordinatorNode, DtParticipantNode
-        for group in built.groups:
-            coordinator, participants = group[0], group[1:]
-            built.leaders.append(coordinator)
-            kwargs = {}
-            if app.option("log_segment_bytes") is not None:
-                kwargs["log_segment_bytes"] = app.option("log_segment_bytes")
-            if coordinator in runtimes:
-                built.nodes[coordinator] = DtCoordinatorNode(
-                    runtimes[coordinator],
-                    participant_nodes=list(participants), **kwargs)
-            for name in participants:
-                if name in runtimes:
-                    built.nodes[name] = DtParticipantNode(runtimes[name])
-    elif app.kind == "rta":
-        from ..apps.rta import RtaWorkerNode
-        for group in built.groups:
-            aggregate = app.option("aggregate")
-            if aggregate is None and len(group) > 1:
-                aggregate = group[0]
-            built.leaders.append(group[0])
-            for name in group:
-                if name not in runtimes:
-                    continue
-                built.nodes[name] = RtaWorkerNode(
-                    runtimes[name], aggregate_node=aggregate)
-    elif app.kind == "firewall":
-        from ..apps.nf import FirewallNode, generate_ruleset
-        rules = generate_ruleset(app.option("rule_count", 8192),
-                                 rng=Rng(app.option("rule_seed", 31)))
-        for group in built.groups:
-            built.leaders.append(group[0])
-            for name in group:
-                if name not in runtimes:
-                    continue
-                built.nodes[name] = FirewallNode(runtimes[name], rules=rules)
-                runtimes[name].dispatch_table["data"] = "firewall"
-    elif app.kind == "ipsec":
-        from ..apps.nf import IpsecNode
-        for group in built.groups:
-            built.leaders.append(group[0])
-            for name in group:
-                if name not in runtimes:
-                    continue
-                built.nodes[name] = IpsecNode(runtimes[name])
-                # a gateway's whole ingress is ESP traffic
-                runtime = runtimes[name]
-                original = runtime.on_packet
-
-                def esp(packet, original=original):
-                    packet.kind = "esp-pkt"
-                    original(packet)
-                runtime.nic.packet_handler = esp
-    else:
-        raise ValueError(f"unknown app kind {app.kind!r}")
+    for group in built.groups:
+        leader = app.leader if app.leader in group else group[0]
+        built.leaders.append(leader)
+        for name in group:
+            server = scenario.servers.get(name)
+            if server is not None:
+                built.nodes[name] = make(server.runtime, name, group,
+                                         leader, app.options)
     return built
 
 
@@ -451,33 +455,26 @@ def _apply_placement_pins(scenario: Scenario) -> None:
 
 # -- client fleets ------------------------------------------------------------
 
+#: fleet workload kind -> (generator class, its seed for shard 0)
+_WORKLOADS = {"kv": (KvWorkload, 11), "txn": (TxnWorkload, 13),
+              "twitter": (TwitterWorkload, 17)}
+
+
 def _make_workload(fleet: FleetSpec, shard: Optional[int] = None):
     """The fleet's request factory; sharded fleets get disjoint
     per-shard keyspaces so shard affinity holds by construction."""
     if fleet.workload == "none":
         return None
-    from ..workloads import KvWorkload, TwitterWorkload, TxnWorkload
-    if fleet.workload == "kv":
-        wl = (KvWorkload(packet_size=fleet.size) if shard is None
-              else KvWorkload(packet_size=fleet.size, seed=11 + 97 * shard))
-        if shard is None:
-            return wl.next_request
+    cls, seed = _WORKLOADS[fleet.workload]
+    wl = cls(packet_size=fleet.size, seed=seed + 97 * (shard or 0))
+    if shard is None or fleet.workload != "kv":
+        return wl.next_request
 
-        def sharded(i, wl=wl, prefix=f"g{shard}:"):
-            req = wl.next_request(i)
-            req["key"] = prefix + req["key"]
-            return req
-        return sharded
-    if fleet.workload == "txn":
-        wl = (TxnWorkload(packet_size=fleet.size) if shard is None
-              else TxnWorkload(packet_size=fleet.size, seed=13 + 97 * shard))
-        return wl.next_request
-    if fleet.workload == "twitter":
-        wl = (TwitterWorkload(packet_size=fleet.size) if shard is None
-              else TwitterWorkload(packet_size=fleet.size,
-                                   seed=17 + 97 * shard))
-        return wl.next_request
-    raise ValueError(f"unknown workload {fleet.workload!r}")
+    def sharded(i, wl=wl, prefix=f"g{shard}:"):
+        req = wl.next_request(i)
+        req["key"] = prefix + req["key"]
+        return req
+    return sharded
 
 
 def _build_fleet(scenario: Scenario, fleet: FleetSpec,
@@ -549,11 +546,9 @@ def build(spec: ScenarioSpec, sim: Optional[Simulator] = None,
 
     for rack in racks:
         for sspec in rack.servers:
-            config = (SchedulerConfig(**sspec.scheduler_kwargs())
-                      if sspec.scheduler else None)
             scenario.servers[sspec.name] = make_server(
                 sim, network, sspec.name, resolve_nic(sspec.nic),
-                system=sspec.system, config=config,
+                system=sspec.system, config=sspec.scheduler_config(),
                 host_workers=sspec.host_workers,
                 host_cores=sspec.host_cores, reliable=sspec.reliable,
                 fault_plane=scenario.fault_plane,
@@ -580,13 +575,10 @@ def build(spec: ScenarioSpec, sim: Optional[Simulator] = None,
     if any(f.workload != "none" for f in spec.fleets):
         covered = set()
         for app in scenario.apps:
-            if app.kind in ("rkv", "dt", "rta"):
-                for group in app.groups:
-                    for name in group:
-                        if name not in scenario.servers:
-                            continue
-                        _install_payload_router(scenario, name)
-                        covered.add(name)
+            if APP_NODES[app.kind].routed:
+                for name in app.nodes:
+                    _install_payload_router(scenario, name)
+                    covered.add(name)
         if spec.steering:
             # any server may inherit a steered backend after a rebalance,
             # so every runtime must understand the fleets' wire format
@@ -649,7 +641,7 @@ def _build_steering(scenario: Scenario) -> None:
 def _build_rebalancer(scenario: Scenario) -> None:
     """Arm the rack-evacuation policy over the steered rkv backends."""
     from ..core.migration import CrossRackMigrator
-    from ..net.steering import MovableBackend, RebalancePolicy, Rebalancer
+    from ..net.steering import MovableBackend, Rebalancer
     spec = scenario.spec
     service_name = spec.rebalance.service or spec.steering[0].service
     st = next(s for s in spec.steering if s.service == service_name)
@@ -661,21 +653,12 @@ def _build_rebalancer(scenario: Scenario) -> None:
             actors=("consensus", "memtable", "sst_read", "compaction"),
             detach=node.detach, attach=node.attach)
     migrator = CrossRackMigrator(scenario.sim, steering=scenario.steering)
-    rb = spec.rebalance
-    policy = RebalancePolicy(notice_us=rb.notice_us,
-                             return_home=rb.return_home,
-                             window_us=st.window_us,
-                             on_load=rb.on_load,
-                             util_high=rb.util_high,
-                             skew_min=rb.skew_min,
-                             sustain_periods=rb.sustain_periods,
-                             cooldown_us=rb.cooldown_us)
     scenario.rebalancer = Rebalancer(
         scenario.sim, controller=scenario.steering, migrator=migrator,
-        policy=policy, service=st.service, backends=backends,
+        policy=spec.rebalance, service=st.service, backends=backends,
         runtimes={n: s.runtime for n, s in scenario.servers.items()
                   if hasattr(s.runtime, "_steer_seen")},
-        rack_of=scenario.network.rack_of,
+        rack_of=scenario.network.rack_of, window_us=st.window_us,
         fault_plane=scenario.fault_plane)
 
 

@@ -31,6 +31,8 @@ from ..nic import (
     STINGRAY_PS225,
 )
 from ..core.scheduler import SchedulerConfig
+from ..net.packet import MIN_FRAME
+from ..net.steering import RebalanceSpec
 from ..sim.faults import EVENT_KINDS, FaultSpec
 
 SPEC_VERSION = 1
@@ -48,10 +50,21 @@ NIC_CATALOG.update({
 })
 
 SYSTEMS = ("ipipe", "ipipe-hostonly", "dpdk", "floem")
-APP_KINDS = ("rkv", "dt", "rta", "firewall", "ipsec", "none")
 WORKLOAD_KINDS = ("kv", "txn", "twitter", "none")
 FLEET_MODES = ("closed", "open")
-SCHEDULER_KEYS = frozenset(f.name for f in dataclasses.fields(SchedulerConfig))
+
+
+def _check_ranges(spec, positive=(), **floors) -> None:
+    """``__post_init__`` range checks (None always passes): each field
+    in ``positive`` must be > 0, each in ``floors`` >= its floor."""
+    for name in positive:
+        value = getattr(spec, name)
+        if value is not None and value <= 0:
+            raise ValueError(f"{name} must be positive (got {value})")
+    for name, floor in floors.items():
+        value = getattr(spec, name)
+        if value is not None and value < floor:
+            raise ValueError(f"{name} must be >= {floor} (got {value})")
 
 
 class ScenarioError(ValueError):
@@ -88,8 +101,15 @@ class ServerSpec:
     #: SchedulerConfig field overrides (e.g. {"migration_enabled": False})
     scheduler: Tuple[Tuple[str, Any], ...] = ()
 
-    def scheduler_kwargs(self) -> Dict[str, Any]:
-        return dict(self.scheduler)
+    def __post_init__(self) -> None:
+        _check_ranges(self, host_workers=0, host_cores=1)
+
+    def scheduler_config(self, path: str = "scheduler"
+                         ) -> Optional[SchedulerConfig]:
+        """The overrides read by type into a fresh SchedulerConfig (the
+        watchdog appends to its kill list), or None when there are none."""
+        return (decode(SchedulerConfig, dict(self.scheduler), path=path)
+                if self.scheduler else None)
 
 
 @dataclass(frozen=True)
@@ -119,6 +139,11 @@ class FabricSpec:
     uplink_gbps: Optional[float] = None
     inter_rack_propagation_us: float = 1.2
 
+    def __post_init__(self) -> None:
+        _check_ranges(self, ("bandwidth_gbps", "uplink_gbps"),
+                      propagation_us=0, tor_latency_us=0, spine_latency_us=0,
+                      inter_rack_propagation_us=0)
+
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -140,6 +165,63 @@ class TenantSpec:
     slos: Tuple[str, ...] = ()         # compact SLO grammar strings
 
 
+# -- app options: one class per app kind -------------------------------------
+
+@dataclass(frozen=True)
+class RkvOptions:
+    """rkv: memtable flush size and warm-start prefill."""
+
+    memtable_limit: Optional[int] = None   # bytes (default: RkvNode's)
+    prefill_keys: int = 0                  # hot keys loaded before traffic
+    prefill_value_bytes: int = 64
+
+    def __post_init__(self) -> None:
+        _check_ranges(self, ("memtable_limit",), prefill_keys=0,
+                      prefill_value_bytes=0)
+
+
+@dataclass(frozen=True)
+class DtOptions:
+    """dt: the coordinator's log segment size."""
+
+    log_segment_bytes: Optional[int] = None  # default: DtCoordinatorNode's
+
+    def __post_init__(self) -> None:
+        _check_ranges(self, ("log_segment_bytes",))
+
+
+@dataclass(frozen=True)
+class RtaOptions:
+    """rta: the server running the aggregated ranker."""
+
+    aggregate: Optional[str] = None        # default: the group's leader
+
+
+@dataclass(frozen=True)
+class FirewallOptions:
+    """firewall: the synthetic wildcard ruleset (§5.7)."""
+
+    rule_count: int = 8192
+    rule_seed: int = 31
+
+    def __post_init__(self) -> None:
+        _check_ranges(self, rule_count=0)
+
+
+@dataclass(frozen=True)
+class NoOptions:
+    """ipsec and none take no options."""
+
+
+#: app kind -> its options class (the keys are the app kinds)
+APP_OPTIONS: Dict[str, type] = {
+    "rkv": RkvOptions, "dt": DtOptions, "rta": RtaOptions,
+    "firewall": FirewallOptions, "ipsec": NoOptions, "none": NoOptions}
+APP_KINDS = tuple(APP_OPTIONS)
+AppOptions = Union[RkvOptions, DtOptions, RtaOptions, FirewallOptions,
+                   NoOptions]
+
+
 @dataclass(frozen=True)
 class AppSpec:
     """Application placement over the fabric's servers.
@@ -147,9 +229,13 @@ class AppSpec:
     ``servers`` lists runtime names in placement order; with
     ``shards > 1`` the list is dealt round-robin into ``shards`` replica
     groups (so listing servers rack-by-rack interleaves every shard
-    across racks — cross-rack replication by construction).  Each RKV
-    replica group runs its own Paxos ring; ``dt`` takes the first server
-    as coordinator; ``rta`` aggregates on the first server.
+    across racks — cross-rack replication by construction).  Each
+    group's leader is ``leader`` when the group holds it, else the
+    group's first server: the initial Paxos leader of an RKV replica
+    group, the ``dt`` coordinator, the default ``rta`` aggregator.
+
+    ``options`` is the kind's options class (:data:`APP_OPTIONS`); left
+    out, every option takes its default.
 
     ``tenant`` names the owning :class:`TenantSpec`; every actor the app
     registers inherits it.  Empty means the implicit single tenant.
@@ -158,15 +244,19 @@ class AppSpec:
     kind: str                          # rkv | dt | rta | firewall | ipsec | none
     servers: Tuple[str, ...] = ()      # default: every server in the spec
     shards: int = 1
-    leader: Optional[str] = None       # rkv: initial leader (per-group: first)
-    options: Tuple[Tuple[str, Any], ...] = ()
+    leader: Optional[str] = None       # preferred leader of each group
+    options: Optional[AppOptions] = None
     #: build-time device pins from a placement plan (:mod:`repro.plan`):
     #: ("server/actor", "nic" | "host") pairs applied before any traffic.
     placement: Tuple[Tuple[str, str], ...] = ()
     tenant: str = ""                   # owning tenant ("" = implicit)
 
-    def option(self, key: str, default=None):
-        return dict(self.options).get(key, default)
+    #: codec hook: ``options`` is read as the class ``APP_OPTIONS[kind]``
+    KEYED_FIELDS = {"options": ("kind", APP_OPTIONS)}
+
+    def __post_init__(self) -> None:
+        if self.options is None and self.kind in APP_OPTIONS:
+            object.__setattr__(self, "options", APP_OPTIONS[self.kind]())
 
     def replica_groups(self, all_servers: Sequence[str]
                        ) -> List[List[str]]:
@@ -201,6 +291,10 @@ class FleetSpec:
     connections: int = 0
     tenant: str = ""                   # owning tenant ("" = implicit)
 
+    def __post_init__(self) -> None:
+        # size is a frame size: a smaller one would run as MIN_FRAME
+        _check_ranges(self, size=MIN_FRAME, think_time_us=0)
+
 
 @dataclass(frozen=True)
 class SteeringSpec:
@@ -218,20 +312,8 @@ class SteeringSpec:
     table_size: int = 251
     window_us: float = 2_000.0         # forwarding window after a repoint
 
-
-@dataclass(frozen=True)
-class RebalanceSpec:
-    """Policy reacting to rack outages — and, with ``on_load``, to
-    sustained per-backend utilization skew measured by the PulsePlane."""
-
-    service: str = ""                  # default: the first steering service
-    notice_us: float = 1_000.0         # evacuate this long before an outage
-    return_home: bool = True           # repatriate when the rack returns
-    on_load: bool = False              # migrate on sustained load skew
-    util_high: float = 0.75            # hot floor (mean NIC utilization)
-    skew_min: float = 0.25             # hot server must beat fleet mean by
-    sustain_periods: int = 3           # hysteresis: consecutive hot samples
-    cooldown_us: float = 5_000.0       # min gap between load-driven moves
+    def __post_init__(self) -> None:
+        _check_ranges(self, table_size=2, window_us=0)
 
 
 @dataclass(frozen=True)
@@ -242,6 +324,9 @@ class PulseSpec:
     retention: int = 4096              # ring-buffer points per series
     watch_servers: bool = True         # nic.util.* + nic.queue.* gauges
     watch_steering: bool = True        # steer.rate (when steering declared)
+
+    def __post_init__(self) -> None:
+        _check_ranges(self, ("period_us",), retention=1)
 
 
 @dataclass(frozen=True)
@@ -425,18 +510,20 @@ class ScenarioSpec:
         rack_names = [r.name for r in self.racks]
         if len(set(rack_names)) != len(rack_names):
             problems.append(f"duplicate rack names: {rack_names}")
-        for server in self.server_specs():
-            if server.system not in SYSTEMS:
-                problems.append(f"{server.name}: unknown system "
-                                f"{server.system!r} (have {SYSTEMS})")
-            if not isinstance(server.nic, NicSpec) \
-                    and server.nic not in NIC_CATALOG:
-                problems.append(f"{server.name}: unknown NIC {server.nic!r}")
-            unknown = sorted(k for k, _ in server.scheduler
-                             if k not in SCHEDULER_KEYS)
-            if unknown:
-                problems.append(f"{server.name}: unknown scheduler key(s) "
-                                f"{unknown} (see SchedulerConfig)")
+        for r, rack in enumerate(self.racks):
+            for i, server in enumerate(rack.servers):
+                if server.system not in SYSTEMS:
+                    problems.append(f"{server.name}: unknown system "
+                                    f"{server.system!r} (have {SYSTEMS})")
+                if not isinstance(server.nic, NicSpec) \
+                        and server.nic not in NIC_CATALOG:
+                    problems.append(f"{server.name}: unknown NIC "
+                                    f"{server.nic!r}")
+                try:
+                    server.scheduler_config(
+                        f"racks[{r}].servers[{i}].scheduler")
+                except ScenarioError as exc:
+                    problems += exc.problems
         known = set(self.server_names())
         clients = set(self.client_names())
         app_kinds = {a.kind for a in self.apps}
@@ -444,6 +531,15 @@ class ScenarioSpec:
             if app.kind not in APP_KINDS:
                 problems.append(f"app: unknown kind {app.kind!r} "
                                 f"(have {APP_KINDS})")
+            elif type(app.options) is not APP_OPTIONS[app.kind]:
+                problems.append(
+                    f"app {app.kind}: options must be "
+                    f"{APP_OPTIONS[app.kind].__name__}, not "
+                    f"{type(app.options).__name__}")
+            elif app.kind == "rta" and app.options.aggregate is not None \
+                    and app.options.aggregate not in known:
+                problems.append(f"app rta: unknown aggregate server "
+                                f"{app.options.aggregate!r}")
             for server in app.servers:
                 if server not in known:
                     problems.append(f"app {app.kind}: unknown server "
@@ -484,9 +580,6 @@ class ScenarioSpec:
             if fleet.mode == "closed" and fleet.clients < 1:
                 problems.append(f"fleet {fleet.client}: closed-loop needs "
                                 f"clients >= 1")
-            if fleet.think_time_us < 0:
-                problems.append(f"fleet {fleet.client}: think_time_us must "
-                                f"be >= 0")
         steering_names = [st.service for st in self.steering]
         for fleet in self.fleets:
             if fleet.dst.startswith("shard:"):
@@ -518,12 +611,6 @@ class ScenarioSpec:
                 if backend not in known:
                     problems.append(f"steering {st.service}: unknown backend "
                                     f"{backend!r}")
-            if st.table_size < 2:
-                problems.append(f"steering {st.service}: table_size must "
-                                f"be >= 2")
-            if st.window_us < 0:
-                problems.append(f"steering {st.service}: window_us must "
-                                f"be >= 0")
         if self.rebalance is not None:
             if not steering_names:
                 problems.append("rebalance: needs a steering service")
@@ -573,14 +660,6 @@ class ScenarioSpec:
                         f"rebalance: cooldown_us must be >= 0 "
                         f"(got {rb.cooldown_us})")
         pulse = self.observability.pulse
-        if pulse is not None:
-            if pulse.period_us <= 0:
-                problems.append(
-                    f"pulse: period_us must be positive "
-                    f"(got {pulse.period_us})")
-            if pulse.retention < 1:
-                problems.append(
-                    f"pulse: retention must be >= 1 (got {pulse.retention})")
         slo_names = [s.slo_name() for s in self.observability.slos]
         if len(set(slo_names)) != len(slo_names):
             problems.append(f"duplicate SLO names: {slo_names}")
@@ -745,6 +824,8 @@ def to_dict(spec) -> Dict[str, Any]:
 #: per dataclass: (field name, resolved type, required) rows
 _FIELDS: Dict[type, List[Tuple[str, Any, bool]]] = {}
 
+_PAIRS = Tuple[Tuple[str, Any], ...]
+
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
                bool: "true or false"}
 
@@ -775,12 +856,15 @@ def decode(cls, data, error=ScenarioError, path: str = ""):
     Each field is read by its declared type: nested dataclasses from
     objects (``true`` means every field at its default; a class with a
     ``from_text`` also takes its compact string form), ``Optional[X]``
-    from null or X, ``Tuple[X, ...]`` from lists (pairs also from an
-    object, as its sorted items), floats from numbers or ``"inf"``.
-    Anything else — a type mismatch, an unknown or missing field, a
-    constructor's ``ValueError`` — raises ``error([problem])`` with the
-    problem qualified by its path, e.g. ``fleets[0]: missing field
-    'dst'``.
+    from null or X, ``Tuple[X, ...]`` and ``List[X]`` from lists (pairs
+    also from an object, as its sorted items), ``Dict[str, X]`` from
+    objects, floats from numbers or ``"inf"``.  A class's
+    ``KEYED_FIELDS`` maps a field to ``(key field, {key: class})``: the
+    field is read as the class its (earlier) key field picks, from an
+    object or a list of ``[key, value]`` pairs.  Anything else — a type
+    mismatch, an unknown or missing field, a constructor's
+    ``ValueError`` — raises ``error([problem])`` with the problem
+    qualified by its path, e.g. ``fleets[0]: missing field 'dst'``.
     """
     def fail(problem):
         raise error([f"{path or cls.__name__}: {problem}"]) from None
@@ -799,11 +883,17 @@ def decode(cls, data, error=ScenarioError, path: str = ""):
         unknown = set(data) - {name for name, _, _ in rows}
         if unknown:
             fail(f"unknown field(s) {sorted(unknown)}")
+        keyed = getattr(cls, "KEYED_FIELDS", {})
         kwargs = {}
         for name, ftype, required in rows:
             if name in data:
-                kwargs[name] = decode(ftype, data[name], error,
-                                      f"{path}.{name}" if path else name)
+                value, where = data[name], f"{path}.{name}" if path else name
+                if name in keyed:
+                    key, classes = keyed[name]
+                    ftype = classes.get(kwargs.get(key), Any)
+                    if isinstance(value, list):     # the pairs spelling
+                        value = dict(decode(_PAIRS, value, error, where))
+                kwargs[name] = decode(ftype, value, error, where)
             elif required:
                 fail(f"missing field {name!r}")
         try:
@@ -820,6 +910,13 @@ def decode(cls, data, error=ScenarioError, path: str = ""):
         pick = next((t for t in options if dataclasses.is_dataclass(t)
                      == isinstance(data, dict)), options[0])
         return decode(pick, data, error, path)
+    if origin is dict:      # Dict[str, X]: JSON object keys are strings
+        if not isinstance(data, dict):
+            fail(f"must be an object, not {_describe(data)}")
+        return {k: decode(args[1], v, error, f"{path}.{k}")
+                for k, v in data.items()}
+    if origin is list:
+        return list(decode(Tuple[args[0], ...], data, error, path))
     if origin is tuple:
         if len(args) == 2 and args[1] is Ellipsis:
             pairs = typing.get_origin(args[0]) is tuple

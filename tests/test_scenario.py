@@ -2,8 +2,11 @@
 serialisation round-trips, build equivalence with hand-wired testbeds,
 and the shipped spec registry."""
 
+import json
+
 import pytest
 
+from repro.cli import main
 from repro.net import Packet
 from repro.nic import LIQUIDIO_CN2350
 from repro.scenario import (
@@ -12,16 +15,20 @@ from repro.scenario import (
     FabricSpec,
     FleetSpec,
     RackSpec,
+    RkvOptions,
+    RtaOptions,
     ScenarioError,
     ScenarioSpec,
     ServerSpec,
     build,
+    from_dict,
     from_json,
     load_shipped,
     run_scenario,
     shipped_specs,
     single_rack,
     three_servers,
+    to_dict,
     to_json,
 )
 from repro.sim import FaultSpec, Rng, Simulator
@@ -77,22 +84,86 @@ def test_unknown_fault_kind_is_rejected_on_load():
     assert str(exc.value) == "faults[0]: unknown fault kind 'meteor'"
 
 
-@pytest.mark.parametrize("mutation", [
-    dict(fleets=(FleetSpec(client="client", dst="s0", clients=0),)),
-    dict(fleets=(FleetSpec(client="client", dst="s0", think_time_us=-1.0),)),
-    dict(racks=(RackSpec(name="rack0", servers=(ServerSpec(
-        name="s0", scheduler=(("no_such_knob", 1),)),),
-        clients=(ClientSpec("client"),)),)),
+def _set(*path_and_value):
+    """Set one value in a spec's plain data (missing objects made)."""
+    *path, key, value = path_and_value
+
+    def mutate(data):
+        node = data
+        for step in path:
+            node = node[step] if isinstance(node, list) \
+                else node.setdefault(step, {})
+        node[key] = value
+    return mutate
+
+
+_SERVER0 = ("racks", 0, "servers", 0)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set("fleets", 0, "clients", 0), "closed-loop needs clients >= 1"),
+    (_set("fleets", 0, "think_time_us", -1.0), "think_time_us must be >= 0"),
+    (_set(*_SERVER0, "scheduler", [["no_such_knob", 1]]),
+     "racks[0].servers[0].scheduler: unknown field(s) ['no_such_knob']"),
+    (_set(*_SERVER0, "scheduler", [["alpha", "x"]]),
+     "racks[0].servers[0].scheduler.alpha: must be a number, not 'x'"),
+    (_set(*_SERVER0, "scheduler", [["isolation", 5]]),
+     "racks[0].servers[0].scheduler.isolation: must be an object, not 5"),
+    (_set(*_SERVER0, "scheduler", [["stats_alpha", 0]]),
+     "racks[0].servers[0].scheduler: stats_alpha must lie in (0, 1]"),
+    (_set("apps", 0, "options", "prefill_keys", "x"),
+     "apps[0].options.prefill_keys: must be an integer, not 'x'"),
+    (_set("apps", 0, "options", "no_such_option", 1),
+     "apps[0].options: unknown field(s) ['no_such_option']"),
+    (_set("apps", 0, "options", "prefill_keys", -5),
+     "apps[0].options: prefill_keys must be >= 0 (got -5)"),
+    (_set("fabric", "bandwidth_gbps", 0),
+     "fabric: bandwidth_gbps must be positive (got 0)"),
+    (_set("fabric", "propagation_us", -1),
+     "fabric: propagation_us must be >= 0 (got -1)"),
+    (_set("fabric", "tor_latency_us", -1),
+     "fabric: tor_latency_us must be >= 0 (got -1)"),
+    (_set("fleets", 0, "size", -5), "fleets[0]: size must be >= 64 (got -5)"),
+    (_set("fleets", 0, "size", 63), "fleets[0]: size must be >= 64 (got 63)"),
+    (_set(*_SERVER0, "host_workers", -1),
+     "racks[0].servers[0]: host_workers must be >= 0 (got -1)"),
+    (_set(*_SERVER0, "host_cores", 0),
+     "racks[0].servers[0]: host_cores must be >= 1 (got 0)"),
+    (_set(*_SERVER0, "host_cores", -2),
+     "racks[0].servers[0]: host_cores must be >= 1 (got -2)"),
 ], ids=["closed-fleet-without-clients", "negative-think-time",
-        "unknown-scheduler-key"])
-def test_validate_rejects_what_build_or_run_would_raise_on(mutation):
+        "unknown-scheduler-key", "scheduler-value-type",
+        "scheduler-isolation-type", "scheduler-value-range", "option-type",
+        "unknown-option", "negative-prefill-keys", "zero-bandwidth",
+        "negative-propagation",
+        "negative-tor-latency", "negative-fleet-size", "runt-fleet-size",
+        "negative-host-workers", "zero-host-cores", "negative-host-cores"])
+def test_validate_rejects_what_build_or_run_would_raise_on(
+        capsys, tmp_path, mutate, message):
     # each of these used to validate and then fail in build() or run()
-    # with a ValueError, SimulationError or TypeError
-    spec = _rkv_spec(**mutation)
-    with pytest.raises(ScenarioError):
-        spec.validate()
-    with pytest.raises(ScenarioError):
-        run_scenario(spec, duration_us=500.0)
+    # with a ValueError, SimulationError or TypeError, or run as if it
+    # were some other value; now it is one ScenarioError naming its path
+    data = to_dict(_rkv_spec())
+    mutate(data)
+    try:
+        spec = from_dict(data)
+    except ScenarioError as exc:       # the field's own type/range check
+        problems = [exc.problems]
+    else:
+        problems = []
+        for check in (spec.validate,
+                      lambda: run_scenario(spec, duration_us=500.0)):
+            with pytest.raises(ScenarioError) as exc:
+                check()
+            problems.append(exc.value.problems)
+    for found in problems:
+        assert len(found) == 1 and message in found[0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for verb, code in (("validate", 1), ("run", 2)):
+        assert main(["scenario", verb, str(path)]) == code
+        out, err = capsys.readouterr()
+        assert (out + err).count("\n") == 1 and message in out + err
 
 
 def test_sharded_app_needs_enough_servers():
@@ -119,7 +190,7 @@ def test_json_round_trip_preserves_the_spec():
         ),
         fabric=FabricSpec(inter_rack_propagation_us=2.5),
         apps=(AppSpec(kind="rkv", servers=("a", "b"), shards=2,
-                      options=(("prefill_keys", 10),)),),
+                      options=RkvOptions(prefill_keys=10)),),
         fleets=(FleetSpec(client="c0", dst="shard:rkv", mode="open",
                           rate_mpps=0.05, workload="kv",
                           connections=1_000_000),),
@@ -177,6 +248,34 @@ def test_sharded_placement_interleaves_across_racks():
     # rack-ordered dealing: each replica group seeds from a distinct rack
     assert app.groups == [["r0s0"], ["r1s0"], ["r2s0"]]
     assert app.leaders == ["r0s0", "r1s0", "r2s0"]
+
+
+def test_every_app_kind_has_options_and_a_node_factory():
+    from repro.scenario.build import APP_NODES
+    from repro.scenario.spec import APP_KINDS, APP_OPTIONS
+    assert set(APP_NODES) == set(APP_OPTIONS) == set(APP_KINDS)
+
+
+@pytest.mark.parametrize("kind", ["dt", "rta"])
+def test_every_kind_follows_the_declared_leader(kind):
+    spec = single_rack("lead", three_servers(), apps=(
+        AppSpec(kind=kind, servers=("s0", "s1", "s2"), leader="s1"),))
+    app = build(spec).app(kind)
+    assert app.leaders == ["s1"]
+    if kind == "dt":
+        assert type(app.nodes["s1"]).__name__ == "DtCoordinatorNode"
+        assert app.nodes["s1"].participant_nodes == ["s0", "s2"]
+    else:
+        assert all(node.aggregate_node == "s1"
+                   for node in app.nodes.values())
+
+
+def test_options_of_another_kind_are_rejected():
+    spec = _rkv_spec(apps=(AppSpec(kind="rkv", servers=("s0",),
+                                   options=RtaOptions()),))
+    with pytest.raises(ScenarioError) as exc:
+        spec.validate()
+    assert "options must be RkvOptions, not RtaOptions" in str(exc.value)
 
 
 def test_multi_rack_run_crosses_the_spine():
@@ -273,6 +372,33 @@ def test_shipped_spec_reply_timing_is_pinned(name, monkeypatch):
     monkeypatch.setattr(ClientPort, "receive", timed)
     run_scenario(load_shipped(name), duration_us=1_000.0)
     assert tuple(folded) == _PINNED_REPLY_TIMING[name]
+
+
+# The shipped specs place only rkv and rta; these pin the other app
+# kinds' builds (dt coordinator and participants, the firewall ruleset,
+# the IPsec ingress shim) to the same standard.
+
+def test_dt_deployment_fingerprint_is_pinned():
+    from repro.experiments.applications import deployment_spec
+    result = run_scenario(deployment_spec(
+        "ipipe", "dt", LIQUIDIO_CN2350, 512, 12, seed=7, duration_us=1000.0))
+    assert result.fingerprint() == (
+        "ipipe-dt", 7, 421, 409, 28.72518533, 31.22, (("client", 409),),
+        (("tor", (4382, 0)),), 0, 0)
+
+
+def test_firewall_latency_is_pinned():
+    from repro.experiments.netfns import firewall_latency_vs_load
+    points = firewall_latency_vs_load(rule_count=512, loads=(0.2, 0.9),
+                                      duration_us=3000.0)
+    assert [(load, round(latency, 9)) for load, latency in points] \
+        == [(0.2, 4.8090313), (0.9, 8.02402861)]
+
+
+def test_ipsec_goodput_is_pinned():
+    from repro.experiments.netfns import ipsec_goodput_gbps
+    goodput = ipsec_goodput_gbps(duration_us=3000.0, clients=64)
+    assert round(goodput, 9) == 9.66656
 
 
 # -- spec-built vs hand-wired equivalence ------------------------------------

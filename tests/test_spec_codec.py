@@ -14,6 +14,7 @@ from repro.plan import from_dict as plan_from_dict
 from repro.plan import to_dict as plan_to_dict
 from repro.plan import to_json as plan_to_json
 from repro.scenario import (
+    RkvOptions,
     ScenarioError,
     from_dict,
     load_shipped,
@@ -55,8 +56,8 @@ def test_option_pairs_load_from_an_object_as_sorted_pairs():
     data["apps"][0]["options"] = {"prefill_value_bytes": 420,
                                   "prefill_keys": 1000}
     app = from_dict(data).apps[0]
-    assert app.options == (("prefill_keys", 1000),
-                           ("prefill_value_bytes", 420))
+    assert app.options == RkvOptions(prefill_keys=1000,
+                                     prefill_value_bytes=420)
 
 
 def test_inf_and_pulse_true_load():
@@ -91,7 +92,7 @@ MALFORMED_SPECS = [
     (_rack_without_name, "racks[0]: missing field 'name'"),
     (lambda d: d.update(racks="r"), "racks: must be a list, not 'r'"),
     (_fleet_without_dst, "fleets[0]: missing field 'dst'"),
-    (_options_not_pairs, "apps[0].options: must be an object or a list"),
+    (_options_not_pairs, "apps[0].options: must be an object, not 5"),
     (lambda d: d.update(duration_us="5ms"),
      "duration_us: must be a number, not '5ms'"),
     (_slo_not_an_object, "observability.slos[0]: must be an object"),
