@@ -400,13 +400,13 @@ class SteeringMonitor:
 class PlanMonitor:
     """Planned placement holds until the first reactive override.
 
-    Registered by the scenario builder when a spec carries placement
-    pins (:attr:`~repro.scenario.spec.AppSpec.placement`, the output of
-    :func:`repro.plan.apply_placement`).  For each planned
-    ``(server, actor, device)`` the monitor asserts
-    ``actor.location == device`` — *until* the runtime's reactive
-    machinery takes the actor over: a migration in flight
-    (``migration_state != RUNNING``) or a completed
+    Registered by ``CheckPlane.watch_scenario`` when a spec carries
+    placement pins (:attr:`~repro.scenario.spec.AppSpec.placement`, the
+    output of :func:`repro.plan.apply_placement`), which only iPipe
+    servers take.  For each planned ``(server, actor, device)`` the
+    monitor asserts ``actor.location == device`` — *until* the
+    runtime's reactive machinery takes the actor over: a migration in
+    flight (``migration_state != RUNNING``) or a completed
     :class:`~repro.core.migration.MigrationReport` naming the actor
     permanently releases it (the plan is the start state, not a cage; a
     DRR downgrade under pressure is correct behaviour, not a violation).
@@ -432,45 +432,27 @@ class PlanMonitor:
         for actor, device in placements:
             self._planned[(server, actor)] = device
 
-    @property
-    def watched(self) -> int:
-        return len(self._planned)
-
-    @property
-    def overridden(self) -> int:
-        """Placements the reactive scheduler has since taken over."""
-        return len(self._released)
-
     def check(self, now: float) -> Iterator[str]:
         from ..core import MigrationState
-        for server in sorted(self._runtimes):
+        for key, device in sorted(self._planned.items()):
+            server, name = key
             runtime = self._runtimes[server]
-            migrator = getattr(runtime, "migrator", None)
-            migrated = {r.actor for r in migrator.reports} \
-                if migrator is not None else set()
-            table = getattr(runtime, "actors", None)
-            if table is None:
+            if key in self._released:
                 continue
-            for (srv, name), device in sorted(self._planned.items()):
-                if srv != server:
-                    continue
-                key = (srv, name)
-                if key in self._released:
-                    continue
-                if name in migrated:
-                    self._released.add(key)
-                    continue
-                actor = table.lookup(name)
-                if actor is None:
-                    continue            # down; must restart as planned
-                if actor.migration_state is not MigrationState.RUNNING:
-                    self._released.add(key)     # override in flight
-                    continue
-                if actor.location.value != device and key not in self._flagged:
-                    self._flagged.add(key)
-                    yield (f"actor {name!r} on {server} runs on "
-                           f"{actor.location.value} but the plan places "
-                           f"it on {device} (no reactive override seen)")
+            if any(r.actor == name for r in runtime.migrator.reports):
+                self._released.add(key)
+                continue
+            actor = runtime.actors.lookup(name)
+            if actor is None:
+                continue            # down; must restart as planned
+            if actor.migration_state is not MigrationState.RUNNING:
+                self._released.add(key)     # override in flight
+                continue
+            if actor.location.value != device and key not in self._flagged:
+                self._flagged.add(key)
+                yield (f"actor {name!r} on {server} runs on "
+                       f"{actor.location.value} but the plan places "
+                       f"it on {device} (no reactive override seen)")
 
 
 class PulseMonitor:
@@ -549,11 +531,11 @@ class PulseMonitor:
 class TenantMonitor:
     """Multi-tenant isolation invariants (docs/TENANCY.md).
 
-    Registered by the scenario builder when a spec declares tenants
-    (:attr:`~repro.scenario.spec.ScenarioSpec.tenants`); one monitor
-    watches every runtime in the testbed.  All checks are read-only
-    scans of ledgers the scheduler and DMO layer maintain anyway, so
-    the monitor adds zero virtual-time cost:
+    Registered by ``CheckPlane.watch_scenario`` when a spec declares
+    tenants (:attr:`~repro.scenario.spec.ScenarioSpec.tenants`); one
+    monitor watches every iPipe runtime in the testbed.  All checks are
+    read-only scans of ledgers the scheduler and DMO layer maintain
+    anyway, so the monitor adds zero virtual-time cost:
 
     * **per-tenant conservation** — for every tenant ``t`` on every
       scheduler, ``granted[t] == spent[t] + forfeited[t] + Σ deficit``

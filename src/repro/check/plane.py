@@ -30,7 +30,7 @@ every fired event is forwarded into the rolling step digest.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List
 
 from .monitors import (
     ChannelMonitor,
@@ -63,16 +63,12 @@ class CheckPlane:
         self.strict = strict
         self.recorder = recorder
         self.sim_index = sim_index
-        self.monitors_enabled = monitors
+        self.monitoring = monitors
         self.monitors: List = []
         self.violations: List[Violation] = []
-        self._disabled: set = set()
         self._tick = self.every
-        self._paxos: Optional[PaxosMonitor] = None
-        self._steering: Optional[SteeringMonitor] = None
-        self._pulse: Optional[PulseMonitor] = None
-        self._plan: Optional[PlanMonitor] = None
-        self._tenancy: Optional[TenantMonitor] = None
+        #: monitor class -> the one instance the watch_* methods share
+        self._singletons: Dict[type, object] = {}
         sim.checker = self
 
     def uninstall(self) -> None:
@@ -90,7 +86,7 @@ class CheckPlane:
         rec = self.recorder
         if rec is not None:
             rec.after_step(self.sim_index, when, seq, fn)
-        if self.monitors and self.monitors_enabled:
+        if self.monitors and self.monitoring:
             self._tick -= 1
             if self._tick <= 0:
                 self._tick = self.every
@@ -100,21 +96,13 @@ class CheckPlane:
     def add_monitor(self, monitor) -> None:
         self.monitors.append(monitor)
 
-    def enable(self, name: str) -> None:
-        """Re-enable a monitor family by name (e.g. ``"scheduler"``)."""
-        self._disabled.discard(name)
-
-    def disable(self, name: str) -> None:
-        """Toggle off every monitor with this name."""
-        self._disabled.add(name)
-
     def wire_runtime(self, runtime) -> None:
         """Attach the full monitor set for one IPipeRuntime.
 
         Called automatically from ``IPipeRuntime.__init__`` when the
         runtime's simulator already carries this CheckPlane.
         """
-        if not self.monitors_enabled:
+        if not self.monitoring:
             return
         self.add_monitor(SchedulerMonitor(runtime.nic_scheduler))
         self.add_monitor(DmoMonitor(runtime.dmo,
@@ -124,56 +112,58 @@ class CheckPlane:
         if runtime.rchannel is not None:
             self.add_monitor(ChannelMonitor(runtime.rchannel))
 
+    def _monitor(self, cls, *args):
+        """The plane's one monitor of ``cls``, made on first use."""
+        monitor = self._singletons.get(cls)
+        if monitor is None:
+            monitor = self._singletons[cls] = cls(*args)
+            self.add_monitor(monitor)
+        return monitor
+
     def watch_paxos(self, group: str, *nodes) -> PaxosMonitor:
         """Watch a Paxos replica group for conflicting chosen values."""
-        if self._paxos is None:
-            self._paxos = PaxosMonitor(plane=self)
-            self.add_monitor(self._paxos)
+        monitor = self._monitor(PaxosMonitor, self)
         for node in nodes:
-            self._paxos.watch(group, node)
-        return self._paxos
+            monitor.watch(group, node)
+        return monitor
 
-    def watch_steering(self, controller) -> SteeringMonitor:
-        """Watch a SteeringController for ownership/affinity/exactly-once
-        violations (one monitor per plane; repeat calls return it)."""
-        if self._steering is None:
-            self._steering = SteeringMonitor(controller)
-            self.add_monitor(self._steering)
-        return self._steering
-
-    def watch_plan(self, server: str, runtime, placements) -> PlanMonitor:
-        """Watch one runtime's planned actor placement (one monitor per
-        plane; repeat calls register more runtimes on it)."""
-        if self._plan is None:
-            self._plan = PlanMonitor()
-            self.add_monitor(self._plan)
-        self._plan.watch(server, runtime, placements)
-        return self._plan
-
-    def watch_tenancy(self, server: str, runtime) -> TenantMonitor:
-        """Watch one runtime's tenant ledgers (one monitor per plane;
-        repeat calls register more runtimes on it)."""
-        if self._tenancy is None:
-            self._tenancy = TenantMonitor()
-            self.add_monitor(self._tenancy)
-        self._tenancy.watch(server, runtime)
-        return self._tenancy
-
-    def watch_pulse(self, pulse) -> PulseMonitor:
-        """Watch a PulsePlane for passivity/lattice/accounting violations
-        (one monitor per plane; repeat calls return it)."""
-        if self._pulse is None:
-            self._pulse = PulseMonitor(pulse)
-            self.add_monitor(self._pulse)
-        return self._pulse
+    def watch_scenario(self, scenario) -> None:
+        """Register the plane monitors a built scenario calls for, in
+        this order: tenancy (when the spec declares tenants), the
+        placement plan (its pins), steering, pulse, then Paxos over
+        every rkv replica group with more than one member.  Called once,
+        at the end of :func:`repro.scenario.build`."""
+        if not self.monitoring:
+            return
+        spec = scenario.spec
+        if spec.tenants:
+            tenancy = self._monitor(TenantMonitor)
+            for name, runtime in scenario.ipipe_runtimes():
+                tenancy.watch(name, runtime)
+        for app in spec.apps:
+            for key, device in app.placement:
+                server, _, actor = key.partition("/")
+                if server in scenario.servers:     # else another shard
+                    self._monitor(PlanMonitor).watch(
+                        server, scenario.servers[server].runtime,
+                        [(actor, device)])
+        if scenario.steering is not None:
+            self._monitor(SteeringMonitor, scenario.steering)
+        if scenario.pulse_plane is not None:
+            self._monitor(PulseMonitor, scenario.pulse_plane)
+        for a, app in enumerate(scenario.apps):
+            for g, group in enumerate(app.groups if app.kind == "rkv"
+                                      else ()):
+                if len(group) > 1:
+                    self.watch_paxos(f"apps[{a}].groups[{g}]",
+                                     *(app.nodes[n].paxos for n in group
+                                       if n in app.nodes))
 
     # -- checking ---------------------------------------------------------
     def check_now(self) -> None:
-        """Run every enabled monitor once, immediately."""
+        """Run every monitor once, immediately."""
         now = self.sim.now
         for monitor in self.monitors:
-            if monitor.name in self._disabled:
-                continue
             for message in monitor.check(now):
                 self.report(monitor, message)
 

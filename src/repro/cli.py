@@ -298,14 +298,16 @@ def _cmd_top(argv) -> int:
 
 
 def _cmd_slo(argv) -> int:
-    """``repro slo``: run the SLO study and print the burn-rate report."""
+    """``repro slo``: run the SLO study, print the burn-rate report and
+    export the sampled series."""
     from .obs import render_slo_report
     parser = argparse.ArgumentParser(
         prog="python -m repro slo",
         description="Run the PulsePlane SLO study (aggressor vs victim) "
                     "and print each SLO's burn-rate evaluation: state, "
                     "breach/recovery transitions, and budget math "
-                    "(docs/OBSERVABILITY.md). Exit code 0: the whole "
+                    "(docs/OBSERVABILITY.md); --csv/--out export the "
+                    "continuous telemetry. Exit code 0: the whole "
                     "breach -> load-driven migration -> recovery loop "
                     "closed; 1 otherwise.")
     parser.add_argument("--seed", type=int, default=None)
@@ -313,34 +315,18 @@ def _cmd_slo(argv) -> int:
                         metavar="US", help="victim p99 SLO threshold")
     parser.add_argument("--quick", action="store_true",
                         help="shorter run (~1s)")
+    parser.add_argument("--csv", default=None, metavar="PATH",
+                        help="write the sampled series as a "
+                             "series,t_us,value table")
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="write Chrome trace_event counter tracks "
+                             "(open at https://ui.perfetto.dev)")
     args = parser.parse_args(argv)
     run, kwargs = _leg("slo", args.quick, args.seed)
     report = run(threshold_us=args.threshold, **kwargs)
     print(report.summary())
-    print(render_slo_report(report.pulse_plane.slo_report()))
-    return 0 if report.ok else 1
-
-
-def _cmd_pulse(argv) -> int:
-    """``repro pulse``: run a pulse-sampled study, export the series."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro pulse",
-        description="Run the pulse-sampled SLO study and export the "
-                    "continuous telemetry: --csv for a series,t_us,value "
-                    "table, --out for Perfetto-loadable counter tracks "
-                    "(open at https://ui.perfetto.dev).")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--csv", default=None, metavar="PATH",
-                        help="write the sampled series as CSV")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write Chrome trace_event counter tracks")
-    args = parser.parse_args(argv)
-    if not args.csv and not args.out:
-        parser.error("nothing to export: pass --csv and/or --out")
-    run, kwargs = _leg("slo", seed=args.seed)
-    report = run(**kwargs)
-    print(report.summary())
     pulse = report.pulse_plane
+    print(render_slo_report(pulse.slo_report()))
     if args.csv:
         rows = pulse.export_csv(args.csv)
         print(f"{rows} samples -> {args.csv}")
@@ -687,18 +673,20 @@ def _cmd_scenario(argv) -> int:
     import dataclasses
     from .scenario import ScenarioError, run_scenario
     try:
-        spec = _resolve_spec(args.spec)
+        try:
+            spec = _resolve_spec(args.spec)
+        except (_BadFile, KeyError) as exc:
+            print(exc.args[0], file=sys.stderr)
+            return 2
         if args.shards is not None:
             spec = dataclasses.replace(spec, execution=dataclasses.replace(
                 spec.execution, shards=args.shards))
         spec.validate()
-    except (_BadFile, KeyError) as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+        # a build-time rule (e.g. a pin naming no actor) raises here
+        result = run_scenario(spec, duration_us=args.duration_us)
     except ScenarioError as exc:
         print(f"invalid spec {args.spec}: {exc}", file=sys.stderr)
         return 2
-    result = run_scenario(spec, duration_us=args.duration_us)
     print(f"scenario {result.name} (seed {result.seed}, "
           f"{result.duration_us:.0f}µs"
           + (f", shards={spec.execution.shards}"
@@ -906,7 +894,6 @@ COMMANDS: Dict[str, Callable[[list], int]] = {
     # shorthand: ``repro run SPEC ...`` == ``repro scenario run ...``
     "run": lambda argv: _cmd_scenario(["run"] + argv),
     "slo": _cmd_slo,
-    "pulse": _cmd_pulse,
 }
 
 

@@ -56,9 +56,10 @@ PHASE_NAMES = {1: "prepare", 2: "drain", 3: "move", 4: "forward"}
 class Migrator:
     """Executes migrations on behalf of the scheduler's management core.
 
-    The runtime provides the integration points: draining leftover
-    requests, pricing the object move, re-registering the actor, and
-    re-forwarding buffered traffic.
+    The runtime, always an :class:`~repro.core.runtime.IPipeRuntime`,
+    provides the integration points: draining leftover requests, pricing
+    the object move, re-registering the actor, re-forwarding buffered
+    traffic and re-steering the moved actor.
     """
 
     def __init__(self, runtime):
@@ -71,7 +72,7 @@ class Migrator:
         tracer = self.runtime.sim.tracer
         if tracer is None or not report.phase_us:
             return
-        node = getattr(self.runtime, "node_name", "")
+        node = self.runtime.node_name
         end = self.runtime.sim.now
         start = end - report.total_us
         parent = tracer.record_span(
@@ -159,8 +160,7 @@ class Migrator:
         report.phase_us[4] = sim.now - t0
 
         actor.migration_state = MigrationState.RUNNING
-        if hasattr(self.runtime, "update_steering"):
-            self.runtime.update_steering(actor)
+        self.runtime.update_steering(actor)
         self.reports.append(report)
         self._trace_report(report)
         return report
@@ -204,8 +204,7 @@ class Migrator:
         report.phase_us[4] = sim.now - t0
 
         actor.migration_state = MigrationState.RUNNING
-        if hasattr(self.runtime, "update_steering"):
-            self.runtime.update_steering(actor)
+        self.runtime.update_steering(actor)
         self.reports.append(report)
         self._trace_report(report)
         return report
@@ -310,20 +309,12 @@ class CrossRackMigrator:
     # -- cost model -------------------------------------------------------
     def wire_transfer_us(self, src_runtime, nbytes: int) -> float:
         """Checkpoint shipping time over the source's rack uplink."""
-        bandwidth_gbps, propagation_us, inter_rack_us = 40.0, 1.0, 0.0
-        network = getattr(src_runtime, "network", None)
-        if network is not None:
-            inter_rack_us = getattr(network, "inter_rack_propagation_us", 0.0)
-            try:
-                uplink = network.uplink(src_runtime.node_name)
-            except (AttributeError, KeyError):
-                uplink = None
-            if uplink is not None:
-                bandwidth_gbps = uplink.bandwidth_gbps
-                propagation_us = uplink.propagation_us
-        serialization = nbytes * 8.0 / (bandwidth_gbps * 1000.0)
+        network = src_runtime.network
+        uplink = network.uplink(src_runtime.node_name)
+        serialization = nbytes * 8.0 / (uplink.bandwidth_gbps * 1000.0)
         return (XRACK_HANDSHAKE_US + serialization
-                + 2.0 * (propagation_us + inter_rack_us))
+                + 2.0 * (uplink.propagation_us
+                         + network.inter_rack_propagation_us))
 
     # -- the protocol -----------------------------------------------------
     def migrate(self, src_runtime, dst_runtime, actor_names: List[str],
@@ -408,7 +399,7 @@ class CrossRackMigrator:
         report.moved_bytes = ticket.moved_bytes
         yield Timeout(self.wire_transfer_us(src_runtime, ticket.moved_bytes))
         report.phase_us[3] = report.phase_us.get(3, 0.0) + (sim.now - t0)
-        if not getattr(dst_runtime, "_running", True):
+        if not dst_runtime._running:
             raise MigrationInterrupted(src_node, dst_node, ticket.actors)
 
         # Phase 4: atomic hand-over — delete at source, restore at

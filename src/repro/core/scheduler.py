@@ -263,14 +263,33 @@ class NicScheduler:
 
     # -- core faults (FaultPlane hooks) --------------------------------------
     def stall_core(self, core_id: int, duration_us: float) -> bool:
-        """Freeze one core for ``duration_us``; survivors keep scheduling."""
+        """Freeze one core for ``duration_us``; survivors keep scheduling.
+
+        A core blocked on the empty shared queue is withdrawn from it, so
+        it takes no item while stalled, and rejoins it when the stall
+        ends (:meth:`_rejoin_queue`)."""
         if not 0 <= core_id < self.num_cores:
             return False
         if not self.core_health.alive(core_id):
             return False
         self.core_health.stall(core_id, self.sim.now, duration_us)
         self.core_stalls += 1
+        if self.queue.withdraw(self._procs[core_id]):
+            self.sim.post(duration_us, self._rejoin_queue, core_id)
         return True
+
+    def _rejoin_queue(self, core_id: int) -> None:
+        """A stalled core withdrawn from the shared queue blocks on it
+        again (or takes an item queued meanwhile), unless it failed or
+        was stalled again for longer."""
+        health = self.core_health
+        if not health.alive(core_id):
+            return
+        stall = health.stall_remaining(core_id, self.sim.now)
+        if stall > 0.0:
+            self.sim.post(stall, self._rejoin_queue, core_id)
+        else:
+            self.queue.pop(_forward_cost).subscribe(self._procs[core_id])
 
     def fail_core(self, core_id: int) -> bool:
         """Permanently fail one core and rebalance the survivors.

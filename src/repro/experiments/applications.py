@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..baselines import DpdkRuntime
+from ..core import IPipeRuntime
 from ..nic import LIQUIDIO_CN2350, NicSpec
 from ..scenario import (
     AppSpec,
@@ -117,7 +117,7 @@ def run_app(system: str, app: str, nic_spec: NicSpec = LIQUIDIO_CN2350,
     for runtime in runtimes.values():
         for tracker in runtime.host_util:
             tracker.busy_time = 0.0
-        if hasattr(runtime, "nic") and not isinstance(runtime, DpdkRuntime):
+        if isinstance(runtime, IPipeRuntime):
             for tracker in runtime.nic.core_util:
                 tracker.busy_time = 0.0
     gen.latency.samples.clear()
@@ -130,7 +130,7 @@ def run_app(system: str, app: str, nic_spec: NicSpec = LIQUIDIO_CN2350,
     host_cores = {n: rt.host_cores_used(window) for n, rt in runtimes.items()}
     nic_cores = {
         n: (rt.nic.cores_used(window)
-            if hasattr(rt, "nic") and not isinstance(rt, DpdkRuntime) else 0.0)
+            if isinstance(rt, IPipeRuntime) else 0.0)
         for n, rt in runtimes.items()
     }
     return AppRunResult(

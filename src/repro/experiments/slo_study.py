@@ -28,7 +28,7 @@ breach accounting) hold throughout.
 Usage::
 
     PYTHONPATH=src python -m repro slo --seed 42
-    PYTHONPATH=src python -m repro pulse --csv pulse.csv --out pulse.json
+    PYTHONPATH=src python -m repro slo --csv pulse.csv --out pulse.json
     PYTHONPATH=src python -m repro check --replay 2 slo-study --quick
 
 or, in code, ``repro.exec.grids.chaos_point("slo", seed=42)``.

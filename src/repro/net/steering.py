@@ -358,6 +358,17 @@ class RebalanceSpec:
     #: the chance to take effect before the next is considered.
     cooldown_us: float = 5_000.0
 
+    def __post_init__(self) -> None:
+        for name, ok, rule in (
+                ("notice_us", self.notice_us >= 0, ">= 0"),
+                ("util_high", 0.0 < self.util_high <= 1.0, "in (0, 1]"),
+                ("skew_min", 0.0 <= self.skew_min <= 1.0, "in [0, 1]"),
+                ("sustain_periods", self.sustain_periods >= 1, ">= 1"),
+                ("cooldown_us", self.cooldown_us >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule} "
+                                 f"(got {getattr(self, name)})")
+
 
 @dataclass
 class MovableBackend:
@@ -499,8 +510,7 @@ class Rebalancer:
         for name in sorted(self.runtimes):
             if name == exclude or name in hosting:
                 continue
-            runtime = self.runtimes[name]
-            if not getattr(runtime, "_running", True):
+            if not self.runtimes[name]._running:
                 continue
             util = utils.get(name, 0.0)
             if util < best_util:
@@ -510,9 +520,8 @@ class Rebalancer:
     def _pick_destination(self, exclude_rack: str) -> Optional[str]:
         hosting = set(self.placement.values())
         for name in sorted(self.runtimes):
-            runtime = self.runtimes[name]
             if (name in hosting or self.rack_of(name) == exclude_rack
-                    or not getattr(runtime, "_running", True)):
+                    or not self.runtimes[name]._running):
                 continue
             return name
         return None

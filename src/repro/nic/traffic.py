@@ -92,10 +92,13 @@ class TrafficManager:
         """Immediate dequeue; returns None when the queue is empty."""
         return self.items.popleft() if self.items else None
 
-    def withdraw(self, process: Process) -> None:
-        """Take a blocked core out of the waiters (it failed): the items
-        pushed from now on go to the cores still waiting."""
+    def withdraw(self, process: Process) -> bool:
+        """Take a blocked core out of the waiters (it failed or stalled):
+        the items pushed from now on go to the cores still waiting.
+        True when the core was waiting."""
+        waiting = len(self._waiters)
         self._waiters = deque(w for w in self._waiters if w[0] is not process)
+        return len(self._waiters) < waiting
 
     def _hand(self, process: Process, service, item) -> None:
         t = self.sim.now

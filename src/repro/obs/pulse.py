@@ -325,15 +325,14 @@ class PulsePlane:
         self._feeds.append(feed)
 
     # -- convenience wiring ----------------------------------------------
-    def watch_server(self, name: str, nic=None, scheduler=None,
-                     runtime=None) -> None:
-        """Per-server gauges: ``nic.util.<name>``, ``nic.queue.<name>``,
-        and ``host.util.<name>`` when the runtime has host workers."""
-        if nic is not None:
-            self.add_probe(f"nic.util.{name}", nic_utilization_probe(nic))
-        if scheduler is not None:
-            self.add_probe(f"nic.queue.{name}", queue_depth_probe(scheduler))
-        if runtime is not None and getattr(runtime, "host_util", None):
+    def watch_server(self, name: str, runtime) -> None:
+        """Per-server gauges of one iPipe runtime: ``nic.util.<name>``,
+        ``nic.queue.<name>``, and ``host.util.<name>`` when it has host
+        workers."""
+        self.add_probe(f"nic.util.{name}", nic_utilization_probe(runtime.nic))
+        self.add_probe(f"nic.queue.{name}",
+                       queue_depth_probe(runtime.nic_scheduler))
+        if runtime.host_util:
             self.add_probe(f"host.util.{name}",
                            host_utilization_probe(runtime))
 

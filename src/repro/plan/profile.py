@@ -149,10 +149,7 @@ def profile_scenario(spec: ScenarioSpec,
     rows: List[ActorProfile] = []
     for name in sorted(scenario.servers):
         runtime = scenario.servers[name].runtime
-        table = getattr(runtime, "actors", None)
-        if table is None:
-            continue
-        for actor in sorted(table, key=lambda a: a.name):
+        for actor in sorted(runtime.actors, key=lambda a: a.name):
             wp = actor.profile
             rows.append(ActorProfile(
                 server=name,

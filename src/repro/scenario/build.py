@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..baselines import DpdkRuntime, FloemRuntime
 from ..core import IPipeRuntime, Location, SchedulerConfig
@@ -150,6 +150,13 @@ class Scenario:
     def client(self, name: str) -> ClientPort:
         return self.clients[name]
 
+    def ipipe_runtimes(self) -> List[Tuple[str, IPipeRuntime]]:
+        """``(name, runtime)`` of every server that runs iPipe (Floem
+        included), in name order; the only other kind is DpdkRuntime."""
+        return [(name, self.servers[name].runtime)
+                for name in sorted(self.servers)
+                if isinstance(self.servers[name].runtime, IPipeRuntime)]
+
     def app(self, kind: str) -> BuiltApp:
         for app in self.apps:
             if app.kind == kind:
@@ -162,9 +169,7 @@ class Scenario:
 
     def stop(self) -> None:
         for gen in self.generators:
-            stop = getattr(gen, "stop", None)
-            if stop is not None:
-                stop()
+            gen.stop()
         for server in self.servers.values():
             server.runtime.stop()
 
@@ -244,8 +249,7 @@ def _install_payload_router(scenario: Scenario, name: str) -> None:
             packet.kind = packet.payload["kind"]
         original(packet)
 
-    if hasattr(runtime, "nic") and hasattr(runtime.nic, "packet_handler") \
-            and not isinstance(runtime, DpdkRuntime):
+    if isinstance(runtime, IPipeRuntime):
         runtime.nic.packet_handler = routed
     else:
         scenario.network.egress(runtime.node_name).receiver = routed
@@ -350,40 +354,28 @@ def _build_app(scenario: Scenario, app: AppSpec) -> BuiltApp:
     return built
 
 
-def _actor_names(scenario: Scenario) -> Dict[str, set]:
-    """Snapshot of registered actor names per server (tenant diffing)."""
-    out: Dict[str, set] = {}
-    for name, server in scenario.servers.items():
-        table = getattr(server.runtime, "actors", None)
-        out[name] = {a.name for a in table} if table is not None else set()
-    return out
+def _actor_names(scenario: Scenario) -> set:
+    """Every registered ``(server, actor)`` name (tenant diffing)."""
+    return {(name, actor.name) for name, server in scenario.servers.items()
+            for actor in server.runtime.actors}
 
 
-def _assign_tenant(scenario: Scenario, tenant: str,
-                   before: Dict[str, set]) -> None:
+def _assign_tenant(scenario: Scenario, tenant: str, before: set) -> None:
     """Stamp the actors one app build just registered with its tenant.
 
     Registration ran before the app's tenant was known, so the DMO
     region tag is applied retroactively (moving any init-time
     allocations into the tenant's usage ledger)."""
     for name, server in scenario.servers.items():
-        runtime = server.runtime
-        table = getattr(runtime, "actors", None)
-        if table is None:
-            continue
-        seen = before.get(name, set())
-        for actor in table:
-            if actor.name in seen:
-                continue
-            actor.tenant = tenant
-            dmo = getattr(runtime, "dmo", None)
-            if dmo is not None:
-                dmo.set_tenant(actor.name, tenant)
+        for actor in server.runtime.actors:
+            if (name, actor.name) not in before:
+                actor.tenant = tenant
+                server.runtime.dmo.set_tenant(actor.name, tenant)
 
 
 def _apply_tenancy(scenario: Scenario) -> None:
-    """Push the spec's tenant budgets into every runtime and register
-    the TenantMonitor (docs/TENANCY.md).
+    """Push the spec's tenant budgets into every iPipe runtime
+    (docs/TENANCY.md).
 
     Shares/budgets that are 0 stay unconfigured — a spec declaring
     tenants purely for accounting adds no events and keeps the schedule
@@ -395,18 +387,10 @@ def _apply_tenancy(scenario: Scenario) -> None:
                     for t in spec.tenants if t.accelerator_share > 0.0}
     budgets = {t.name: t.dmo_budget_bytes
                for t in spec.tenants if t.dmo_budget_bytes > 0}
-    for name in sorted(scenario.servers):
-        runtime = scenario.servers[name].runtime
-        if hasattr(runtime, "set_tenancy"):
-            runtime.set_tenancy(nic_shares=nic_shares or None,
-                                accel_shares=accel_shares or None,
-                                dmo_budgets=budgets or None)
-    checker = scenario.sim.checker
-    if checker is not None and hasattr(checker, "watch_tenancy"):
-        for name in sorted(scenario.servers):
-            runtime = scenario.servers[name].runtime
-            if hasattr(runtime, "nic_scheduler"):
-                checker.watch_tenancy(name, runtime)
+    for _, runtime in scenario.ipipe_runtimes():
+        runtime.set_tenancy(nic_shares=nic_shares or None,
+                            accel_shares=accel_shares or None,
+                            dmo_budgets=budgets or None)
 
 
 def _apply_placement_pins(scenario: Scenario) -> None:
@@ -414,10 +398,8 @@ def _apply_placement_pins(scenario: Scenario) -> None:
     (:attr:`AppSpec.placement`): move each named actor to its planned
     device *before any traffic flows*, so the pinned start state is part
     of the deterministic build — the planner's equivalent of registering
-    the actor there in the first place.  When a CheckPlane is installed,
-    every applied pin lands on its PlanMonitor, which asserts the plan
-    holds until the first reactive override."""
-    by_server: Dict[str, Dict[str, str]] = {}
+    the actor there in the first place.  ``validate()`` has already
+    checked that each pinned server runs iPipe."""
     for app in scenario.spec.apps:
         for key, device in app.placement:
             server, _, actor_name = key.partition("/")
@@ -425,16 +407,10 @@ def _apply_placement_pins(scenario: Scenario) -> None:
             if node is None:
                 continue    # rack-sharded partial build: not our shard
             runtime = node.runtime
-            table = getattr(runtime, "actors", None)
-            if table is None:
-                raise ScenarioError(
-                    [f"placement pin {key!r}: {server} runs "
-                     f"{type(runtime).__name__}, which has no actor table"])
-            actor = table.lookup(actor_name)
+            actor = runtime.actors.lookup(actor_name)
             if actor is None:
                 raise ScenarioError(
                     [f"placement pin {key!r}: no such actor on {server}"])
-            by_server.setdefault(server, {})[actor_name] = device
             target = Location.NIC if device == "nic" else Location.HOST
             if actor.location is target:
                 continue
@@ -444,13 +420,7 @@ def _apply_placement_pins(scenario: Scenario) -> None:
                      f"{actor.location.value} and cannot move to {device}"])
             runtime.dmo.migrate_all(actor.name, target)
             actor.location = target
-            if hasattr(runtime, "update_steering"):
-                runtime.update_steering(actor)
-    checker = scenario.sim.checker
-    if checker is not None and hasattr(checker, "watch_plan"):
-        for server in sorted(by_server):
-            checker.watch_plan(server, scenario.servers[server].runtime,
-                               sorted(by_server[server].items()))
+            runtime.update_steering(actor)
 
 
 # -- client fleets ------------------------------------------------------------
@@ -512,7 +482,10 @@ def build(spec: ScenarioSpec, sim: Optional[Simulator] = None,
     schedule): simulator → fabric → trace plane → fault plane → servers
     in rack order → apps in spec order → client ports → fleets → fault
     wiring.  Pass ``sim`` to build inside an existing simulator (e.g.
-    one instrumented by a SanitizerSession).
+    one instrumented by a SanitizerSession).  Last, a checker with a
+    ``watch_scenario`` method (a CheckPlane) registers the monitors the
+    built planes call for; a checker with only the engine hooks is left
+    as it is.
 
     Pass ``network`` (a fabric with its nodes placed) to build only the
     racks it holds, inside its simulator: the rack-sharded executor
@@ -555,7 +528,7 @@ def build(spec: ScenarioSpec, sim: Optional[Simulator] = None,
                 recovery=scenario.recovery)
 
     for app in spec.apps:
-        before = _actor_names(scenario) if spec.tenants else {}
+        before = _actor_names(scenario) if spec.tenants else set()
         scenario.apps.append(_build_app(scenario, app))
         if spec.tenants and app.tenant:
             _assign_tenant(scenario, app.tenant, before)
@@ -582,9 +555,8 @@ def build(spec: ScenarioSpec, sim: Optional[Simulator] = None,
         if spec.steering:
             # any server may inherit a steered backend after a rebalance,
             # so every runtime must understand the fleets' wire format
-            for name in sorted(scenario.servers):
-                runtime = scenario.servers[name].runtime
-                if name not in covered and hasattr(runtime, "_steer_seen"):
+            for name, _ in scenario.ipipe_runtimes():
+                if name not in covered:
                     _install_payload_router(scenario, name)
 
     for rack in racks:
@@ -606,12 +578,15 @@ def build(spec: ScenarioSpec, sim: Optional[Simulator] = None,
     if spec.observability.pulse is not None:
         _build_pulse(scenario)
 
+    watch = getattr(sim.checker, "watch_scenario", None)
+    if watch is not None:
+        watch(scenario)
     return scenario
 
 
 def _build_steering(scenario: Scenario) -> None:
     """Install the SteeringController on every fabric switch and hook
-    the runtimes' delivery notes + the CheckPlane monitor."""
+    the iPipe runtimes' delivery notes."""
     from ..net.steering import SteeringController
     spec = scenario.spec
     controller = SteeringController(scenario.sim)
@@ -628,14 +603,9 @@ def _build_steering(scenario: Scenario) -> None:
     spine = scenario.network.spine
     if spine is not None:
         controller.install(spine)
-    for name in sorted(scenario.servers):
-        runtime = scenario.servers[name].runtime
-        if hasattr(runtime, "_steer_seen"):
-            runtime.steer_note = (
-                lambda pkt, _c=controller, _n=name: _c.note_delivery(_n, pkt))
-    checker = scenario.sim.checker
-    if checker is not None and hasattr(checker, "watch_steering"):
-        checker.watch_steering(controller)
+    for name, runtime in scenario.ipipe_runtimes():
+        runtime.steer_note = (
+            lambda pkt, _c=controller, _n=name: _c.note_delivery(_n, pkt))
 
 
 def _build_rebalancer(scenario: Scenario) -> None:
@@ -656,8 +626,7 @@ def _build_rebalancer(scenario: Scenario) -> None:
     scenario.rebalancer = Rebalancer(
         scenario.sim, controller=scenario.steering, migrator=migrator,
         policy=spec.rebalance, service=st.service, backends=backends,
-        runtimes={n: s.runtime for n, s in scenario.servers.items()
-                  if hasattr(s.runtime, "_steer_seen")},
+        runtimes=dict(scenario.ipipe_runtimes()),
         rack_of=scenario.network.rack_of, window_us=st.window_us,
         fault_plane=scenario.fault_plane)
 
@@ -675,13 +644,8 @@ def _build_pulse(scenario: Scenario) -> None:
                        retention=ps.retention)
     scenario.pulse_plane = pulse
     if ps.watch_servers:
-        for name in sorted(scenario.servers):
-            server = scenario.servers[name]
-            if server.nic is None:
-                continue
-            sched = getattr(server.runtime, "nic_scheduler", None)
-            pulse.watch_server(name, nic=server.nic, scheduler=sched,
-                               runtime=server.runtime)
+        for name, runtime in scenario.ipipe_runtimes():
+            pulse.watch_server(name, runtime)
     if ps.watch_steering and scenario.steering is not None:
         pulse.watch_steering(scenario.steering)
     for slo in spec.observability.slos:
@@ -692,9 +656,6 @@ def _build_pulse(scenario: Scenario) -> None:
         _build_tenant_pulse(scenario, pulse)
     if scenario.rebalancer is not None and scenario.rebalancer.policy.on_load:
         LoadFeed(pulse, scenario.rebalancer)
-    checker = scenario.sim.checker
-    if checker is not None and hasattr(checker, "watch_pulse"):
-        checker.watch_pulse(pulse)
 
 
 def _build_tenant_pulse(scenario: Scenario, pulse) -> None:
@@ -703,9 +664,8 @@ def _build_tenant_pulse(scenario: Scenario, pulse) -> None:
     SLO services, ``tenant.svc.<t>.*`` quantiles, and one tenant-named
     SLO evaluator per :attr:`TenantSpec.slos` entry."""
     spec = scenario.spec
-    schedulers = [scenario.servers[n].runtime.nic_scheduler
-                  for n in sorted(scenario.servers)
-                  if hasattr(scenario.servers[n].runtime, "nic_scheduler")]
+    schedulers = [runtime.nic_scheduler
+                  for _, runtime in scenario.ipipe_runtimes()]
     watched = {(slo.service, slo.pct) for slo in spec.observability.slos}
     for tenant in spec.tenants:
         slos = [SLOSpec.from_text(raw) for raw in tenant.slos]

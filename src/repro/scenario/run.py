@@ -87,16 +87,15 @@ def _collect(scenarios: List[Scenario],
         for name, server in scenario.servers.items():
             runtime = server.runtime
             result.host_cores[name] = runtime.host_cores_used(duration_us)
-            if server.nic is not None and hasattr(server.nic, "cores_used"):
+            if server.nic is not None:
                 result.nic_cores[name] = server.nic.cores_used(duration_us)
         plane = scenario.fault_plane
         if plane is not None:
             result.faults_injected += plane.snapshot().total
             from ..core import recovery_snapshot
             result.recoveries += sum(
-                recovery_snapshot(server.runtime).restarts
-                for server in scenario.servers.values()
-                if hasattr(server.runtime, "nic_scheduler"))
+                recovery_snapshot(runtime).restarts
+                for _, runtime in scenario.ipipe_runtimes())
     if spines:
         result.switch_counters["spine"] = (
             sum(spine.forwarded for spine in spines),

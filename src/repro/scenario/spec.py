@@ -54,25 +54,39 @@ WORKLOAD_KINDS = ("kv", "txn", "twitter", "none")
 FLEET_MODES = ("closed", "open")
 
 
-def _check_ranges(spec, positive=(), **floors) -> None:
-    """``__post_init__`` range checks (None always passes): each field
-    in ``positive`` must be > 0, each in ``floors`` >= its floor."""
-    for name in positive:
-        value = getattr(spec, name)
-        if value is not None and value <= 0:
-            raise ValueError(f"{name} must be positive (got {value})")
-    for name, floor in floors.items():
-        value = getattr(spec, name)
-        if value is not None and value < floor:
-            raise ValueError(f"{name} must be >= {floor} (got {value})")
-
-
 class ScenarioError(ValueError):
     """A spec failed validation; ``problems`` lists every finding."""
 
     def __init__(self, problems: Sequence[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+def _check_ranges(spec, positive=(), fractions=(), **bounds) -> None:
+    """``__post_init__`` checks of single fields (None always passes):
+    each field in ``positive`` must be > 0, each in ``fractions`` in
+    [0, 1], and each in ``bounds`` one of its choices when the bound is
+    a tuple, else >= it.  The first failure raises ScenarioError."""
+    def fail(problem):
+        raise ScenarioError([problem])
+
+    for name in positive:
+        value = getattr(spec, name)
+        if value is not None and value <= 0:
+            fail(f"{name} must be positive (got {value})")
+    for name in fractions:
+        value = getattr(spec, name)
+        if value is not None and not 0.0 <= value <= 1.0:
+            fail(f"{name} must be in [0, 1] (got {value})")
+    for name, bound in bounds.items():
+        value = getattr(spec, name)
+        if value is None:
+            continue
+        if isinstance(bound, tuple):
+            if value not in bound:
+                fail(f"unknown {name} {value!r} (have {bound})")
+        elif value < bound:
+            fail(f"{name} must be >= {bound} (got {value})")
 
 
 def resolve_nic(ref) -> NicSpec:
@@ -102,14 +116,15 @@ class ServerSpec:
     scheduler: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        _check_ranges(self, host_workers=0, host_cores=1)
+        _check_ranges(self, host_workers=0, host_cores=1, system=SYSTEMS)
+        resolve_nic(self.nic)
+        self.scheduler_config()
 
-    def scheduler_config(self, path: str = "scheduler"
-                         ) -> Optional[SchedulerConfig]:
+    def scheduler_config(self) -> Optional[SchedulerConfig]:
         """The overrides read by type into a fresh SchedulerConfig (the
         watchdog appends to its kill list), or None when there are none."""
-        return (decode(SchedulerConfig, dict(self.scheduler), path=path)
-                if self.scheduler else None)
+        return (decode(SchedulerConfig, dict(self.scheduler),
+                       path="scheduler") if self.scheduler else None)
 
 
 @dataclass(frozen=True)
@@ -163,6 +178,15 @@ class TenantSpec:
     accelerator_share: float = 0.0     # fraction of accelerator time
     dmo_budget_bytes: int = 0          # total DMO region bytes (0 = unlimited)
     slos: Tuple[str, ...] = ()         # compact SLO grammar strings
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ScenarioError(["name must not be empty"])
+        # a share of 0 means "declared but unshared": ledgers and
+        # monitors run, the scheduler serves the tenant flat
+        _check_ranges(self, fractions=("nic_core_share",
+                                       "accelerator_share"),
+                      dmo_budget_bytes=0)
 
 
 # -- app options: one class per app kind -------------------------------------
@@ -255,7 +279,15 @@ class AppSpec:
     KEYED_FIELDS = {"options": ("kind", APP_OPTIONS)}
 
     def __post_init__(self) -> None:
-        if self.options is None and self.kind in APP_OPTIONS:
+        _check_ranges(self, kind=APP_KINDS, shards=1)
+        for key, device in self.placement:
+            if "/" not in key:
+                raise ScenarioError([f"placement key {key!r} is not "
+                                     f"'server/actor'"])
+            if device not in ("nic", "host"):
+                raise ScenarioError([f"placement {key!r} device {device!r} "
+                                     f"is not nic|host"])
+        if self.options is None:
             object.__setattr__(self, "options", APP_OPTIONS[self.kind]())
 
     def replica_groups(self, all_servers: Sequence[str]
@@ -293,7 +325,12 @@ class FleetSpec:
 
     def __post_init__(self) -> None:
         # size is a frame size: a smaller one would run as MIN_FRAME
-        _check_ranges(self, size=MIN_FRAME, think_time_us=0)
+        _check_ranges(self, size=MIN_FRAME, think_time_us=0,
+                      mode=FLEET_MODES, workload=WORKLOAD_KINDS)
+        if self.mode == "open" and self.rate_mpps <= 0:
+            raise ScenarioError(["open-loop needs rate_mpps > 0"])
+        if self.mode == "closed" and self.clients < 1:
+            raise ScenarioError(["closed-loop needs clients >= 1"])
 
 
 @dataclass(frozen=True)
@@ -313,6 +350,8 @@ class SteeringSpec:
     window_us: float = 2_000.0         # forwarding window after a repoint
 
     def __post_init__(self) -> None:
+        if not self.service:
+            raise ScenarioError(["service must not be empty"])
         _check_ranges(self, table_size=2, window_us=0)
 
 
@@ -439,6 +478,13 @@ class ExecSpec:
     processes: int = 0                 # must be 0 (see above)
     fault_streams: str = "auto"        # auto | shared | per-component
 
+    def __post_init__(self) -> None:
+        _check_ranges(self, shards=EXEC_SHARDS,
+                      fault_streams=FAULT_STREAM_MODES)
+        if self.processes != 0:
+            raise ScenarioError(["process-backed shards were removed; "
+                                 "processes must be 0"])
+
     def resolved_fault_streams(self) -> str:
         if self.fault_streams != "auto":
             return self.fault_streams
@@ -464,6 +510,11 @@ class ScenarioSpec:
     duration_us: float = 20_000.0
     description: str = ""
     version: int = SPEC_VERSION
+
+    def __post_init__(self) -> None:
+        if not self.racks:
+            raise ScenarioError(["no racks"])
+        _check_ranges(self, ("duration_us",))
 
     # -- introspection --------------------------------------------------------
     def server_specs(self) -> List[ServerSpec]:
@@ -499,10 +550,10 @@ class ScenarioSpec:
 
     # -- validation -----------------------------------------------------------
     def validate(self) -> "ScenarioSpec":
-        """Raise :class:`ScenarioError` listing every problem found."""
+        """Raise :class:`ScenarioError` listing every problem that
+        relates two fields or two specs.  A rule on one field lives in
+        its class's ``__post_init__``, so no spec object breaks one."""
         problems: List[str] = []
-        if not self.racks:
-            problems.append("no racks")
         names = self.server_names() + self.client_names()
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
@@ -510,28 +561,12 @@ class ScenarioSpec:
         rack_names = [r.name for r in self.racks]
         if len(set(rack_names)) != len(rack_names):
             problems.append(f"duplicate rack names: {rack_names}")
-        for r, rack in enumerate(self.racks):
-            for i, server in enumerate(rack.servers):
-                if server.system not in SYSTEMS:
-                    problems.append(f"{server.name}: unknown system "
-                                    f"{server.system!r} (have {SYSTEMS})")
-                if not isinstance(server.nic, NicSpec) \
-                        and server.nic not in NIC_CATALOG:
-                    problems.append(f"{server.name}: unknown NIC "
-                                    f"{server.nic!r}")
-                try:
-                    server.scheduler_config(
-                        f"racks[{r}].servers[{i}].scheduler")
-                except ScenarioError as exc:
-                    problems += exc.problems
-        known = set(self.server_names())
+        systems = {s.name: s.system for s in self.server_specs()}
+        known = set(systems)
         clients = set(self.client_names())
         app_kinds = {a.kind for a in self.apps}
         for app in self.apps:
-            if app.kind not in APP_KINDS:
-                problems.append(f"app: unknown kind {app.kind!r} "
-                                f"(have {APP_KINDS})")
-            elif type(app.options) is not APP_OPTIONS[app.kind]:
+            if type(app.options) is not APP_OPTIONS[app.kind]:
                 problems.append(
                     f"app {app.kind}: options must be "
                     f"{APP_OPTIONS[app.kind].__name__}, not "
@@ -544,44 +579,28 @@ class ScenarioSpec:
                 if server not in known:
                     problems.append(f"app {app.kind}: unknown server "
                                     f"{server!r}")
-            if app.shards < 1:
-                problems.append(f"app {app.kind}: shards must be >= 1")
-            elif app.shards > 1:
-                placed = list(app.servers) or list(known)
-                if len(placed) < app.shards:
-                    problems.append(
-                        f"app {app.kind}: {app.shards} shards need at "
-                        f"least that many servers (got {len(placed)})")
+            placed = len(app.servers or known)
+            if placed < app.shards:
+                problems.append(
+                    f"app {app.kind}: {app.shards} shards need at least "
+                    f"that many servers (got {placed})")
             if app.leader is not None and app.leader not in known:
                 problems.append(f"app {app.kind}: unknown leader "
                                 f"{app.leader!r}")
-            for key, device in app.placement:
-                if "/" not in key:
-                    problems.append(f"app {app.kind}: placement key "
-                                    f"{key!r} is not 'server/actor'")
-                elif key.split("/", 1)[0] not in known:
+            for key, _ in app.placement:
+                server = key.split("/", 1)[0]
+                if server not in known:
                     problems.append(f"app {app.kind}: placement "
                                     f"{key!r} names an unknown server")
-                if device not in ("nic", "host"):
+                elif systems[server] == "dpdk":
+                    # only an iPipe runtime places actors on a device
                     problems.append(f"app {app.kind}: placement {key!r} "
-                                    f"device {device!r} is not nic|host")
+                                    f"pins an actor on {server}, which "
+                                    f"runs dpdk, not iPipe")
+        steering_names = [st.service for st in self.steering]
         for fleet in self.fleets:
             if fleet.client not in clients:
                 problems.append(f"fleet: unknown client {fleet.client!r}")
-            if fleet.mode not in FLEET_MODES:
-                problems.append(f"fleet {fleet.client}: unknown mode "
-                                f"{fleet.mode!r}")
-            if fleet.workload not in WORKLOAD_KINDS:
-                problems.append(f"fleet {fleet.client}: unknown workload "
-                                f"{fleet.workload!r}")
-            if fleet.mode == "open" and fleet.rate_mpps <= 0:
-                problems.append(f"fleet {fleet.client}: open-loop needs "
-                                f"rate_mpps > 0")
-            if fleet.mode == "closed" and fleet.clients < 1:
-                problems.append(f"fleet {fleet.client}: closed-loop needs "
-                                f"clients >= 1")
-        steering_names = [st.service for st in self.steering]
-        for fleet in self.fleets:
             if fleet.dst.startswith("shard:"):
                 kind = fleet.dst.split(":", 1)[1]
                 if kind not in app_kinds:
@@ -599,8 +618,6 @@ class ScenarioSpec:
         if len(set(steering_names)) != len(steering_names):
             problems.append(f"duplicate steering services: {steering_names}")
         for st in self.steering:
-            if not st.service:
-                problems.append("steering: service needs a name")
             if st.app is None and not st.backends:
                 problems.append(f"steering {st.service}: needs an app or "
                                 f"explicit backends")
@@ -635,30 +652,16 @@ class ScenarioSpec:
                                 "rebalance: rkv replica groups must be "
                                 "single-server (peer Paxos names do not yet "
                                 "follow a migrated node)")
-            if self.rebalance.notice_us < 0:
-                problems.append("rebalance: notice_us must be >= 0")
-            rb = self.rebalance
-            if rb.on_load:
-                if self.observability.pulse is None:
-                    problems.append(
-                        "rebalance: on_load needs observability.pulse "
-                        "(the LoadFeed samples utilization per pulse)")
-                if not 0.0 < rb.util_high <= 1.0:
-                    problems.append(
-                        f"rebalance: util_high must be in (0, 1] "
-                        f"(got {rb.util_high})")
-                if not 0.0 <= rb.skew_min <= 1.0:
-                    problems.append(
-                        f"rebalance: skew_min must be in [0, 1] "
-                        f"(got {rb.skew_min})")
-                if rb.sustain_periods < 1:
-                    problems.append(
-                        f"rebalance: sustain_periods must be >= 1 "
-                        f"(got {rb.sustain_periods})")
-                if rb.cooldown_us < 0:
-                    problems.append(
-                        f"rebalance: cooldown_us must be >= 0 "
-                        f"(got {rb.cooldown_us})")
+                        if any(systems.get(s) == "dpdk"
+                               for g in groups for s in g):
+                            problems.append(
+                                "rebalance: every rkv backend must run "
+                                "iPipe (the rebalancer migrates actors "
+                                "only between iPipe runtimes)")
+            if self.rebalance.on_load and self.observability.pulse is None:
+                problems.append(
+                    "rebalance: on_load needs observability.pulse "
+                    "(the LoadFeed samples utilization per pulse)")
         pulse = self.observability.pulse
         slo_names = [s.slo_name() for s in self.observability.slos]
         if len(set(slo_names)) != len(slo_names):
@@ -677,27 +680,9 @@ class ScenarioSpec:
         nic_total = 0.0
         acc_total = 0.0
         for tenant in self.tenants:
-            label = f"tenant {tenant.name or '?'}"
-            if not tenant.name:
-                problems.append("tenant: needs a name")
-            if not 0.0 <= tenant.nic_core_share <= 1.0:
-                # 0 means "declared but unshared": ledgers and monitors
-                # run, the scheduler serves the tenant flat
-                problems.append(
-                    f"{label}: nic_core_share must be in [0, 1] "
-                    f"(got {tenant.nic_core_share})")
-            else:
-                nic_total += tenant.nic_core_share
-            if not 0.0 <= tenant.accelerator_share <= 1.0:
-                problems.append(
-                    f"{label}: accelerator_share must be in [0, 1] "
-                    f"(got {tenant.accelerator_share})")
-            else:
-                acc_total += tenant.accelerator_share
-            if tenant.dmo_budget_bytes < 0:
-                problems.append(
-                    f"{label}: dmo_budget_bytes must be >= 0 "
-                    f"(got {tenant.dmo_budget_bytes})")
+            label = f"tenant {tenant.name}"
+            nic_total += tenant.nic_core_share
+            acc_total += tenant.accelerator_share
             for text in tenant.slos:
                 try:
                     slo = SLOSpec.from_text(text)
@@ -738,16 +723,6 @@ class ScenarioSpec:
                 problems.append(f"fault rack_down: unknown rack "
                                 f"{fault.target!r}")
         ex = self.execution
-        if ex.shards not in EXEC_SHARDS:
-            problems.append(f"execution: unknown shards mode "
-                            f"{ex.shards!r} (have {EXEC_SHARDS})")
-        if ex.processes != 0:
-            problems.append("execution: process-backed shards were "
-                            "removed; processes must be 0")
-        if ex.fault_streams not in FAULT_STREAM_MODES:
-            problems.append(f"execution: unknown fault_streams mode "
-                            f"{ex.fault_streams!r} "
-                            f"(have {FAULT_STREAM_MODES})")
         if ex.shards == "by-rack":
             # the shard executor proves bit-identity against the serial
             # run; planes that share mutable state across racks (or
@@ -788,8 +763,6 @@ class ScenarioSpec:
                         f"execution: by-rack sharding cannot honour "
                         f"max_count on event fault {fault.kind!r} (the cap "
                         f"is a global count across shards)")
-        if self.duration_us <= 0:
-            problems.append("duration_us must be positive")
         if problems:
             raise ScenarioError(problems)
         return self
@@ -864,7 +837,9 @@ def decode(cls, data, error=ScenarioError, path: str = ""):
     object or a list of ``[key, value]`` pairs.  Anything else — a type
     mismatch, an unknown or missing field, a constructor's
     ``ValueError`` — raises ``error([problem])`` with the problem
-    qualified by its path, e.g. ``fleets[0]: missing field 'dst'``.
+    qualified by its path, e.g. ``fleets[0]: missing field 'dst'`` (a
+    constructor problem that starts with one of its fields, such as
+    ``scheduler.alpha: ...``, continues the path).
     """
     def fail(problem):
         raise error([f"{path or cls.__name__}: {problem}"]) from None
@@ -899,7 +874,12 @@ def decode(cls, data, error=ScenarioError, path: str = ""):
         try:
             return cls(**kwargs)
         except ValueError as exc:
-            fail(exc)
+            problem = str(exc)
+            head = problem.split(":", 1)[0].split(".", 1)[0]
+            if path and any(head == name for name, _, _ in rows):
+                # already qualified by one of this class's fields
+                raise error([f"{path}.{problem}"]) from None
+            fail(problem)
     args = typing.get_args(cls)
     origin = typing.get_origin(cls)
     if origin is typing.Union:

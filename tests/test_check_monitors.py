@@ -304,23 +304,6 @@ def test_checkplane_auto_wires_runtime_monitors():
     assert plane.violations == []
 
 
-def test_checkplane_monitors_individually_toggleable():
-    sim = Simulator()
-    plane = CheckPlane(sim, strict=True)
-    ring = Ring(sim, DmaEngine(sim), slots=8)
-    ring.produce(Message(target="m", size=64))
-    sim.run()
-    plane.add_monitor(RingMonitor(ring))
-    ring._buffer.pop()                         # planted violation
-    plane.disable("ring")
-    plane.check_now()                          # disabled: nothing raised
-    assert plane.violations == []
-    plane.enable("ring")
-    with pytest.raises(InvariantViolation):
-        plane.check_now()
-    assert plane.violations[0].monitor == "ring"
-
-
 def test_checkplane_nonstrict_collects_instead_of_raising():
     sim = Simulator()
     plane = CheckPlane(sim, strict=False)

@@ -132,13 +132,6 @@ def test_check_targets_cover_scheduler_dataplane_chaos_and_scenarios():
     assert "steering-chaos" in CHECK_TARGETS
 
 
-def test_pulse_without_export_paths_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["pulse"])
-    assert exc.value.code == 2
-    assert "nothing to export" in capsys.readouterr().err
-
-
 def test_trace_and_top_offer_every_single_report_leg(capsys):
     # the --workload choices come from the study registry: the steering
     # and SLO legs are traceable, the composite tenant study is not
@@ -150,11 +143,16 @@ def test_trace_and_top_offer_every_single_report_leg(capsys):
         assert "{dt,rkv,rta,slo,steering}" in out
 
 
-def test_slo_quick_prints_the_burn_rate_report(capsys):
-    assert main(["slo", "--quick"]) == 0
+def test_slo_quick_prints_the_burn_rate_report(capsys, tmp_path):
+    csv, trace = tmp_path / "series.csv", tmp_path / "trace.json"
+    assert main(["slo", "--quick", "--csv", str(csv),
+                 "--out", str(trace)]) == 0
     out = capsys.readouterr().out
     assert "[slo:rkv-p99]" in out
     assert "breach @" in out and "recover @" in out
+    # the sampled series export: a CSV table and Perfetto counter tracks
+    assert csv.read_text().startswith("series,t_us,value\n")
+    assert json.loads(trace.read_text())["traceEvents"]
 
 
 # -- repro bench --check --------------------------------------------------------
@@ -278,6 +276,43 @@ def test_run_unknown_spec_exits_two_listing_known_specs(capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "no-such-spec" in err
     assert all(name in err for name in shipped_specs())
+
+
+def _pinned_testbed(tmp_path, pin, system="ipipe"):
+    """paper-testbed with one placement pin on its rkv app and server s0
+    running ``system``, written to a spec file."""
+    from repro.scenario import load_shipped
+    from repro.scenario.spec import to_dict
+    data = to_dict(load_shipped("paper-testbed"))
+    data["racks"][0]["servers"][0]["system"] = system
+    data["apps"][0]["placement"] = [pin]
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_run_reports_a_pin_naming_no_actor_in_one_line(capsys, tmp_path):
+    # the actor names are known only once the app is built: the spec
+    # validates, and the build-time rule is one line and exit 2
+    path = _pinned_testbed(tmp_path, ["s0/nope", "nic"])
+    assert main(["scenario", "validate", path]) == 0
+    capsys.readouterr()
+    assert main(["scenario", "run", path, "--duration-us", "200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "placement pin 's0/nope': no such actor on s0" in err
+
+
+def test_validate_rejects_a_pin_on_a_server_without_ipipe(capsys, tmp_path):
+    path = _pinned_testbed(tmp_path, ["s0/consensus", "nic"], system="dpdk")
+    assert main(["scenario", "validate", path]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.startswith("FAIL ")
+    assert "runs dpdk, not iPipe" in out
+    assert main(["scenario", "run", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "runs dpdk, not iPipe" in err
 
 
 def test_run_rejects_process_shards_in_one_line(capsys, tmp_path):

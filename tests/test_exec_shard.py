@@ -141,15 +141,14 @@ def test_single_rack_spec_degenerates_to_serial():
 
 
 @pytest.mark.parametrize("mutation, fragment", [
-    (dict(execution=ExecSpec(shards="by-rack", fault_streams="shared")),
-     "per-component"),
-    (dict(execution=ExecSpec(shards="by-rack", processes=3)),
-     "processes"),
+    (dict(shards="by-rack", fault_streams="shared"), "per-component"),
+    (dict(shards="by-rack", processes=3), "processes"),
 ])
 def test_by_rack_validation_rejections(mutation, fragment):
-    spec = replace(load_shipped("multi-rack-rkv"), **mutation)
+    # processes is a rule on one field, so ExecSpec itself refuses it
     with pytest.raises(ScenarioError, match=fragment):
-        spec.validate()
+        replace(load_shipped("multi-rack-rkv"),
+                execution=ExecSpec(**mutation)).validate()
 
 
 def test_by_rack_rejects_tracing():

@@ -183,6 +183,35 @@ def test_failed_core_blocked_on_the_queue_takes_no_item():
     assert util[1].busy_time == done - 1.0
 
 
+def test_stalled_core_blocked_on_the_queue_takes_no_item():
+    sim = Simulator()
+    queue = TrafficManager(sim, hardware=True)
+    sched, util = _bare_scheduler(sim, queue, cores=2)
+    served = []
+
+    def forward(at):
+        return WorkItem(forward_cost_us=0.5,
+                        forward_action=lambda: served.append(sim.now),
+                        arrived_at=at)
+
+    sim.run(until=1.0)                 # both cores block on the empty queue
+    assert sched.stall_core(0, 100.0)
+    queue.push(forward(1.0))
+    sim.run(until=50.0)
+    done = (1.0 + queue.dequeue_sync_us) + 0.5
+    assert served == [done]
+    # core 1 served it; the stalled core's accounting did not move
+    assert util[0].busy_time == 0.0
+    assert util[1].busy_time == done - 1.0
+    # once the stall is over, core 0 waits on the queue again
+    sim.post_at(200.0, queue.push, forward(200.0))
+    sim.post_at(200.0, queue.push, forward(200.0))
+    sim.run(until=300.0)
+    sched.stop()
+    assert len(served) == 3
+    assert util[0].busy_time == util[1].busy_time - (done - 1.0) > 0.0
+
+
 def test_each_item_charges_sync_forward_cost_and_account_once():
     """The FCFS loop takes items two ways: ``try_pop`` when work is
     queued (the core pays the sync and a raw forward's cost itself) and

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check import CheckPlane
+from repro.check import CheckPlane, SteeringMonitor
 from repro.core.migration import CrossRackMigrator, MigrationInterrupted
 from repro.experiments.steering_study import (
     SteeredChaosClient,
@@ -191,8 +191,7 @@ def test_steering_monitor_flags_wrong_owner_and_double_delivery():
     plane = CheckPlane(sim, strict=False, every=1)
     ctrl = SteeringController(sim)
     ctrl.add_service("kv", ["s0", "s1", "s2"], table_size=TABLE)
-    monitor = plane.watch_steering(ctrl)
-    assert plane.watch_steering(ctrl) is monitor  # singleton
+    plane.add_monitor(SteeringMonitor(ctrl))
     pkt = _vip_packet("conn0", uid=("req", 0))
     ctrl.route(pkt)
     owner = pkt.dst
@@ -214,7 +213,7 @@ def test_steering_monitor_accepts_clean_ledgers():
     plane = CheckPlane(sim, strict=False, every=1)
     ctrl = SteeringController(sim)
     ctrl.add_service("kv", ["s0", "s1"], table_size=TABLE)
-    plane.watch_steering(ctrl)
+    plane.add_monitor(SteeringMonitor(ctrl))
     for i in range(8):
         pkt = _vip_packet(f"conn{i % 3}", uid=("req", i))
         ctrl.route(pkt)
@@ -472,6 +471,12 @@ def test_steering_spec_validation_errors():
     bad = {**base, "faults": [{"kind": "rack_down", "target": "rack9",
                                "at_us": [10.0], "duration_us": 5.0}]}
     with pytest.raises(ScenarioError, match="rack9"):
+        from_dict(bad).validate()
+    # a dpdk backend used to validate, then raise KeyError mid-run when
+    # the rebalancer moved it
+    bad = to_dict(rebalance_spec(seed=5))
+    bad["racks"][1]["servers"][0]["system"] = "dpdk"
+    with pytest.raises(ScenarioError, match="rkv backend must run iPipe"):
         from_dict(bad).validate()
 
 
