@@ -39,19 +39,6 @@ def main() -> None:
         payload_factory=lambda i: workload.next_request(i), rng=Rng(5))
     bed.network.attach("client", gen.on_reply)
 
-    # route each request by the kind its payload carries
-    for name in NODES:
-        runtime = bed.server(name).runtime
-        original = runtime.on_packet
-
-        def routed(packet, original=original):
-            if isinstance(packet.payload, dict) and "kind" in packet.payload \
-                    and "payload" not in packet.payload:
-                packet.kind = packet.payload["kind"]
-            original(packet)
-
-        bed.server(name).nic.packet_handler = routed
-
     bed.sim.run(until=40_000.0)
     gen.stop()
     for name in NODES:

@@ -18,12 +18,13 @@ import inspect
 from types import SimpleNamespace
 from typing import Dict, List, Optional
 
-from ..core.actor import Actor, ActorTable, Location, Message
+from ..core.actor import (Actor, ActorTable, Location, Message, decode_kind,
+                          ingress_message)
 from ..core.dmo import DmoManager
 from ..host.machine import HostMachine, StorageService
 from ..host.stacks import StackCosts, dpdk_stack
 from ..nic.calibration import dpdk_recv_us, dpdk_send_us
-from ..net import Network, Packet
+from ..net import Fabric, Packet
 from ..nic.accelerators import AcceleratorBank
 from ..nic.cores import TimeFactors
 from ..nic.dma import DmaEngine
@@ -33,7 +34,7 @@ from ..sim import Doorbell, Simulator, Store, Timeout, UtilizationTracker, spawn
 class DpdkRuntime:
     """Host-only execution environment with DPDK stack costs."""
 
-    def __init__(self, sim: Simulator, host: HostMachine, network: Network,
+    def __init__(self, sim: Simulator, host: HostMachine, network: Fabric,
                  node_name: str, workers: int = 8,
                  stack: Optional[StackCosts] = None,
                  link_bandwidth_gbps: Optional[float] = None):
@@ -90,16 +91,11 @@ class DpdkRuntime:
         self._running = False
 
     def on_packet(self, packet: Packet) -> None:
+        decode_kind(packet)
         target = self.dispatch_table.get(packet.kind)
         if target is None:
             return
-        payload, kind = packet.payload, packet.kind
-        if isinstance(payload, dict) and "kind" in payload and "payload" in payload:
-            kind, payload = payload["kind"], payload["payload"]
-        msg = Message(target=target, kind=kind, payload=payload,
-                      size=packet.size, source=packet.src,
-                      created_at=packet.created_at, packet=packet)
-        msg.meta["nic_arrival"] = self.sim.now
+        msg = ingress_message(packet, target, self.sim.now)
         # NIC→host delivery: DMA write + the descriptor-pipeline share of
         # the Figure-6 receive latency (its CPU share is charged in the
         # worker; batching discounts occupancy, not one-shot latency)

@@ -24,7 +24,7 @@ from typing import List, Optional
 from ..core import IPipeRuntime, SchedulerConfig
 from ..core.actor import Actor, Location, Message
 from ..host.machine import HostMachine
-from ..net import Network
+from ..net import Fabric
 from ..nic.device import SmartNic
 from ..sim import Simulator, Timeout
 
@@ -46,7 +46,7 @@ class FloemRuntime(IPipeRuntime):
     """iPipe's machinery with Floem's static policy and queue overhead."""
 
     def __init__(self, sim: Simulator, nic: SmartNic, host: HostMachine,
-                 network: Network, node_name: str, host_workers: int = 4):
+                 network: Fabric, node_name: str, host_workers: int = 4):
         super().__init__(sim, nic, host, network, node_name,
                          config=floem_config(), host_workers=host_workers)
 

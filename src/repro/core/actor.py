@@ -20,10 +20,13 @@ import enum
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional
 
 from ..nic.cores import WorkloadProfile
 from ..sim import LatencyTracker
+
+if TYPE_CHECKING:
+    from ..net.packet import Packet
 
 _actor_ids = itertools.count(1)
 _message_ids = itertools.count(1)
@@ -61,6 +64,38 @@ class Message:
     packet: Any = None
     msg_id: int = field(default_factory=lambda: next(_message_ids))
     meta: Dict[str, Any] = field(default_factory=dict)
+
+
+# -- the request wire format (docs/SCENARIOS.md) ------------------------------
+#
+# A request payload comes in one of two forms.  The workload form
+# ``{"kind": K, ...}`` (no "payload" key), which the fleet generators
+# emit, is dispatched by ``K``.  The envelope form ``{"kind": K,
+# "payload": P}``, which ``send_remote`` and migration forwarding emit, is
+# dispatched by the frame's own ``kind`` and delivers ``P`` as a ``K``
+# message.  Any other payload is delivered whole under the frame's kind.
+
+def decode_kind(packet: Packet) -> None:
+    """Re-key a workload-form frame to its payload's kind.  A runtime
+    calls this first on every arrival, before anything (the dispatch
+    table, an off-path NIC switch) reads ``packet.kind``."""
+    payload = packet.payload
+    if isinstance(payload, dict) and "kind" in payload \
+            and "payload" not in payload:
+        packet.kind = payload["kind"]
+
+
+def ingress_message(packet: Packet, target: str, now: float) -> Message:
+    """The message an arriving frame hands to actor ``target`` at
+    ``now``, with an envelope payload unwrapped."""
+    payload, kind = packet.payload, packet.kind
+    if isinstance(payload, dict) and "kind" in payload and "payload" in payload:
+        kind, payload = payload["kind"], payload["payload"]
+    msg = Message(target=target, kind=kind, payload=payload,
+                  size=packet.size, source=packet.src,
+                  created_at=packet.created_at, packet=packet)
+    msg.meta["nic_arrival"] = now
+    return msg
 
 
 #: exec_handler(actor, message, ctx) -> generator of sim commands

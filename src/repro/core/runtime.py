@@ -24,13 +24,14 @@ from typing import Callable, Dict, List, Optional
 
 from ..host.machine import HostMachine, StorageService
 from ..host.stacks import StackCosts, ipipe_host_stack
-from ..net import Network, Packet, line_rate_pps
+from ..net import Fabric, Packet, line_rate_pps
 from ..nic.cores import TimeFactors, WorkloadProfile
 from ..nic.device import SmartNic
 from ..nic.dma import DmaEngine
 from ..sim import Doorbell, Simulator, Store, Timeout, UtilizationTracker, spawn
 from ..sim.faults import RecoveryPolicy
-from .actor import Actor, ActorTable, Location, Message, MigrationState
+from .actor import (Actor, ActorTable, Location, Message, MigrationState,
+                    decode_kind, ingress_message)
 from .channel import Channel, ReliableChannel, RingFullError
 from .dmo import DmoManager
 from .migration import Migrator
@@ -189,7 +190,7 @@ class IPipeRuntime:
     HOST_POLL_US = 0.5
 
     def __init__(self, sim: Simulator, nic: SmartNic, host: HostMachine,
-                 network: Network, node_name: str,
+                 network: Fabric, node_name: str,
                  config: Optional[SchedulerConfig] = None,
                  host_workers: int = 2,
                  host_stack: Optional[StackCosts] = None,
@@ -497,6 +498,7 @@ class IPipeRuntime:
     # -- ingress -----------------------------------------------------------------
     def on_packet(self, packet: Packet) -> None:
         """Wire arrival → scheduler work item (runs at interrupt level)."""
+        decode_kind(packet)
         switch = self.nic.nic_switch
         if switch is not None:
             # off-path: the NIC switch steers host-bound flows around the
@@ -513,13 +515,7 @@ class IPipeRuntime:
             if self._steer_forward(packet):
                 return
             return  # not for us: drop (endpoint semantics)
-        payload, kind = packet.payload, packet.kind
-        if isinstance(payload, dict) and "kind" in payload and "payload" in payload:
-            kind, payload = payload["kind"], payload["payload"]
-        msg = Message(target=target, kind=kind, payload=payload,
-                      size=packet.size, source=packet.src,
-                      created_at=packet.created_at, packet=packet)
-        msg.meta["nic_arrival"] = self.sim.now
+        msg = ingress_message(packet, target, self.sim.now)
         tracer = self.sim.tracer
         if tracer is not None:
             # the trace starts here (or continues one begun on a remote
@@ -571,13 +567,7 @@ class IPipeRuntime:
         if target is None:
             self._steer_forward(packet)
             return
-        payload, kind = packet.payload, packet.kind
-        if isinstance(payload, dict) and "kind" in payload and "payload" in payload:
-            kind, payload = payload["kind"], payload["payload"]
-        msg = Message(target=target, kind=kind, payload=payload,
-                      size=packet.size, source=packet.src,
-                      created_at=packet.created_at, packet=packet)
-        msg.meta["nic_arrival"] = self.sim.now
+        msg = ingress_message(packet, target, self.sim.now)
         tracer = self.sim.tracer
         if tracer is not None:
             span = tracer.instant(

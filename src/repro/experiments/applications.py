@@ -29,10 +29,11 @@ from ..scenario import (
     ServerSpec,
     build,
 )
+from ..scenario.spec import WORKLOAD_APPS
 from ..workloads import value_bytes_for_packet
 
 #: each paper application's request stream (§5.1)
-APP_WORKLOADS = {"rta": "twitter", "dt": "txn", "rkv": "kv"}
+APP_WORKLOADS = {app: workload for workload, app in WORKLOAD_APPS.items()}
 
 APPS = ("rta", "dt", "rkv")
 #: Figure 13's five measured roles → (app, server index).

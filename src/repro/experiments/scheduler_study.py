@@ -160,7 +160,6 @@ def run_point(spec: NicSpec, policy: str, dispersion: str, load: float,
             clients=(ClientSpec("client"),)),),
         fabric=FabricSpec(bandwidth_gbps=spec.bandwidth_gbps),
         observability=ObsSpec(trace=traced)))
-    bed = scenario
     tplane = scenario.trace_plane
     server = scenario.servers["server"]
     recorder = LatencyRecorder("sojourn")
@@ -194,7 +193,7 @@ def run_point(spec: NicSpec, policy: str, dispersion: str, load: float,
     def payload_factory(i: int):
         u = rng.random()
         chosen = next(ta for threshold, ta in cumulative if u <= threshold + 1e-12)
-        return {"actor": chosen.name,
+        return {"kind": chosen.name,
                 "service_us": rng.lognormal(chosen.mean_us, chosen.sigma)}
 
     client = scenario.clients["client"]
@@ -202,19 +201,9 @@ def run_point(spec: NicSpec, policy: str, dispersion: str, load: float,
                            size=frame_bytes, payload_factory=payload_factory,
                            rng=rng.fork(99))
 
-    # route by payload: a shim dispatcher keyed on the chosen actor
-    runtime = server.runtime
-    original = runtime.on_packet
-
-    def routed(packet):
-        packet.kind = packet.payload["actor"]
-        original(packet)
-
-    server.nic.packet_handler = routed
-
-    bed.sim.run(until=duration_us)
+    scenario.sim.run(until=duration_us)
     gen.stop()
-    runtime.stop()
+    server.runtime.stop()
     warm = recorder.samples[len(recorder.samples) // 3:]
     warm_rec = LatencyRecorder("warm")
     warm_rec.samples = warm

@@ -15,7 +15,7 @@ from .packet import (
 )
 from .link import DuplexPort, Link
 from .switch import SpineSwitch, ToRSwitch
-from .fabric import Fabric, Network
+from .fabric import Fabric
 from .pktgen import ClosedLoopGenerator, OpenLoopGenerator
 from .steering import (
     MaglevTable,
@@ -40,7 +40,6 @@ __all__ = [
     "DuplexPort",
     "Fabric",
     "Link",
-    "Network",
     "SpineSwitch",
     "ToRSwitch",
     "ClosedLoopGenerator",

@@ -9,9 +9,8 @@ cross-rack traffic additionally crosses ToR→spine→ToR over longer
 (inter-rack propagation) links, so cross-rack RTTs are strictly longer
 than intra-rack ones.
 
-:class:`Network` — the name the rest of the codebase grew up with — is
-the single-rack special case and behaves exactly like the seed's star
-topology (same link names, same event schedule).
+With one rack the fabric is the paper's star: one ToR named ``tor``
+whatever the rack is called, and no spine.
 """
 
 from __future__ import annotations
@@ -151,15 +150,3 @@ class Fabric:
                 ".switches[rack] or .egress(node)")
         return self.switches[self.rack_names[0]]
 
-
-class Network(Fabric):
-    """Star topology: every node connects to one ToR switch.
-
-    The seed's single-rack network, kept as the default for every
-    experiment that models the paper's 8-node testbed.
-    """
-
-    def __init__(self, sim: Simulator, bandwidth_gbps: float,
-                 propagation_us: float = 0.3):
-        super().__init__(sim, bandwidth_gbps, propagation_us=propagation_us,
-                         racks=("rack0",))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..net import Network, Packet
+from ..net import Fabric, Packet
 from ..sim import Simulator, UtilizationTracker
 from .accelerators import AcceleratorBank
 from .calibration import echo_cost_us, forward_cost_us
@@ -60,7 +60,7 @@ class SmartNic:
         self.tx_packets = 0
 
     # -- wiring ------------------------------------------------------------
-    def attach_network(self, network: Network, node_name: str) -> None:
+    def attach_network(self, network: Fabric, node_name: str) -> None:
         """Connect the NIC's ports to the fabric under ``node_name``."""
         self._uplink = network.attach(node_name, self.receive,
                                       bandwidth_gbps=self.spec.bandwidth_gbps)

@@ -14,18 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..baselines import DpdkRuntime, FloemRuntime
 from ..core import IPipeRuntime, Location, SchedulerConfig
 from ..host import HostMachine
-from ..net import (
-    ClosedLoopGenerator,
-    Fabric,
-    Network,
-    OpenLoopGenerator,
-    Packet,
-)
+from ..net import ClosedLoopGenerator, Fabric, OpenLoopGenerator, Packet
 from ..nic import NicSpec, SmartNic, host_for
 from ..sim import FaultPlane, RecoveryPolicy, Rng, Simulator
 from ..workloads import KvWorkload, TwitterWorkload, TxnWorkload
@@ -213,20 +207,14 @@ def make_server(sim: Simulator, network: Fabric, name: str,
 
 def make_fabric(sim: Simulator, fabric: FabricSpec, racks=()) -> Fabric:
     """A fabric from its spec, with rack placements pre-registered."""
-    if len(racks) <= 1:
-        # the seed's star network: identical wiring and link names
-        network = Network(sim, bandwidth_gbps=fabric.bandwidth_gbps,
-                          propagation_us=fabric.propagation_us)
-        network.switch.forwarding_latency_us = fabric.tor_latency_us
-    else:
-        network = Fabric(
-            sim, bandwidth_gbps=fabric.bandwidth_gbps,
-            propagation_us=fabric.propagation_us,
-            racks=[r.name for r in racks],
-            tor_latency_us=fabric.tor_latency_us,
-            spine_latency_us=fabric.spine_latency_us,
-            uplink_gbps=fabric.uplink_gbps,
-            inter_rack_propagation_us=fabric.inter_rack_propagation_us)
+    network = Fabric(
+        sim, bandwidth_gbps=fabric.bandwidth_gbps,
+        propagation_us=fabric.propagation_us,
+        racks=[r.name for r in racks],
+        tor_latency_us=fabric.tor_latency_us,
+        spine_latency_us=fabric.spine_latency_us,
+        uplink_gbps=fabric.uplink_gbps,
+        inter_rack_propagation_us=fabric.inter_rack_propagation_us)
     for rack in racks:
         for server in rack.servers:
             network.place(server.name, rack.name)
@@ -236,24 +224,6 @@ def make_fabric(sim: Simulator, fabric: FabricSpec, racks=()) -> Fabric:
 
 
 # -- application placement ----------------------------------------------------
-
-def _install_payload_router(scenario: Scenario, name: str) -> None:
-    """Route requests by the ``kind`` their payload carries (the wire
-    format the paper's workload generators speak)."""
-    runtime = scenario.servers[name].runtime
-    original = runtime.on_packet
-
-    def routed(packet, original=original):
-        if isinstance(packet.payload, dict) and "kind" in packet.payload \
-                and "payload" not in packet.payload:
-            packet.kind = packet.payload["kind"]
-        original(packet)
-
-    if isinstance(runtime, IPipeRuntime):
-        runtime.nic.packet_handler = routed
-    else:
-        scenario.network.egress(runtime.node_name).receiver = routed
-
 
 def _rkv_node(runtime, name, group, leader, options):
     from ..apps.rkv import RkvNode
@@ -304,32 +274,16 @@ def _firewall_node(runtime, name, group, leader, options):
 def _ipsec_node(runtime, name, group, leader, options):
     from ..apps.nf import IpsecNode
     node = IpsecNode(runtime)
-    original = runtime.on_packet
-
-    def esp(packet, original=original):
-        # a gateway's whole ingress is ESP traffic
-        packet.kind = "esp-pkt"
-        original(packet)
-    runtime.nic.packet_handler = esp
+    runtime.dispatch_table["data"] = "ipsec"
     return node
 
 
-class AppKind(NamedTuple):
-    """How to place one app kind (the keys of ``spec.APP_OPTIONS``)."""
-
-    #: ``(runtime, name, group, leader, options) -> node`` per server;
-    #: None places nothing
-    node: Optional[Callable]
-    routed: bool                 # requests route by their payload's kind
-
-
-APP_NODES: Dict[str, AppKind] = {
-    "rkv": AppKind(_rkv_node, True),
-    "dt": AppKind(_dt_node, True),
-    "rta": AppKind(_rta_node, True),
-    "firewall": AppKind(_firewall_node, False),
-    "ipsec": AppKind(_ipsec_node, False),
-    "none": AppKind(None, False),
+#: app kind (the keys of ``spec.APP_OPTIONS``) -> ``(runtime, name,
+#: group, leader, options) -> node``, called once per placed server;
+#: None places nothing
+APP_NODES: Dict[str, Optional[Callable]] = {
+    "rkv": _rkv_node, "dt": _dt_node, "rta": _rta_node,
+    "firewall": _firewall_node, "ipsec": _ipsec_node, "none": None,
 }
 
 
@@ -339,13 +293,13 @@ def _build_app(scenario: Scenario, app: AppSpec) -> BuiltApp:
     for servers present in ``scenario.servers`` — a rack-sharded build
     passes a partial server set and peers address remote group members
     by name over the fabric, exactly as the serial build does."""
-    built = BuiltApp(app, app.replica_groups(scenario.spec.server_names()))
-    make = APP_NODES[app.kind].node
+    all_servers = scenario.spec.server_names()
+    built = BuiltApp(app, app.replica_groups(all_servers))
+    make = APP_NODES[app.kind]
     if make is None:
         return built
-    for group in built.groups:
-        leader = app.leader if app.leader in group else group[0]
-        built.leaders.append(leader)
+    built.leaders = app.leaders(all_servers)
+    for group, leader in zip(built.groups, built.leaders):
         for name in group:
             server = scenario.servers.get(name)
             if server is not None:
@@ -541,23 +495,6 @@ def build(spec: ScenarioSpec, sim: Optional[Simulator] = None,
 
     if spec.steering:
         _build_steering(scenario)
-
-    # workload-kind routing: only when generated traffic carries payload
-    # kinds (hand-driven scenarios — chaos, scheduler traces — install
-    # their own shims)
-    if any(f.workload != "none" for f in spec.fleets):
-        covered = set()
-        for app in scenario.apps:
-            if APP_NODES[app.kind].routed:
-                for name in app.nodes:
-                    _install_payload_router(scenario, name)
-                    covered.add(name)
-        if spec.steering:
-            # any server may inherit a steered backend after a rebalance,
-            # so every runtime must understand the fleets' wire format
-            for name, _ in scenario.ipipe_runtimes():
-                if name not in covered:
-                    _install_payload_router(scenario, name)
 
     for rack in racks:
         for cspec in rack.clients:

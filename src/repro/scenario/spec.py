@@ -50,7 +50,10 @@ NIC_CATALOG.update({
 })
 
 SYSTEMS = ("ipipe", "ipipe-hostonly", "dpdk", "floem")
-WORKLOAD_KINDS = ("kv", "txn", "twitter", "none")
+#: fleet workload -> the app kind its requests feed; every server a
+#: fleet reaches must host that app ("none" sends no requests)
+WORKLOAD_APPS = {"kv": "rkv", "txn": "dt", "twitter": "rta"}
+WORKLOAD_KINDS = tuple(WORKLOAD_APPS) + ("none",)
 FLEET_MODES = ("closed", "open")
 
 
@@ -298,16 +301,21 @@ class AppSpec:
             return [servers]
         return [servers[i::self.shards] for i in range(self.shards)]
 
+    def leaders(self, all_servers: Sequence[str]) -> List[str]:
+        """Each replica group's leader, in group order."""
+        return [self.leader if self.leader in group else group[0]
+                for group in self.replica_groups(all_servers)]
+
 
 @dataclass(frozen=True)
 class FleetSpec:
     """One client fleet: who sends what, to whom, and how hard.
 
-    ``dst`` is a server name, or ``"shard:<app-kind>"`` to split the
-    fleet across every shard leader of that app (keys route by hash).
-    ``connections`` documents the real-world connection count the fleet
-    stands in for (an open-loop rate models arbitrarily many remote
-    connections without one simulated process each).
+    ``dst`` is a server name, ``"shard:<app-kind>"`` to split the
+    fleet across every shard leader of that app (keys route by hash),
+    or ``"svc:<service>"`` to address a steered service.  Every server
+    the fleet reaches must host the app its workload feeds
+    (:data:`WORKLOAD_APPS`).
     """
 
     client: str
@@ -320,7 +328,6 @@ class FleetSpec:
     seed: int = 5
     think_time_us: float = 0.0
     poisson: bool = True
-    connections: int = 0
     tenant: str = ""                   # owning tenant ("" = implicit)
 
     def __post_init__(self) -> None:
@@ -539,6 +546,12 @@ class ScenarioSpec:
     def is_multi_rack(self) -> bool:
         return len(self.racks) > 1
 
+    def _leaders(self, kind: str) -> List[str]:
+        """The group leaders of the first ``kind`` app, the servers
+        ``shard:<kind>`` and an app-backed service address."""
+        app = next(a for a in self.apps if a.kind == kind)
+        return app.leaders(self.server_names())
+
     def tenant_names(self) -> List[str]:
         return [t.name for t in self.tenants]
 
@@ -562,9 +575,11 @@ class ScenarioSpec:
         if len(set(rack_names)) != len(rack_names):
             problems.append(f"duplicate rack names: {rack_names}")
         systems = {s.name: s.system for s in self.server_specs()}
+        server_names = self.server_names()
         known = set(systems)
         clients = set(self.client_names())
         app_kinds = {a.kind for a in self.apps}
+        hosted = set()                 # (server, app kind) placements
         for app in self.apps:
             if type(app.options) is not APP_OPTIONS[app.kind]:
                 problems.append(
@@ -584,6 +599,18 @@ class ScenarioSpec:
                 problems.append(
                     f"app {app.kind}: {app.shards} shards need at least "
                     f"that many servers (got {placed})")
+            elif app.kind == "dt":
+                lone = [group[0] for group in
+                        app.replica_groups(server_names) if len(group) == 1]
+                if lone:
+                    problems.append(
+                        f"app dt: the replica groups of {lone} have no "
+                        f"participant (a dt group needs two servers)")
+            for server in app.servers or server_names:
+                if (server, app.kind) in hosted:
+                    problems.append(f"app {app.kind}: server {server!r} "
+                                    f"hosts two {app.kind} apps")
+                hosted.add((server, app.kind))
             if app.leader is not None and app.leader not in known:
                 problems.append(f"app {app.kind}: unknown leader "
                                 f"{app.leader!r}")
@@ -601,20 +628,39 @@ class ScenarioSpec:
         for fleet in self.fleets:
             if fleet.client not in clients:
                 problems.append(f"fleet: unknown client {fleet.client!r}")
+            reached: List[str] = []    # the servers its requests reach
             if fleet.dst.startswith("shard:"):
                 kind = fleet.dst.split(":", 1)[1]
                 if kind not in app_kinds:
                     problems.append(f"fleet {fleet.client}: dst "
                                     f"{fleet.dst!r} names no declared app")
+                else:
+                    reached = self._leaders(kind)
             elif fleet.dst.startswith("svc:"):
                 service = fleet.dst.split(":", 1)[1]
                 if service not in steering_names:
                     problems.append(
                         f"fleet {fleet.client}: dst {fleet.dst!r} names no "
                         f"declared steering service")
+                else:
+                    st = next(s for s in self.steering
+                              if s.service == service)
+                    reached = list(st.backends)
+                    if not reached and st.app in app_kinds:
+                        reached = self._leaders(st.app)
             elif fleet.dst not in known:
                 problems.append(f"fleet {fleet.client}: unknown dst "
                                 f"{fleet.dst!r}")
+            else:
+                reached = [fleet.dst]
+            serves = WORKLOAD_APPS.get(fleet.workload)
+            missing = [server for server in reached
+                       if server in known and (server, serves) not in hosted]
+            if serves is not None and missing:
+                problems.append(
+                    f"fleet {fleet.client}: workload {fleet.workload!r} "
+                    f"feeds app {serves!r}, but {missing} host no "
+                    f"{serves} app")
         if len(set(steering_names)) != len(steering_names):
             problems.append(f"duplicate steering services: {steering_names}")
         for st in self.steering:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import Fabric, Network, Packet
+from repro.net import Fabric, Packet
 from repro.sim import Simulator
 
 
@@ -16,7 +16,7 @@ def _collector(sim, log, name):
 
 def test_single_rack_network_is_the_seed_star():
     sim = Simulator()
-    net = Network(sim, bandwidth_gbps=10)
+    net = Fabric(sim, bandwidth_gbps=10)
     log = []
     a_up = net.attach("a", _collector(sim, log, "a"))
     net.attach("b", _collector(sim, log, "b"))
@@ -34,7 +34,7 @@ def test_single_rack_network_is_the_seed_star():
 
 def test_single_rack_unknown_dst_drops_at_tor():
     sim = Simulator()
-    net = Network(sim, bandwidth_gbps=10)
+    net = Fabric(sim, bandwidth_gbps=10)
     net.attach("a", lambda p: None)
     net.send(Packet("a", "ghost", 256, created_at=sim.now))
     sim.run(until=100.0)

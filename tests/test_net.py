@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.net import (
     MIN_FRAME,
+    Fabric,
     Link,
-    Network,
     OpenLoopGenerator,
     Packet,
     ClosedLoopGenerator,
@@ -126,7 +126,7 @@ def test_link_rejects_zero_bandwidth():
 
 def test_network_routes_between_nodes():
     sim = Simulator()
-    net = Network(sim, bandwidth_gbps=10)
+    net = Fabric(sim, bandwidth_gbps=10)
     received = []
     net.attach("a", lambda p: received.append(("a", p.payload, sim.now)))
     net.attach("b", lambda p: received.append(("b", p.payload, sim.now)))
@@ -140,7 +140,7 @@ def test_network_routes_between_nodes():
 
 def test_switch_drops_unknown_destination():
     sim = Simulator()
-    net = Network(sim, bandwidth_gbps=10)
+    net = Fabric(sim, bandwidth_gbps=10)
     net.attach("a", lambda p: None)
     net.send(Packet("a", "ghost", 64))
     sim.run()
@@ -183,7 +183,7 @@ def test_open_loop_deterministic_spacing():
 
 def test_closed_loop_generator_measures_latency():
     sim = Simulator()
-    net = Network(sim, bandwidth_gbps=10)
+    net = Fabric(sim, bandwidth_gbps=10)
 
     gen_holder = {}
 

@@ -66,6 +66,18 @@ def test_validate_accepts_the_paper_shapes():
     (dict(fleets=[{"client": "client", "dst": "shard:dt"}]),
      "names no declared app"),
     (dict(duration_us=0.0), "duration_us"),
+    # a fleet's workload feeds one app kind, and every server it reaches
+    # must host it: its dst, each shard leader, each service backend
+    (dict(fleets=[{"client": "client", "dst": "s0", "workload": "twitter"}]),
+     "workload 'twitter' feeds app 'rta', but ['s0'] host no rta app"),
+    (dict(apps=[]), "workload 'kv' feeds app 'rkv', but ['s0'] host no"),
+    (dict(apps=[{"kind": "rta", "servers": ["s0"]}],
+          fleets=[{"client": "client", "dst": "shard:rta"}]),
+     "feeds app 'rkv', but ['s0'] host no rkv app"),
+    (dict(apps=[{"kind": "rta", "servers": ["s0"]}],
+          steering=[{"service": "web", "backends": ["s0"]}],
+          fleets=[{"client": "client", "dst": "svc:web"}]),
+     "feeds app 'rkv', but ['s0'] host no rkv app"),
 ])
 def test_validate_rejects(mutation, fragment):
     # a rule on one field fails where the spec is read (unknown NIC and
@@ -95,6 +107,14 @@ def _set(*path_and_value):
             node = node[step] if isinstance(node, list) \
                 else node.setdefault(step, {})
         node[key] = value
+    return mutate
+
+
+def _each(*mutations):
+    """Apply several mutations in order."""
+    def mutate(data):
+        for change in mutations:
+            change(data)
     return mutate
 
 
@@ -132,13 +152,23 @@ _SERVER0 = ("racks", 0, "servers", 0)
      "racks[0].servers[0]: host_cores must be >= 1 (got 0)"),
     (_set(*_SERVER0, "host_cores", -2),
      "racks[0].servers[0]: host_cores must be >= 1 (got -2)"),
+    (_set("apps", [{"kind": "firewall", "servers": ["s0"]}]),
+     "fleet client: workload 'kv' feeds app 'rkv', but ['s0'] host no "
+     "rkv app"),
+    (_set("apps", [{"kind": "rkv", "servers": ["s0"]}] * 2),
+     "app rkv: server 's0' hosts two rkv apps"),
+    (_each(_set("apps", [{"kind": "dt", "servers": ["s0"]}]),
+           _set("fleets", 0, "workload", "txn")),
+     "app dt: the replica groups of ['s0'] have no participant"),
 ], ids=["closed-fleet-without-clients", "negative-think-time",
         "unknown-scheduler-key", "scheduler-value-type",
         "scheduler-isolation-type", "scheduler-value-range", "option-type",
         "unknown-option", "negative-prefill-keys", "zero-bandwidth",
         "negative-propagation",
         "negative-tor-latency", "negative-fleet-size", "runt-fleet-size",
-        "negative-host-workers", "zero-host-cores", "negative-host-cores"])
+        "negative-host-workers", "zero-host-cores", "negative-host-cores",
+        "fleet-workload-its-dst-does-not-serve", "two-apps-of-one-kind",
+        "dt-group-without-participant"])
 def test_validate_rejects_what_build_or_run_would_raise_on(
         capsys, tmp_path, mutate, message):
     # each of these used to validate and then fail in build() or run()
@@ -167,6 +197,23 @@ def test_validate_rejects_what_build_or_run_would_raise_on(
         assert (out + err).count("\n") == 1 and message in out + err
 
 
+@pytest.mark.parametrize("shards", [2, 3])
+def test_every_dt_group_needs_a_participant(shards):
+    spec = single_rack("dt", three_servers(), apps=(
+        AppSpec(kind="dt", servers=("s0", "s1", "s2"), shards=shards),))
+    with pytest.raises(ScenarioError, match="have no participant"):
+        spec.validate()
+
+
+def test_every_pair_of_app_kinds_builds_on_the_same_servers():
+    from itertools import combinations
+    from repro.scenario.spec import APP_KINDS
+    for pair in combinations(APP_KINDS, 2):
+        build(single_rack("pair", three_servers(), apps=tuple(
+            AppSpec(kind=kind, servers=("s0", "s1", "s2"))
+            for kind in pair)))
+
+
 def test_sharded_app_needs_enough_servers():
     spec = _rkv_spec(apps=(AppSpec(kind="rkv", servers=("s0",), shards=2),),
                      fleets=())
@@ -193,8 +240,7 @@ def test_json_round_trip_preserves_the_spec():
         apps=(AppSpec(kind="rkv", servers=("a", "b"), shards=2,
                       options=RkvOptions(prefill_keys=10)),),
         fleets=(FleetSpec(client="c0", dst="shard:rkv", mode="open",
-                          rate_mpps=0.05, workload="kv",
-                          connections=1_000_000),),
+                          rate_mpps=0.05, workload="kv"),),
         faults=(FaultSpec(kind="link_loss", target="*", probability=0.01),))
     assert from_json(to_json(spec)) == spec
 
@@ -234,6 +280,38 @@ def test_build_wires_servers_apps_and_fleets():
     gen = scenario.generators[0]
     assert gen.sent > 0
     assert gen.completed > 0
+
+
+def test_one_rack_spec_runs_under_any_rack_name():
+    # the ToR is "tor" and the links keep their names whatever the rack
+    # is called, so the run is the same
+    rack = _rkv_spec().racks[0]
+    renamed = _rkv_spec(racks=(RackSpec(name="edge", servers=rack.servers,
+                                        clients=rack.clients),))
+    base = run_scenario(_rkv_spec(), duration_us=1_000.0)
+    result = run_scenario(renamed, duration_us=1_000.0)
+    assert result.completed > 0
+    assert result.fingerprint() == base.fingerprint()
+
+
+@pytest.mark.parametrize("name", shipped_specs() + ["dpdk-rkv"])
+def test_every_server_takes_ingress_through_its_runtime(name):
+    # the runtime decodes the request wire format itself: nothing wraps
+    # its on_packet (iPipe: the NIC's packet_handler; DPDK: the ToR
+    # egress link's receiver)
+    from repro.core import IPipeRuntime
+    from repro.experiments.applications import deployment_spec
+    spec = (deployment_spec("dpdk", "rkv", LIQUIDIO_CN2350, 512, 4,
+                            1_000.0, seed=1)
+            if name == "dpdk-rkv" else load_shipped(name))
+    scenario = build(spec)
+    for server_name, server in scenario.servers.items():
+        runtime = server.runtime
+        if isinstance(runtime, IPipeRuntime):
+            assert server.nic.packet_handler == runtime.on_packet
+        else:
+            receiver = scenario.network.egress(server_name).receiver
+            assert receiver == runtime.on_packet
 
 
 def test_sharded_placement_interleaves_across_racks():
@@ -441,15 +519,6 @@ def test_spec_build_matches_hand_wired_testbed():
     server = bed.add_server("s0", host_workers=4)
     RkvNode(server.runtime, [], initial_leader="s0")
     runtime = server.runtime
-    original = runtime.on_packet
-
-    def routed(packet, original=original):
-        if isinstance(packet.payload, dict) and "kind" in packet.payload \
-                and "payload" not in packet.payload:
-            packet.kind = packet.payload["kind"]
-        original(packet)
-
-    runtime.nic.packet_handler = routed
     port = bed.add_client("client")
     wl = KvWorkload(packet_size=256)
     gen = port.closed_loop(dst="s0", clients=4, size=256,
@@ -521,8 +590,8 @@ def test_client_port_demuxes_replies_to_owning_generator():
 def test_client_port_untagged_replies_fall_through_to_sinks():
     sim = Simulator()
     from repro.scenario.build import ClientPort
-    from repro.net import Network
-    net = Network(sim, bandwidth_gbps=10)
+    from repro.net import Fabric
+    net = Fabric(sim, bandwidth_gbps=10)
     port = ClientPort(sim, net, "client")
     seen = []
     port.add_sink(seen.append)

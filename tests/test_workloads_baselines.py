@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import DpdkRuntime, FLOEM_QUEUE_OVERHEAD_US, FloemRuntime
 from repro.core import Actor, Location
 from repro.host import HostMachine
-from repro.net import Network, Packet
+from repro.net import Fabric, Packet
 from repro.nic import HOST_XEON_E5_2680, LIQUIDIO_CN2350, SmartNic, WorkloadProfile
 from repro.sim import Simulator, rng_draw_count
 from repro.workloads import (
@@ -70,7 +70,7 @@ def _echo(actor, msg, ctx):
 
 def test_dpdk_runtime_serves_requests_host_only():
     sim = Simulator()
-    network = Network(sim, bandwidth_gbps=10)
+    network = Fabric(sim, bandwidth_gbps=10)
     host = HostMachine(sim, HOST_XEON_E5_2680)
     runtime = DpdkRuntime(sim, host, network, "server", workers=4)
     actor = Actor("echo", _echo, profile=WorkloadProfile("e", 2.0, 1.3, 0.6))
@@ -91,7 +91,7 @@ def test_dpdk_runtime_serves_requests_host_only():
 
 def test_dpdk_charges_stack_costs():
     sim = Simulator()
-    network = Network(sim, bandwidth_gbps=10)
+    network = Fabric(sim, bandwidth_gbps=10)
     host = HostMachine(sim, HOST_XEON_E5_2680)
     runtime = DpdkRuntime(sim, host, network, "server", workers=1)
     actor = Actor("echo", _echo, profile=WorkloadProfile("e", 2.0, 1.3, 0.6))
@@ -109,7 +109,7 @@ def test_dpdk_charges_stack_costs():
 
 def test_floem_static_placement_by_complexity():
     sim = Simulator()
-    network = Network(sim, bandwidth_gbps=10)
+    network = Fabric(sim, bandwidth_gbps=10)
     host = HostMachine(sim, HOST_XEON_E5_2680)
     nic = SmartNic(sim, LIQUIDIO_CN2350)
     runtime = FloemRuntime(sim, nic, host, network, "server")
@@ -124,7 +124,7 @@ def test_floem_static_placement_by_complexity():
 
 def test_floem_charges_queue_overhead():
     sim = Simulator()
-    network = Network(sim, bandwidth_gbps=10)
+    network = Fabric(sim, bandwidth_gbps=10)
     host = HostMachine(sim, HOST_XEON_E5_2680)
     nic = SmartNic(sim, LIQUIDIO_CN2350)
     runtime = FloemRuntime(sim, nic, host, network, "server")
