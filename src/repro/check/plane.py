@@ -188,8 +188,5 @@ class CheckPlane:
                            trace=trace_ctx, node=violation.component,
                            track="check", monitor=monitor.name,
                            message=message)
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.counter("check.violations").inc(self.sim.now)
         if self.strict:
             raise InvariantViolation(violation)

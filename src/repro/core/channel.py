@@ -396,10 +396,6 @@ class ReliableChannel:
                     track=ring.name, key=msg.meta.get("rel_key"),
                     seq=msg.meta.get("rel_seq"),
                     attempts=msg.meta.get("rel_attempts", 0))
-            metrics = self.sim.metrics
-            if metrics is not None:
-                metrics.histogram("channel.mttr_us").record(
-                    self.sim.now, self.sim.now - first_fail)
 
     # -- introspection --------------------------------------------------------
     def ready(self, direction: str) -> int:

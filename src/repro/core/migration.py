@@ -53,6 +53,31 @@ READY_COST_US = 10.0
 PHASE_NAMES = {1: "prepare", 2: "drain", 3: "move", 4: "forward"}
 
 
+def _trace_migration(sim: Simulator, node: str,
+                     report: MigrationReport) -> None:
+    """Emit one parent span per migration on ``node``'s mgmt track, with
+    the phases as strictly-contained children (the phases tile the
+    parent)."""
+    tracer = sim.tracer
+    if tracer is None or not report.phase_us:
+        return
+    end = sim.now
+    start = end - report.total_us
+    parent = tracer.record_span(
+        f"migrate:{report.actor}", "migration", start, end,
+        node=node, track="mgmt", actor=report.actor,
+        direction=report.direction, moved_bytes=report.moved_bytes,
+        forwarded=report.forwarded_requests)
+    t = start
+    for phase in sorted(report.phase_us):
+        dur = report.phase_us[phase]
+        tracer.record_span(
+            PHASE_NAMES.get(phase, f"phase{phase}"), "migration",
+            t, t + dur, parent=parent, node=node, track="mgmt",
+            actor=report.actor, phase=phase)
+        t += dur
+
+
 class Migrator:
     """Executes migrations on behalf of the scheduler's management core.
 
@@ -65,29 +90,6 @@ class Migrator:
     def __init__(self, runtime):
         self.runtime = runtime
         self.reports: List[MigrationReport] = []
-
-    def _trace_report(self, report: MigrationReport) -> None:
-        """Emit one parent span per migration with the four phases as
-        strictly-contained children (the phases tile the parent)."""
-        tracer = self.runtime.sim.tracer
-        if tracer is None or not report.phase_us:
-            return
-        node = self.runtime.node_name
-        end = self.runtime.sim.now
-        start = end - report.total_us
-        parent = tracer.record_span(
-            f"migrate:{report.actor}", "migration", start, end,
-            node=node, track="mgmt", actor=report.actor,
-            direction=report.direction, moved_bytes=report.moved_bytes,
-            forwarded=report.forwarded_requests)
-        t = start
-        for phase in sorted(report.phase_us):
-            dur = report.phase_us[phase]
-            tracer.record_span(
-                PHASE_NAMES.get(phase, f"phase{phase}"), "migration",
-                t, t + dur, parent=parent, node=node, track="mgmt",
-                actor=report.actor, phase=phase)
-            t += dur
 
     # -- NIC → host (push) ----------------------------------------------------
     def migrate_to_host(self, actor: Actor):
@@ -162,7 +164,7 @@ class Migrator:
         actor.migration_state = MigrationState.RUNNING
         self.runtime.update_steering(actor)
         self.reports.append(report)
-        self._trace_report(report)
+        _trace_migration(self.runtime.sim, self.runtime.node_name, report)
         return report
 
     # -- host → NIC (pull) --------------------------------------------------------
@@ -206,7 +208,7 @@ class Migrator:
         actor.migration_state = MigrationState.RUNNING
         self.runtime.update_steering(actor)
         self.reports.append(report)
-        self._trace_report(report)
+        _trace_migration(self.runtime.sim, self.runtime.node_name, report)
         return report
 
     def last_report(self) -> Optional[MigrationReport]:
@@ -254,28 +256,6 @@ class CrossRackTicket:
     seen: set = field(default_factory=set)
     attempts: int = 0
     report: MigrationReport = None
-
-
-def _trace_xrack(sim: Simulator, node: str, report: MigrationReport) -> None:
-    """Parent migration span + phase children, on the source's mgmt track."""
-    tracer = sim.tracer
-    if tracer is None or not report.phase_us:
-        return
-    end = sim.now
-    start = end - report.total_us
-    parent = tracer.record_span(
-        f"migrate:{report.actor}", "migration", start, end,
-        node=node, track="mgmt", actor=report.actor,
-        direction=report.direction, moved_bytes=report.moved_bytes,
-        forwarded=report.forwarded_requests)
-    t = start
-    for phase in sorted(report.phase_us):
-        dur = report.phase_us[phase]
-        tracer.record_span(
-            PHASE_NAMES.get(phase, f"phase{phase}"), "migration",
-            t, t + dur, parent=parent, node=node, track="mgmt",
-            actor=report.actor, phase=phase)
-        t += dur
 
 
 class CrossRackMigrator:
@@ -451,7 +431,7 @@ class CrossRackMigrator:
         sim.post(window_us, self._flush_window, src_runtime, dst_runtime,
                  tombstone_keys, ticket.service, src_node, dst_node)
         self.reports.append(report)
-        _trace_xrack(sim, src_node, report)
+        _trace_migration(sim, src_node, report)
         del self._tickets[key]
         return report
 

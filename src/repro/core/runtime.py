@@ -880,10 +880,6 @@ class IPipeRuntime:
                 self.sim.now - msg.meta.get("nic_arrival", msg.created_at),
                 msg.size, service_us=busy)
             self.host_ops += 1
-            metrics = self.sim.metrics
-            if metrics is not None:
-                metrics.histogram("host.service_us").record(self.sim.now, busy)
-                metrics.counter("host.ops").inc(self.sim.now)
 
     # -- metrics -----------------------------------------------------------------------
     def host_cores_used(self, elapsed_us: float) -> float:

@@ -125,7 +125,7 @@ class NicScheduler:
                  on_actor_killed: Optional[Callable[[Actor], None]] = None,
                  node_name: str = "nic"):
         self.sim = sim
-        #: owning server's name, stamped onto spans and metrics
+        #: owning server's name, stamped onto spans
         self.node_name = node_name
         self.num_cores = num_cores
         self.queue = work_queue
@@ -611,12 +611,6 @@ class NicScheduler:
         tracker = self.fcfs_tracker if core_mode == "fcfs" else self.drr_tracker
         tracker.record(wait)
         self.ops_completed += 1
-        metrics = sim.metrics
-        if metrics is not None:
-            metrics.histogram("sched.wait_us").record(now, wait)
-            metrics.histogram("sched.service_us").record(now, busy)
-            metrics.histogram("sched.response_us").record(now, response)
-            metrics.counter("sched.ops").inc(now)
 
     def _kill_runaway(self, watchdog: Watchdog) -> None:
         """Deregister the actor whose handler outlived the watchdog."""

@@ -9,7 +9,7 @@ examples, and the experiment harnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Dict, List
 
 from .actor import Location
 
@@ -96,9 +96,6 @@ class RuntimeSnapshot:
     migrations: int = 0
     dos_kills: List[str] = field(default_factory=list)
     recovery: RecoverySnapshot = field(default_factory=RecoverySnapshot)
-    #: windowed metrics from the TracePlane registry, when one is
-    #: installed on the simulator ({metric name: typed summary dict})
-    metrics: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     def actor(self, name: str) -> ActorSnapshot:
         for snap in self.actors:
@@ -139,7 +136,6 @@ def snapshot(runtime, window_us: float = None) -> RuntimeSnapshot:
     sched = runtime.nic_scheduler
     chan = runtime.channel
     rchannel = runtime.rchannel
-    registry = sim.metrics
 
     actors = []
     for actor in runtime.actors:
@@ -195,7 +191,6 @@ def snapshot(runtime, window_us: float = None) -> RuntimeSnapshot:
         migrations=len(runtime.migrator.reports),
         dos_kills=list(runtime.config.isolation.kills),
         recovery=recovery_snapshot(runtime),
-        metrics=registry.snapshot(sim.now) if registry is not None else {},
     )
 
 

@@ -146,10 +146,9 @@ class ChaosClient:
         # feed the PulsePlane's per-service SLO histograms: replies copy
         # request metadata, so steered traffic carries its service name
         service = pkt.meta.get("steer_service")
-        metrics = self.sim.metrics
-        if service is not None and metrics is not None:
-            metrics.observe(f"svc.{service}.latency_us", latency,
-                            now=self.sim.now)
+        pulse = self.sim.pulse
+        if service is not None and pulse is not None:
+            pulse.observe(service, latency, self.sim.now)
 
     @property
     def answered(self) -> int:
@@ -334,7 +333,7 @@ def run_leg(workload: str, spec: ScenarioSpec, requests: int,
                                           **found.get("pulse", {})}
     tplane = bed.trace_plane
     stages: Dict[str, Dict[str, float]] = {}
-    if tplane is not None and tplane.tracer is not None:
+    if tplane is not None:
         tplane.tracer.close_all()           # flush open spans
         stages = tplane.stage_report()
     return ChaosReport(

@@ -95,14 +95,15 @@ class ClosedLoopGenerator:
 
     The destination is expected to eventually cause a reply packet to be
     routed back to ``src``; wire :meth:`on_reply` into the client node's
-    receive path.
+    receive path.  With a ``service``, each reply's latency also feeds
+    that service's SLO histogram on the simulator's PulsePlane.
     """
 
     def __init__(self, sim: Simulator, send: SendFn, src: str, dst: str,
                  clients: int, size: int,
                  payload_factory: Optional[PayloadFactory] = None,
                  rng: Optional[Rng] = None, think_time_us: float = 0.0,
-                 tag: Optional[str] = None):
+                 tag: Optional[str] = None, service: Optional[str] = None):
         if clients <= 0:
             raise ValueError("need at least one client")
         self.sim = sim
@@ -118,6 +119,7 @@ class ClosedLoopGenerator:
         self.payload_factory = payload_factory
         self.rng = rng or Rng(2)
         self.think_time_us = think_time_us
+        self.service = service
         self.latency = LatencyRecorder(f"{src}->{dst}")
         self.completed = 0
         self.sent = 0
@@ -137,7 +139,12 @@ class ClosedLoopGenerator:
         """Deliver a reply packet back to its waiting client."""
         waiter = self._pending.pop(packet.meta.get("client"), None)
         if waiter is not None:
-            self.latency.record(self.sim.now - packet.created_at)
+            now = self.sim.now
+            latency = now - packet.created_at
+            self.latency.record(latency)
+            pulse = self.sim.pulse
+            if pulse is not None and self.service is not None:
+                pulse.observe(self.service, latency, now)
             self.completed += 1
             waiter.trigger(packet)
 

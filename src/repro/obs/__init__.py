@@ -1,14 +1,7 @@
-"""Observability: tracing, windowed metrics, profiling, and the
-PulsePlane's continuous telemetry + SLO burn-rate alerting."""
+"""Observability: tracing, profiling, and the PulsePlane's continuous
+telemetry, windowed SLO latency histograms and burn-rate alerting."""
 
-from .metrics import (
-    Counter,
-    EMPTY_QUANTILE,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    no_data,
-)
+from .metrics import EMPTY_QUANTILE, Histogram, no_data
 from .plane import TracePlane
 from .pulse import LoadFeed, PulsePlane, Series, SeriesStore
 from .slo import SloEvaluator, parse_slo, render_slo_report
@@ -24,12 +17,9 @@ from .profiler import (
 from .trace import Span, SpanContext, Tracer
 
 __all__ = [
-    "Counter",
     "EMPTY_QUANTILE",
-    "Gauge",
     "Histogram",
     "LoadFeed",
-    "MetricsRegistry",
     "PulsePlane",
     "Series",
     "SeriesStore",

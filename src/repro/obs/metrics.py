@@ -1,11 +1,12 @@
-"""Windowed metrics over virtual time: counters, gauges, histograms.
+"""Windowed latency histograms over virtual time.
 
-The registry complements tracing: spans answer "where did *this*
-request's microseconds go", metrics answer "what is the p99 queue wait
-*right now*".  Histograms are log-linear (HDR-style): every power-of-two
-range is split into ``sub`` linear sub-buckets, bounding the relative
-quantile error at ``1/(2·sub)`` (≈3% at the default 16) with O(1)
-recording and a few hundred integer slots — no sample retention.
+Spans answer "where did *this* request's microseconds go"; a windowed
+histogram answers "what is the p99 latency *right now*" — the
+PulsePlane keeps one per SLO service.  Histograms are log-linear
+(HDR-style): every power-of-two range is split into ``sub`` linear
+sub-buckets, bounding the relative quantile error at ``1/(2·sub)`` (≈3%
+at the default 16) with O(1) recording and a few hundred integer slots
+— no sample retention.
 
 Windowing rotates the bucket array every ``window_us`` of virtual time;
 queries merge the live window with up to ``windows-1`` closed ones, so a
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 #: Default sliding-window span (virtual µs) and window count.
 DEFAULT_WINDOW_US = 10_000.0
@@ -154,141 +155,3 @@ class Histogram:
     @property
     def p99(self) -> float:
         return self.percentile(99)
-
-
-class Counter:
-    """Monotonic counter with per-window rate support."""
-
-    def __init__(self, name: str = "", window_us: float = DEFAULT_WINDOW_US):
-        self.name = name
-        self.window_us = window_us
-        self.value = 0
-        self._window_value = 0
-        self._window_start = 0.0
-
-    def inc(self, now: float, amount: int = 1) -> None:
-        self._roll(now)
-        self.value += amount
-        self._window_value += amount
-
-    def _roll(self, now: float) -> None:
-        if now - self._window_start >= self.window_us:
-            self._window_value = 0
-            self._window_start = now
-
-    def rate_per_us(self, now: float) -> float:
-        self._roll(now)
-        span = max(now - self._window_start, 1e-9)
-        return self._window_value / span
-
-
-class Gauge:
-    """Last-write-wins scalar with its update time."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.value = 0.0
-        self.updated_at = 0.0
-
-    def set(self, now: float, value: float) -> None:
-        self.value = value
-        self.updated_at = now
-
-
-class MetricsRegistry:
-    """Named metric directory shared by the runtime and harnesses.
-
-    Installed on the simulator as ``sim.metrics`` by
-    :class:`~repro.obs.plane.TracePlane`; instrumentation sites read
-    ``sim.metrics`` and skip when it is ``None``, so an uninstrumented
-    run pays one attribute read.
-    """
-
-    def __init__(self, sim=None, window_us: float = DEFAULT_WINDOW_US,
-                 windows: int = DEFAULT_WINDOWS):
-        self.sim = sim
-        self.window_us = window_us
-        self.windows = windows
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
-
-    def _now(self, now: Optional[float]) -> float:
-        if now is not None:
-            return now
-        return self.sim.now if self.sim is not None else 0.0
-
-    # -- access (create on first use) ---------------------------------------
-    def counter(self, name: str) -> Counter:
-        c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = Counter(name, self.window_us)
-        return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name)
-        return g
-
-    def histogram(self, name: str, window_us: Optional[float] = None,
-                  windows: Optional[int] = None) -> Histogram:
-        """The named histogram, created on first use.  The optional
-        window overrides apply only at creation — declare a non-default
-        window (e.g. an SLO's evaluation window) before traffic records
-        into the metric."""
-        h = self._histograms.get(name)
-        if h is None:
-            h = self._histograms[name] = Histogram(
-                name, window_us=window_us or self.window_us,
-                windows=windows or self.windows)
-        return h
-
-    def get_histogram(self, name: str) -> Optional[Histogram]:
-        """The named histogram, or None — without creating it (readers
-        like the PulsePlane probes must not materialise metrics)."""
-        return self._histograms.get(name)
-
-    # -- convenience recorders ----------------------------------------------
-    def inc(self, name: str, amount: int = 1,
-            now: Optional[float] = None) -> None:
-        self.counter(name).inc(self._now(now), amount)
-
-    def observe(self, name: str, value: float,
-                now: Optional[float] = None) -> None:
-        self.histogram(name).record(self._now(now), value)
-
-    def set_gauge(self, name: str, value: float,
-                  now: Optional[float] = None) -> None:
-        self.gauge(name).set(self._now(now), value)
-
-    # -- reporting ------------------------------------------------------------
-    def names(self) -> List[str]:
-        return sorted({*self._counters, *self._gauges, *self._histograms})
-
-    def snapshot(self, now: Optional[float] = None) -> Dict[str, Dict[str, float]]:
-        """One flat report: counters, gauges, and histogram quantiles.
-
-        Histogram quantiles are windowed when ``now`` is given (the usual
-        operator view), all-time when ``None``.
-        """
-        out: Dict[str, Dict[str, float]] = {}
-        for name, c in sorted(self._counters.items()):
-            out[name] = {"type": "counter", "value": c.value}
-        for name, g in sorted(self._gauges.items()):
-            out[name] = {"type": "gauge", "value": g.value,
-                         "updated_at": g.updated_at}
-        for name, h in sorted(self._histograms.items()):
-            # empty/expired windows surface as None (JSON null), never as
-            # the in-band NaN sentinel or a fake 0.0
-            quantiles = {p: h.percentile(p, now) for p in (50, 90, 99)}
-            out[name] = {
-                "type": "histogram",
-                "count": h.count,
-                "mean": h.mean,
-                "p50": None if no_data(quantiles[50]) else quantiles[50],
-                "p90": None if no_data(quantiles[90]) else quantiles[90],
-                "p99": None if no_data(quantiles[99]) else quantiles[99],
-                "max": h.max_value,
-            }
-        return out

@@ -3,8 +3,8 @@
 TracePlane answers *post-hoc* questions; the PulsePlane lets the system
 observe itself *while running*.  A periodic sampler scrapes gauges —
 per-server NIC-core utilization, DRR queue depth, steering decision
-rates, per-service latency quantiles out of the existing windowed
-histograms — into an in-memory, fingerprint-stable time-series store
+rates, per-service latency quantiles out of the plane's own windowed
+SLO histograms — into an in-memory, fingerprint-stable time-series store
 with ring-buffer retention.  On top of the store sit the
 :class:`~repro.obs.slo.SloEvaluator`\\ s (multi-window burn-rate SLO
 alerting) and the :class:`LoadFeed`, which publishes per-backend
@@ -17,7 +17,7 @@ Zero virtual-time cost
 The engine calls ``sim.pulse.after_step(now)`` with the clock already
 at each live event's time, before dispatching it (one attribute read
 when no plane is installed, exactly like
-``sim.tracer``/``sim.metrics``/``sim.checker``).  The sampler is *lazy*:
+``sim.tracer``/``sim.checker``).  The sampler is *lazy*:
 it takes one sample when virtual time first crosses a period boundary
 — before dispatching the crossing event, so a sample stamped at
 boundary ``b`` reads the state left by every event before ``b`` and by
@@ -42,7 +42,7 @@ import zlib
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from .metrics import EMPTY_QUANTILE, MetricsRegistry, no_data
+from .metrics import Histogram, no_data
 
 #: Default sampling cadence (virtual µs) and per-series ring capacity.
 DEFAULT_PERIOD_US = 500.0
@@ -210,14 +210,11 @@ def counter_rate_probe(read_total: Callable[[], float]
     return probe
 
 
-def service_quantile_probe(metrics: MetricsRegistry, metric: str,
+def service_quantile_probe(hist: Histogram,
                            pct: float) -> Callable[[float], float]:
     """Windowed latency quantile of a service histogram; the empty-window
     sentinel (NaN) when nothing was recorded recently."""
     def probe(t: float) -> float:
-        hist = metrics.get_histogram(metric)
-        if hist is None:
-            return EMPTY_QUANTILE
         return hist.percentile(pct, t)
     return probe
 
@@ -275,10 +272,12 @@ class PulsePlane:
 
     Construction order matters exactly as for TracePlane/CheckPlane:
     build the plane before the components it watches, register probes
-    with :meth:`add_probe` (or the ``watch_*`` helpers), then run.  When
-    no :class:`~repro.obs.metrics.MetricsRegistry` is installed yet, the
-    plane installs one — metric recording is passive, so this does not
-    perturb the event schedule.
+    with :meth:`add_probe` (or the ``watch_*`` helpers), then run.
+
+    The plane owns one windowed latency histogram per watched service
+    (``svc.<service>.latency_us``), declared by :meth:`watch_service` /
+    :meth:`watch_tenant` and fed through :meth:`observe` by the clients
+    that see replies.  Recording is passive: it schedules nothing.
     """
 
     def __init__(self, sim, period_us: float = DEFAULT_PERIOD_US,
@@ -299,8 +298,8 @@ class PulsePlane:
         #: scheduled a simulator event — must stay 0; the PulseMonitor
         #: turns any increment into an invariant violation.
         self.passive_schedules = 0
-        if sim.metrics is None:
-            sim.metrics = MetricsRegistry(sim)
+        #: per-service latency histograms, keyed by service name
+        self.latency: Dict[str, Histogram] = {}
         sim.pulse = self
 
     def uninstall(self) -> None:
@@ -341,21 +340,35 @@ class PulsePlane:
         self.add_probe("steer.rate",
                        counter_rate_probe(lambda: controller.steered))
 
+    def observe(self, service: str, latency_us: float, now: float) -> None:
+        """Record one reply latency into ``service``'s histogram; a
+        service no ``watch_*`` call declared records nothing."""
+        hist = self.latency.get(service)
+        if hist is not None:
+            hist.record(now, latency_us)
+
+    def _declare(self, service: str,
+                 window_us: Optional[float]) -> Histogram:
+        """``service``'s latency histogram, created on first declaration.
+
+        ``window_us`` sizes its sliding window (two windows deep) so the
+        quantile tracks an SLO's evaluation horizon — stale congestion
+        must age out at the SLO's cadence for recovery to be visible.
+        The first declaration sizes it; later ones share it."""
+        hist = self.latency.get(service)
+        if hist is None:
+            name = f"svc.{service}.latency_us"
+            hist = self.latency[service] = (
+                Histogram(name) if window_us is None
+                else Histogram(name, window_us=window_us, windows=2))
+        return hist
+
     def watch_service(self, service: str, pct: float = 99.0,
                       window_us: Optional[float] = None) -> None:
-        """Per-service latency quantile: ``svc.<service>.p<pct>``.
-
-        ``window_us`` sizes the backing histogram's sliding window (two
-        windows deep) so the quantile tracks the SLO's evaluation
-        horizon instead of the registry's default — stale congestion
-        must age out at the SLO's cadence for recovery to be visible.
-        """
-        metric = f"svc.{service}.latency_us"
-        if window_us is not None:
-            self.sim.metrics.histogram(metric, window_us=window_us,
-                                       windows=2)
-        self.add_probe(f"svc.{service}.p{pct:g}",
-                       service_quantile_probe(self.sim.metrics, metric, pct))
+        """Per-service latency quantile: ``svc.<service>.p<pct>``, over
+        the service histogram declared with ``window_us``."""
+        self.add_probe(f"svc.{service}.p{pct:g}", service_quantile_probe(
+            self._declare(service, window_us), pct))
 
     def watch_tenant(self, tenant: str, schedulers=(), services=(),
                      controller=None, pct: float = 99.0,
@@ -373,13 +386,10 @@ class PulsePlane:
             self.add_probe(f"tenant.steer.{tenant}",
                            tenant_steering_probe(controller, services))
         for service in services:
-            metric = f"svc.{service}.latency_us"
-            if window_us is not None:
-                self.sim.metrics.histogram(metric, window_us=window_us,
-                                           windows=2)
             self.add_probe(
                 f"tenant.svc.{tenant}.{service}.p{pct:g}",
-                service_quantile_probe(self.sim.metrics, metric, pct))
+                service_quantile_probe(self._declare(service, window_us),
+                                       pct))
 
     # -- engine hook ------------------------------------------------------
     def after_step(self, now: float) -> None:

@@ -1,9 +1,10 @@
 """SLO objectives over PulsePlane samples: grammar + burn-rate alerting.
 
 An SLO here is a latency-quantile objective — "``rkv p99 < 40us over
-2ms``" — evaluated continuously against the windowed service histograms
-the clients record (``svc.<name>.latency_us``).  Evaluation follows the
-multi-window burn-rate pattern from SRE practice:
+2ms``" — evaluated continuously against the PulsePlane's windowed
+service histogram (``svc.<name>.latency_us``), which the clients feed
+through :meth:`~repro.obs.pulse.PulsePlane.observe`.  Evaluation
+follows the multi-window burn-rate pattern from SRE practice:
 
 * every pulse sample is classified *bad* when the watched quantile is at
   or over the threshold (the empty-window sentinel counts as *good* —
@@ -19,9 +20,9 @@ multi-window burn-rate pattern from SRE practice:
   after a *full fast window* of consecutive in-budget samples.
 
 Breach/recovery transitions are emitted as ``slo.breach`` /
-``slo.recover`` tracer instants and ``slo.breaches`` metrics, recorded
-into the pulse store (``slo.<name>.*`` series), and re-derivable from
-the stored history — which is exactly how the
+``slo.recover`` tracer instants, recorded into the pulse store
+(``slo.<name>.*`` series), and re-derivable from the stored history —
+which is exactly how the
 :class:`~repro.check.monitors.PulseMonitor` proves the accounting is
 conservative (every counted breach is backed by over-threshold burns).
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from .metrics import EMPTY_QUANTILE, no_data
 
@@ -74,30 +75,33 @@ def parse_slo(text: str) -> Dict[str, object]:
 
 
 class SloEvaluator:
-    """Evaluates one SLO against its service histogram every pulse."""
+    """Evaluates one SLO against its service histogram every pulse.
 
-    def __init__(self, sim, store, name: str, metric: str,
+    Reads ``pulse``'s histogram for ``service`` (never creating one) and
+    records its evaluation series into ``pulse``'s store; one sample
+    per pulse period."""
+
+    def __init__(self, pulse, name: str, service: str,
                  threshold_us: float, pct: float = 99.0,
                  window_us: float = 2_000.0,
                  slow_windows: int = DEFAULT_SLOW_WINDOWS,
                  budget: float = DEFAULT_BUDGET,
-                 burn_threshold: float = 1.0,
-                 period_us: float = 500.0):
+                 burn_threshold: float = 1.0):
         if threshold_us <= 0:
             raise ValueError(f"slo {name}: threshold_us must be positive")
         if not 0.0 < budget <= 1.0:
             raise ValueError(f"slo {name}: budget must be in (0, 1]")
-        self.sim = sim
-        self.store = store
+        self.pulse = pulse
         self.name = name
-        self.metric = metric
+        self.service = service
+        self.metric = f"svc.{service}.latency_us"
         self.pct = pct
         self.threshold_us = threshold_us
         self.window_us = window_us
         self.budget = budget
         self.burn_threshold = burn_threshold
         #: samples per fast window, and the slow multiple of it
-        self.fast_n = max(int(round(window_us / period_us)), 1)
+        self.fast_n = max(int(round(window_us / pulse.period_us)), 1)
         self.slow_n = self.fast_n * max(int(slow_windows), 1)
         self._bad: Deque[int] = deque(maxlen=self.slow_n)
         self._ok_streak = 0
@@ -116,8 +120,7 @@ class SloEvaluator:
 
     # -- one evaluation tick ----------------------------------------------
     def evaluate(self, t: float) -> None:
-        metrics = self.sim.metrics
-        hist = metrics.get_histogram(self.metric) if metrics else None
+        hist = self.pulse.latency.get(self.service)
         value = (EMPTY_QUANTILE if hist is None
                  else hist.percentile(self.pct, t))
         bad = (not no_data(value)) and value >= self.threshold_us
@@ -131,31 +134,28 @@ class SloEvaluator:
             self.in_breach = True
             self.breaches += 1
             self.transitions.append((t, "breach", burn_fast, burn_slow))
-            self._emit("slo.breach", t, value, burn_fast, burn_slow)
+            self._emit("slo.breach", value, burn_fast, burn_slow)
         elif self.in_breach and self._ok_streak >= self.fast_n:
             self.in_breach = False
             self.recoveries += 1
             self.transitions.append((t, "recover", burn_fast, burn_slow))
-            self._emit("slo.recover", t, value, burn_fast, burn_slow)
+            self._emit("slo.recover", value, burn_fast, burn_slow)
         prefix = f"slo.{self.name}"
-        self.store.record(t, f"{prefix}.value", value)
-        self.store.record(t, f"{prefix}.burn_fast", burn_fast)
-        self.store.record(t, f"{prefix}.burn_slow", burn_slow)
-        self.store.record(t, f"{prefix}.breach",
-                          1.0 if self.in_breach else 0.0)
+        store = self.pulse.store
+        store.record(t, f"{prefix}.value", value)
+        store.record(t, f"{prefix}.burn_fast", burn_fast)
+        store.record(t, f"{prefix}.burn_slow", burn_slow)
+        store.record(t, f"{prefix}.breach", 1.0 if self.in_breach else 0.0)
 
-    def _emit(self, kind: str, t: float, value: float,
+    def _emit(self, kind: str, value: float,
               burn_fast: float, burn_slow: float) -> None:
-        tracer = self.sim.tracer
+        tracer = self.pulse.sim.tracer
         if tracer is not None:
             tracer.instant(f"{kind}:{self.name}", "slo", track="slo",
                            slo=self.name, metric=self.metric,
                            value=None if no_data(value) else value,
                            threshold_us=self.threshold_us,
                            burn_fast=burn_fast, burn_slow=burn_slow)
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.counter(kind).inc(t)
 
     # -- reporting --------------------------------------------------------
     def report(self) -> Dict[str, object]:

@@ -30,8 +30,8 @@ The tracer is installed on the simulator (``sim.tracer``) by
     if tracer is not None:
         ...
 
-so a run without a TracePlane — or with a disabled one — pays a single
-attribute lookup per event and allocates nothing.
+so a run without a TracePlane pays a single attribute lookup per event
+and allocates nothing.
 """
 
 from __future__ import annotations

@@ -80,7 +80,8 @@ class ClientPort:
 
     def closed_loop(self, dst: str, clients: int, size: int,
                     payload_factory=None, rng: Optional[Rng] = None,
-                    think_time_us: float = 0.0) -> ClosedLoopGenerator:
+                    think_time_us: float = 0.0,
+                    service: Optional[str] = None) -> ClosedLoopGenerator:
         # first generator keeps the node name as its tag (the seed's
         # meta layout); later ones get a unique suffix for the demux
         tag = (self.name if not self._generators
@@ -89,7 +90,7 @@ class ClientPort:
             self.sim, send=self.network.send,
             src=self.name, dst=dst, clients=clients, size=size,
             payload_factory=payload_factory, rng=rng,
-            think_time_us=think_time_us, tag=tag)
+            think_time_us=think_time_us, tag=tag, service=service)
         self._generators.append(gen)
         self._demux[tag] = gen
         return gen
@@ -416,7 +417,8 @@ def _build_fleet(scenario: Scenario, fleet: FleetSpec,
             gen = port.closed_loop(
                 dst=dst, clients=fleet.clients, size=fleet.size,
                 payload_factory=factory, rng=Rng(seed),
-                think_time_us=fleet.think_time_us)
+                think_time_us=fleet.think_time_us,
+                service=fleet.service())
         else:
             gen = port.open_loop(
                 dst=dst, rate_mpps=fleet.rate_mpps / len(targets),
@@ -607,14 +609,17 @@ def _build_tenant_pulse(scenario: Scenario, pulse) -> None:
     for tenant in spec.tenants:
         slos = [SLOSpec.from_text(raw) for raw in tenant.slos]
         services = tuple(sorted({slo.service for slo in slos}))
-        pulse.watch_tenant(tenant.name, schedulers=schedulers,
-                           services=services,
-                           controller=scenario.steering)
+        # the SLO's window sizes the service histogram, so the fleet
+        # view declares it before the tenant view shares it
         for slo in slos:
             if (slo.service, slo.pct) not in watched:
                 watched.add((slo.service, slo.pct))
                 pulse.watch_service(slo.service, pct=slo.pct,
                                     window_us=slo.window_us)
+        pulse.watch_tenant(tenant.name, schedulers=schedulers,
+                           services=services,
+                           controller=scenario.steering)
+        for slo in slos:
             _add_slo_evaluator(scenario, pulse, slo,
                                f"{tenant.name}.{slo.slo_name()}")
 
@@ -625,8 +630,7 @@ def _add_slo_evaluator(scenario: Scenario, pulse, slo: SLOSpec,
     observability SLO and per tenant SLO)."""
     from ..obs.slo import SloEvaluator
     pulse.add_evaluator(SloEvaluator(
-        scenario.sim, pulse.store, name=name, metric=slo.metric(),
+        pulse, name=name, service=slo.service,
         threshold_us=slo.threshold_us, pct=slo.pct,
         window_us=slo.window_us, slow_windows=slo.slow_windows,
-        budget=slo.budget, burn_threshold=slo.burn_threshold,
-        period_us=scenario.spec.observability.pulse.period_us))
+        budget=slo.budget, burn_threshold=slo.burn_threshold))

@@ -245,6 +245,9 @@ APP_OPTIONS: Dict[str, type] = {
     "rkv": RkvOptions, "dt": DtOptions, "rta": RtaOptions,
     "firewall": FirewallOptions, "ipsec": NoOptions, "none": NoOptions}
 APP_KINDS = tuple(APP_OPTIONS)
+#: app kinds that take every raw ``"data"`` frame a server receives; a
+#: frame of workload ``none`` has no payload, and neither can read it
+DATA_APPS = ("firewall", "ipsec")
 AppOptions = Union[RkvOptions, DtOptions, RtaOptions, FirewallOptions,
                    NoOptions]
 
@@ -339,6 +342,14 @@ class FleetSpec:
         if self.mode == "closed" and self.clients < 1:
             raise ScenarioError(["closed-loop needs clients >= 1"])
 
+    def service(self) -> Optional[str]:
+        """The SLO service its replies measure: the steered service it
+        targets, otherwise the app its workload feeds (``none`` feeds
+        none)."""
+        if self.dst.startswith("svc:"):
+            return self.dst.split(":", 1)[1]
+        return WORKLOAD_APPS.get(self.workload)
+
 
 @dataclass(frozen=True)
 class SteeringSpec:
@@ -381,9 +392,9 @@ class SLOSpec:
     <window_us>``, evaluated per pulse with multi-window burn rates.
 
     ``service`` names the steered service (or app kind) whose
-    ``svc.<service>.latency_us`` histogram the clients record.  In
-    JSON/TOML an entry may also be the compact grammar string —
-    ``"rkv p99 < 40us over 2ms"`` — parsed by
+    ``svc.<service>.latency_us`` histogram the PulsePlane keeps and the
+    clients feed.  In JSON/TOML an entry may also be the compact grammar
+    string — ``"rkv p99 < 40us over 2ms"`` — parsed by
     :func:`repro.obs.slo.parse_slo`.
     """
 
@@ -398,9 +409,6 @@ class SLOSpec:
 
     def slo_name(self) -> str:
         return self.name or f"{self.service}-p{self.pct:g}"
-
-    def metric(self) -> str:
-        return f"svc.{self.service}.latency_us"
 
     def problems(self, services, pulse: Optional[PulseSpec]) -> List[str]:
         """Everything wrong with this SLO, given the declared services
@@ -610,6 +618,13 @@ class ScenarioSpec:
                 if (server, app.kind) in hosted:
                     problems.append(f"app {app.kind}: server {server!r} "
                                     f"hosts two {app.kind} apps")
+                rivals = [kind for kind in DATA_APPS if kind != app.kind
+                          and (server, kind) in hosted]
+                if app.kind in DATA_APPS and rivals:
+                    problems.append(
+                        f"app {app.kind}: server {server!r} also hosts "
+                        f"a {rivals[0]} app, and only one app can take "
+                        f"its 'data' frames")
                 hosted.add((server, app.kind))
             if app.leader is not None and app.leader not in known:
                 problems.append(f"app {app.kind}: unknown leader "
@@ -661,6 +676,13 @@ class ScenarioSpec:
                     f"fleet {fleet.client}: workload {fleet.workload!r} "
                     f"feeds app {serves!r}, but {missing} host no "
                     f"{serves} app")
+            driven = [server for server in reached
+                      if any((server, kind) in hosted for kind in DATA_APPS)]
+            if serves is None and driven:
+                problems.append(
+                    f"fleet {fleet.client}: workload 'none' sends frames "
+                    f"with no payload, which the firewall or ipsec app "
+                    f"on {driven} cannot read")
         if len(set(steering_names)) != len(steering_names):
             problems.append(f"duplicate steering services: {steering_names}")
         for st in self.steering:

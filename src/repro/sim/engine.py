@@ -19,8 +19,8 @@ only live events and :meth:`Simulator.pending` is its length (see
 Hook contract
 -------------
 
-The passive planes hang off four attributes: ``tracer`` and ``metrics``
-(read by components), ``checker`` and ``pulse`` (called by the kernel).
+The passive planes hang off three attributes: ``tracer`` (read by
+components), ``checker`` and ``pulse`` (called by the kernel).
 ``checker.after_step`` runs after each fired callback;
 ``pulse.after_step`` runs with the clock at each event's time, before
 dispatching it — so a pulse sample taken when time crosses a boundary
@@ -70,11 +70,10 @@ class Simulator:
         self._heap: List[Tuple] = []
         self._seq: int = 0
         self._running = False
-        #: observability hooks, set by repro.obs.TracePlane.  Components
-        #: check these per event and do nothing while they are None, so
-        #: an uninstrumented run costs one attribute read per check.
+        #: tracing hook, set by repro.obs.TracePlane.  Components check
+        #: it per event and do nothing while it is None, so an
+        #: uninstrumented run costs one attribute read per check.
         self.tracer = None
-        self.metrics = None
         #: correctness hook, set by repro.check.CheckPlane.  The kernel
         #: calls ``checker.on_schedule(when, seq, fn)`` when an event is
         #: pushed and ``checker.after_step(when, seq, fn)`` after each

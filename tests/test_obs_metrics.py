@@ -1,15 +1,11 @@
-"""Metrics correctness: log-linear histogram accuracy and windowing."""
+"""Histogram correctness: log-linear accuracy and windowing, and the
+TracePlane's per-stage view."""
 
 import pytest
 
-from repro.obs import EMPTY_QUANTILE, Histogram, MetricsRegistry, no_data
+from repro.obs import EMPTY_QUANTILE, Histogram, no_data
 from repro.obs.metrics import _bucket_index, _bucket_value
 from repro.sim import Rng, percentile as exact_percentile
-
-
-class _Sim:
-    def __init__(self):
-        self.now = 0.0
 
 
 # -- bucket lattice -----------------------------------------------------------
@@ -122,65 +118,15 @@ def test_expired_window_quantile_is_the_sentinel():
     assert hist.percentile(99) == pytest.approx(42.0, rel=0.05)
 
 
-# -- registry -----------------------------------------------------------------
-def test_registry_snapshot_types():
-    sim = _Sim()
-    reg = MetricsRegistry(sim)
-    reg.inc("ops", 3)
-    reg.set_gauge("depth", 7.0)
-    reg.observe("lat", 12.0)
-    snap = reg.snapshot(sim.now)
-    assert snap["ops"] == {"type": "counter", "value": 3}
-    assert snap["depth"]["type"] == "gauge"
-    assert snap["depth"]["value"] == 7.0
-    assert snap["lat"]["type"] == "histogram"
-    assert snap["lat"]["count"] == 1
-    assert set(reg.names()) == {"ops", "depth", "lat"}
-
-
-def test_registry_counter_rate():
-    sim = _Sim()
-    reg = MetricsRegistry(sim, window_us=100.0)
-    for i in range(10):
-        sim.now = float(i)
-        reg.inc("rx")
-    assert reg.counter("rx").rate_per_us(10.0) == pytest.approx(1.0)
-
-
-def test_registry_create_on_use_is_stable():
-    reg = MetricsRegistry(_Sim())
-    assert reg.histogram("h") is reg.histogram("h")
-    assert reg.counter("c") is reg.counter("c")
-    assert reg.gauge("g") is reg.gauge("g")
-
-
-def test_registry_histogram_window_overrides_apply_at_creation_only():
-    reg = MetricsRegistry(_Sim(), window_us=10_000.0)
-    hist = reg.histogram("svc", window_us=2_000.0, windows=2)
-    assert hist.window_us == 2_000.0 and hist.max_windows == 2
-    # later callers (recorders, probes) get the same histogram back;
-    # their defaults must not resize an already-declared window
-    assert reg.histogram("svc") is hist
-    assert reg.histogram("svc", window_us=500.0).window_us == 2_000.0
-    assert reg.histogram("other").window_us == 10_000.0
-
-
-def test_registry_get_histogram_never_materialises():
-    reg = MetricsRegistry(_Sim())
-    assert reg.get_histogram("ghost") is None
-    assert "ghost" not in reg.names()
-    reg.observe("real", 1.0, now=0.0)
-    assert reg.get_histogram("real") is not None
-
-
+# -- the stage view -----------------------------------------------------------
 def test_runtime_snapshot_carries_metrics():
-    """telemetry.snapshot() surfaces the TracePlane registry."""
+    """Each dataplane stage records one span; the TracePlane's stage
+    report is the per-stage latency view of them."""
     from repro.experiments.chaos_study import run_rta_chaos
 
     report = run_rta_chaos(seed=3, n_requests=10, duration_us=20_000.0,
                            trace=True)
     assert report.ok
-    metrics = report.trace_plane.metrics_snapshot(windowed=False)
-    assert metrics["sched.ops"]["value"] > 0
-    assert metrics["sched.service_us"]["count"] > 0
-    assert metrics["sched.service_us"]["p99"] >= metrics["sched.service_us"]["p50"]
+    stages = report.trace_plane.stage_report()
+    assert stages["service"]["count"] > 0
+    assert stages["service"]["p99_us"] >= stages["service"]["p50_us"]

@@ -10,13 +10,13 @@ import pytest
 from repro.check import PulseMonitor, SanitizerSession
 from repro.obs import (
     EMPTY_QUANTILE,
-    MetricsRegistry,
     PulsePlane,
     SeriesStore,
     SloEvaluator,
     no_data,
     parse_slo,
 )
+from repro.obs.metrics import DEFAULT_WINDOW_US, DEFAULT_WINDOWS
 from repro.obs.pulse import _peak_probe, counter_rate_probe
 from repro.scenario import (
     AppSpec,
@@ -30,6 +30,7 @@ from repro.scenario import (
     ServerSpec,
     SLOSpec,
     SteeringSpec,
+    build,
     from_json,
     load_shipped,
     run_scenario,
@@ -158,12 +159,46 @@ def test_pulse_rejects_nonpositive_period():
 
 
 def test_watch_service_sizes_the_backing_histogram_window():
+    pulse = PulsePlane(Simulator(), period_us=100.0)
+    pulse.watch_service("rkv", pct=99.0, window_us=400.0)
+    hist = pulse.latency.get("rkv")
+    assert hist is not None and hist.name == "svc.rkv.latency_us"
+    assert hist.window_us == 400.0 and hist.max_windows == 2
+
+
+def test_pulse_latency_window_is_set_at_declaration():
+    pulse = PulsePlane(Simulator(), period_us=100.0)
+    pulse.watch_service("rkv", pct=99.0, window_us=2_000.0)
+    hist = pulse.latency["rkv"]
+    # later declarations (another quantile, a tenant view) share the
+    # histogram; they must not resize an already-declared window
+    pulse.watch_service("rkv", pct=50.0, window_us=500.0)
+    pulse.watch_tenant("gold", services=("rkv",))
+    assert pulse.latency["rkv"] is hist and hist.window_us == 2_000.0
+    # a service watched with no SLO window gets the default one
+    pulse.watch_service("dt")
+    assert pulse.latency["dt"].window_us == DEFAULT_WINDOW_US
+    assert pulse.latency["dt"].max_windows == DEFAULT_WINDOWS
+
+
+def test_pulse_observe_records_only_into_a_declared_service():
+    pulse = PulsePlane(Simulator(), period_us=100.0)
+    pulse.watch_service("rkv", window_us=1_000.0)
+    pulse.observe("rkv", 12.0, 50.0)
+    pulse.observe("ghost", 12.0, 50.0)
+    assert pulse.latency["rkv"].count == 1
+    assert set(pulse.latency) == {"rkv"}
+
+
+def test_pulse_reading_never_creates_a_histogram():
     sim = Simulator()
     pulse = PulsePlane(sim, period_us=100.0)
-    pulse.watch_service("rkv", pct=99.0, window_us=400.0)
-    hist = sim.metrics.get_histogram("svc.rkv.latency_us")
-    assert hist is not None
-    assert hist.window_us == 400.0 and hist.max_windows == 2
+    ev = _evaluator(pulse)
+    pulse.add_evaluator(ev)
+    sim.post(250.0, lambda: None)
+    sim.run()
+    assert ev.report()["evaluations"] == pulse.samples == 1
+    assert pulse.latency == {}
 
 
 # -- SLO grammar --------------------------------------------------------------
@@ -197,26 +232,23 @@ def test_slo_spec_from_text_matches_the_field_form():
 
 # -- burn-rate evaluation -----------------------------------------------------
 
-def _evaluator(sim, store, **kwargs):
-    defaults = dict(name="rkv-p99", metric="svc.rkv.latency_us",
+def _evaluator(pulse, **kwargs):
+    defaults = dict(name="rkv-p99", service="rkv",
                     threshold_us=100.0, pct=99.0, window_us=1_000.0,
-                    slow_windows=2, budget=0.5, burn_threshold=1.0,
-                    period_us=500.0)
+                    slow_windows=2, budget=0.5, burn_threshold=1.0)
     defaults.update(kwargs)
-    return SloEvaluator(sim, store, **defaults)
+    return SloEvaluator(pulse, **defaults)
 
 
 def test_evaluator_breach_needs_a_full_fast_window_then_recovers():
-    sim = Simulator()
-    sim.metrics = metrics = MetricsRegistry(sim)
-    hist = metrics.histogram("svc.rkv.latency_us", window_us=1_000.0,
-                             windows=2)
-    store = SeriesStore()
-    ev = _evaluator(sim, store)        # fast_n=2, slow_n=4
-    hist.record(400.0, 250.0)          # over the 100us threshold
+    pulse = PulsePlane(Simulator(), period_us=500.0)
+    pulse.watch_service("rkv", window_us=1_000.0)
+    store = pulse.store
+    ev = _evaluator(pulse)             # fast_n=2, slow_n=4
+    pulse.observe("rkv", 250.0, 400.0)  # over the 100us threshold
     ev.evaluate(500.0)
     assert not ev.in_breach            # one bad sample < fast window
-    hist.record(900.0, 300.0)
+    pulse.observe("rkv", 300.0, 900.0)
     ev.evaluate(1_000.0)
     assert ev.in_breach and ev.breaches == 1
     assert ev.transitions[0][1] == "breach"
@@ -234,9 +266,9 @@ def test_evaluator_breach_needs_a_full_fast_window_then_recovers():
 
 
 def test_evaluator_missing_histogram_is_good_not_breach():
-    sim = Simulator()                  # no metrics registry at all
-    store = SeriesStore()
-    ev = _evaluator(sim, store)
+    pulse = PulsePlane(Simulator())    # no service declared at all
+    store = pulse.store
+    ev = _evaluator(pulse)
     for i in range(6):
         ev.evaluate(500.0 * (i + 1))
     assert ev.breaches == 0 and not ev.in_breach
@@ -244,11 +276,11 @@ def test_evaluator_missing_histogram_is_good_not_breach():
 
 
 def test_evaluator_rejects_bad_parameters():
-    store = SeriesStore()
+    pulse = PulsePlane(Simulator())
     with pytest.raises(ValueError):
-        _evaluator(Simulator(), store, threshold_us=0.0)
+        _evaluator(pulse, threshold_us=0.0)
     with pytest.raises(ValueError):
-        _evaluator(Simulator(), store, budget=1.5)
+        _evaluator(pulse, budget=1.5)
 
 
 # -- PulseMonitor invariants --------------------------------------------------
@@ -269,10 +301,8 @@ def test_pulse_monitor_flags_passivity_and_lattice_violations():
 
 
 def test_pulse_monitor_flags_unbacked_breach_accounting():
-    sim = Simulator()
-    pulse = PulsePlane(sim, period_us=100.0)
-    store = pulse.store
-    ev = _evaluator(sim, store)
+    pulse = PulsePlane(Simulator(), period_us=100.0)
+    ev = _evaluator(pulse)
     pulse.add_evaluator(ev)
     monitor = PulseMonitor(pulse)
     ev.breaches = 1                    # counted, but no transition backs it
@@ -409,3 +439,19 @@ def test_pulse_sampling_leaves_the_event_sequence_untouched():
         base, observability=dataclasses.replace(
             base.observability, pulse=PulseSpec(period_us=250.0)))
     assert _sanitized_digest(base) == _sanitized_digest(pulsed)
+
+
+def test_shipped_fleet_feeds_its_service_slo():
+    """A closed-loop fleet's replies feed its service's SLO histogram:
+    multi-tenant-mixed's gold fleet (workload kv) measures ``rkv``."""
+    scenario = build(load_shipped("multi-tenant-mixed"))
+    scenario.run(until=3_000.0)
+    scenario.stop()
+    gold = [gen for gen, idx in zip(scenario.generators,
+                                    scenario.gen_fleets)
+            if scenario.spec.fleets[idx].tenant == "gold"]
+    assert len(gold) == 1 and gold[0].completed > 0
+    pulse = scenario.pulse_plane
+    assert pulse.latency["rkv"].count == gold[0].completed
+    assert any(not no_data(v)
+               for v in pulse.store.get("svc.rkv.p99").values())

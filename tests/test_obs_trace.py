@@ -167,15 +167,3 @@ def test_tracer_bounds_span_retention():
     assert tracer.dropped == 15
     # the survivors are the newest
     assert [s.name for s in tracer.spans] == [f"s{i}" for i in range(15, 25)]
-
-
-def test_traceplane_disabled_installs_nothing():
-    class _Sim:
-        now = 0.0
-
-    sim = _Sim()
-    plane = TracePlane(sim, enabled=False)
-    assert getattr(sim, "tracer", None) is None
-    assert plane.spans == ()
-    assert plane.stage_breakdown() == {}
-    assert plane.metrics_snapshot() == {}

@@ -160,6 +160,18 @@ _SERVER0 = ("racks", 0, "servers", 0)
     (_each(_set("apps", [{"kind": "dt", "servers": ["s0"]}]),
            _set("fleets", 0, "workload", "txn")),
      "app dt: the replica groups of ['s0'] have no participant"),
+    (_each(_set("apps", [{"kind": "firewall", "servers": ["s0"]}]),
+           _set("fleets", 0, "workload", "none")),
+     "fleet client: workload 'none' sends frames with no payload, which "
+     "the firewall or ipsec app on ['s0'] cannot read"),
+    (_each(_set("apps", [{"kind": "ipsec", "servers": ["s0"]}]),
+           _set("fleets", 0, "workload", "none")),
+     "fleet client: workload 'none' sends frames with no payload, which "
+     "the firewall or ipsec app on ['s0'] cannot read"),
+    (_set("apps", [{"kind": kind, "servers": ["s0"]}
+                   for kind in ("rkv", "firewall", "ipsec")]),
+     "app ipsec: server 's0' also hosts a firewall app, and only one app "
+     "can take its 'data' frames"),
 ], ids=["closed-fleet-without-clients", "negative-think-time",
         "unknown-scheduler-key", "scheduler-value-type",
         "scheduler-isolation-type", "scheduler-value-range", "option-type",
@@ -168,7 +180,9 @@ _SERVER0 = ("racks", 0, "servers", 0)
         "negative-tor-latency", "negative-fleet-size", "runt-fleet-size",
         "negative-host-workers", "zero-host-cores", "negative-host-cores",
         "fleet-workload-its-dst-does-not-serve", "two-apps-of-one-kind",
-        "dt-group-without-participant"])
+        "dt-group-without-participant", "none-fleet-drives-a-firewall",
+        "none-fleet-drives-an-ipsec-gateway",
+        "firewall-and-ipsec-share-a-server"])
 def test_validate_rejects_what_build_or_run_would_raise_on(
         capsys, tmp_path, mutate, message):
     # each of these used to validate and then fail in build() or run()
@@ -207,11 +221,17 @@ def test_every_dt_group_needs_a_participant(shards):
 
 def test_every_pair_of_app_kinds_builds_on_the_same_servers():
     from itertools import combinations
-    from repro.scenario.spec import APP_KINDS
+    from repro.scenario.spec import APP_KINDS, DATA_APPS
     for pair in combinations(APP_KINDS, 2):
-        build(single_rack("pair", three_servers(), apps=tuple(
+        spec = single_rack("pair", three_servers(), apps=tuple(
             AppSpec(kind=kind, servers=("s0", "s1", "s2"))
-            for kind in pair)))
+            for kind in pair))
+        if set(pair) == set(DATA_APPS):
+            # both would take every "data" frame: rejected, not built
+            with pytest.raises(ScenarioError, match="'data' frames"):
+                build(spec)
+        else:
+            build(spec)
 
 
 def test_sharded_app_needs_enough_servers():
