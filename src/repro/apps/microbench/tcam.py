@@ -9,7 +9,7 @@ microbenchmark and the §5.7 firewall network function (8K rules).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Field layout of the matched key: (src_ip, dst_ip, src_port, dst_port,
 #: proto) packed into a single 104-bit integer.
@@ -48,36 +48,52 @@ class TcamRule:
 
 
 class SoftwareTcam:
-    """Priority-ordered linear-match TCAM (what a wimpy core actually runs).
+    """Priority-ordered wildcard TCAM: the first hit in descending
+    priority order wins, exactly like hardware TCAM priority encoding
+    (among equal priorities, the rule installed first).
 
-    Rules are kept sorted by descending priority so the first hit wins,
-    exactly like hardware TCAM priority encoding.
+    Lookup is tuple-space search (Srinivasan et al., SIGCOMM 1999): one
+    table per distinct mask, keyed by ``value & mask``, holding the
+    earliest rule in priority order with that masked value.  A key
+    probes each mask's table once and takes the earliest hit, which is
+    the rule a linear scan of the sorted list would return first.  The
+    tables are rebuilt whenever the rule set changes.
     """
 
     def __init__(self):
         self._rules: List[TcamRule] = []
+        #: (mask, {value & mask: (sort position, rule)}) per distinct mask
+        self._tables: List[Tuple[int, Dict[int, Tuple[int, TcamRule]]]] = []
         self.lookups = 0
-        self.rule_probes = 0
 
     def install(self, rule: TcamRule) -> None:
-        self._rules.append(rule)
-        self._rules.sort(key=lambda r: -r.priority)
+        self.install_many((rule,))
 
     def install_many(self, rules) -> None:
         self._rules.extend(rules)
         self._rules.sort(key=lambda r: -r.priority)
+        self._rebuild()
 
     def remove(self, rule: TcamRule) -> None:
         self._rules.remove(rule)
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        tables: Dict[int, Dict[int, Tuple[int, TcamRule]]] = {}
+        for position, rule in enumerate(self._rules):
+            tables.setdefault(rule.mask, {}).setdefault(
+                rule.value & rule.mask, (position, rule))
+        self._tables = list(tables.items())
 
     def lookup(self, key: int) -> Optional[TcamRule]:
         """First (highest-priority) matching rule, or None."""
         self.lookups += 1
-        for rule in self._rules:
-            self.rule_probes += 1
-            if rule.matches(key):
-                return rule
-        return None
+        best = None
+        for mask, table in self._tables:
+            hit = table.get(key & mask)
+            if hit is not None and (best is None or hit[0] < best[0]):
+                best = hit
+        return None if best is None else best[1]
 
     def __len__(self) -> int:
         return len(self._rules)

@@ -20,7 +20,6 @@ from .monitors import (
     DmoMonitor,
     InvariantViolation,
     PaxosMonitor,
-    PlanMonitor,
     PulseMonitor,
     RingMonitor,
     SchedulerMonitor,
@@ -53,7 +52,6 @@ __all__ = [
     "InvariantViolation",
     "LintFinding",
     "PaxosMonitor",
-    "PlanMonitor",
     "PulseMonitor",
     "RingMonitor",
     "RULES",

@@ -36,11 +36,6 @@ The invariants:
   (zero virtual-time cost), samples land on the period lattice, and SLO
   breach accounting is conservative: every counted breach is backed by
   a recorded transition with burns over the alert threshold.
-* **PlanMonitor** — the runtime placement realises the compiled plan
-  (:mod:`repro.plan`): every planned actor sits on its planned device
-  until the reactive scheduler first overrides it (a migration starting
-  or completing releases the actor from the plan's authority — reactive
-  control legitimately takes over from there).
 * **TenantMonitor** — multi-tenant isolation (docs/TENANCY.md): the
   per-tenant DRR ledgers conserve quantum tenant by tenant
   (``granted == spent + forfeited + Σ outstanding`` for each tenant),
@@ -395,64 +390,6 @@ class SteeringMonitor:
                 yield (f"exactly-once: service {service!r} request "
                        f"{uid!r} epoch {epoch}: delivered to {backend!r} "
                        f"after {first!r}")
-
-
-class PlanMonitor:
-    """Planned placement holds until the first reactive override.
-
-    Registered by ``CheckPlane.watch_scenario`` when a spec carries
-    placement pins (:attr:`~repro.scenario.spec.AppSpec.placement`, the
-    output of :func:`repro.plan.apply_placement`), which only iPipe
-    servers take.  For each planned ``(server, actor, device)`` the
-    monitor asserts ``actor.location == device`` — *until* the
-    runtime's reactive machinery takes the actor over: a migration in
-    flight (``migration_state != RUNNING``) or a completed
-    :class:`~repro.core.migration.MigrationReport` naming the actor
-    permanently releases it (the plan is the start state, not a cage; a
-    DRR downgrade under pressure is correct behaviour, not a violation).
-    A crashed/missing actor is skipped, not released — it must come back
-    up on its planned device.
-    """
-
-    name = "plan"
-
-    def __init__(self):
-        self.component = "planplane"
-        #: server -> runtime
-        self._runtimes: Dict[str, Any] = {}
-        #: (server, actor) -> planned device ("nic" | "host")
-        self._planned: Dict[Tuple[str, str], str] = {}
-        #: placements the reactive scheduler has overridden
-        self._released: set = set()
-        self._flagged: set = set()
-
-    def watch(self, server: str, runtime, placements) -> None:
-        """Register one runtime's planned ``(actor, device)`` pairs."""
-        self._runtimes[server] = runtime
-        for actor, device in placements:
-            self._planned[(server, actor)] = device
-
-    def check(self, now: float) -> Iterator[str]:
-        from ..core import MigrationState
-        for key, device in sorted(self._planned.items()):
-            server, name = key
-            runtime = self._runtimes[server]
-            if key in self._released:
-                continue
-            if any(r.actor == name for r in runtime.migrator.reports):
-                self._released.add(key)
-                continue
-            actor = runtime.actors.lookup(name)
-            if actor is None:
-                continue            # down; must restart as planned
-            if actor.migration_state is not MigrationState.RUNNING:
-                self._released.add(key)     # override in flight
-                continue
-            if actor.location.value != device and key not in self._flagged:
-                self._flagged.add(key)
-                yield (f"actor {name!r} on {server} runs on "
-                       f"{actor.location.value} but the plan places "
-                       f"it on {device} (no reactive override seen)")
 
 
 class PulseMonitor:

@@ -37,7 +37,6 @@ from .monitors import (
     DmoMonitor,
     InvariantViolation,
     PaxosMonitor,
-    PlanMonitor,
     PulseMonitor,
     RingMonitor,
     SchedulerMonitor,
@@ -129,10 +128,10 @@ class CheckPlane:
 
     def watch_scenario(self, scenario) -> None:
         """Register the plane monitors a built scenario calls for, in
-        this order: tenancy (when the spec declares tenants), the
-        placement plan (its pins), steering, pulse, then Paxos over
-        every rkv replica group with more than one member.  Called once,
-        at the end of :func:`repro.scenario.build`."""
+        this order: tenancy (when the spec declares tenants), steering,
+        pulse, then Paxos over every rkv replica group with more than
+        one member.  Called once, at the end of
+        :func:`repro.scenario.build`."""
         if not self.monitoring:
             return
         spec = scenario.spec
@@ -140,13 +139,6 @@ class CheckPlane:
             tenancy = self._monitor(TenantMonitor)
             for name, runtime in scenario.ipipe_runtimes():
                 tenancy.watch(name, runtime)
-        for app in spec.apps:
-            for key, device in app.placement:
-                server, _, actor = key.partition("/")
-                if server in scenario.servers:     # else another shard
-                    self._monitor(PlanMonitor).watch(
-                        server, scenario.servers[server].runtime,
-                        [(actor, device)])
         if scenario.steering is not None:
             self._monitor(SteeringMonitor, scenario.steering)
         if scenario.pulse_plane is not None:

@@ -207,19 +207,6 @@ def _sec57(quick: bool, executor) -> None:
           f"Gbps, 25GbE={ipsec_goodput_gbps(spec=LIQUIDIO_CN2360, duration_us=duration):.1f} Gbps")
 
 
-def _plan_study(quick: bool, executor) -> None:
-    from .experiments.plan_study import render_comparison, run_study
-    study = run_study(quick=quick)
-    print(render_table(render_comparison(study["comparisons"]),
-                       title="PlanPlane: planner vs reactive DRR "
-                             "(docs/PLANNING.md)"))
-    chaos = study["chaos"]
-    print(chaos.describe())
-    if not chaos.ok:
-        raise SystemExit("plan-study: planned placement broke the chaos "
-                         "recovery criterion")
-
-
 def _tenant_study(quick: bool, executor) -> None:
     run, kwargs = _leg("tenant", quick)
     record = run(**kwargs)
@@ -478,10 +465,9 @@ _STUDY_TARGETS = {
 #: study (fig16), the characterization dataplane (fig5), the six
 #: acceptance legs (full fault-injection + recovery paths, steering,
 #: SLO and tenant planes), and every shipped scenario spec (as
-#: ``scenario-<name>``) and its planned run (as ``plan-<name>``).
+#: ``scenario-<name>``).
 CHECK_TARGETS = ("fig5", "fig16", *_STUDY_TARGETS) \
-    + tuple(f"scenario-{name}" for name in _scenario_names()) \
-    + tuple(f"plan-{name}" for name in _scenario_names())
+    + tuple(f"scenario-{name}" for name in _scenario_names())
 
 
 def _check_run_fn(target: str, quick: bool, seed: int | None):
@@ -519,24 +505,6 @@ def _check_run_fn(target: str, quick: bool, seed: int | None):
             spec = dataclasses.replace(spec, seed=seed)
         duration = 5_000.0 if quick else None
         return lambda: run_scenario(spec, duration_us=duration).fingerprint()
-    if target.startswith("plan-"):
-        # the whole planning pipeline: profile -> solve -> apply -> run;
-        # the digest covers the plan *and* the planned run
-        import dataclasses
-        from .plan import apply_placement, compute_plan
-        from .scenario import load_shipped, run_scenario
-        spec = load_shipped(target[len("plan-"):])
-        if seed is not None:
-            spec = dataclasses.replace(spec, seed=seed)
-        duration = 5_000.0 if quick else None
-        profile_us = 2_000.0 if quick else None
-
-        def planned_run():
-            plan = compute_plan(spec, profile_us)
-            planned = apply_placement(plan, spec)
-            result = run_scenario(planned, duration_us=duration)
-            return (plan.fingerprint(), result.fingerprint())
-        return planned_run
 
 
 def _cmd_check(argv) -> int:
@@ -576,14 +544,17 @@ def _cmd_check(argv) -> int:
 
 
 class _BadFile(Exception):
-    """A spec or plan file that is missing, unreadable or undecodable;
-    the CLI prints its one-line message and exits 2."""
+    """A spec file that is missing, unreadable or undecodable; the CLI
+    prints its one-line message and exits 2."""
 
 
-def _load_file(from_file, path: str):
-    """``from_file(path)``, raising :class:`_BadFile` for a file that
-    cannot be read or is not JSON/TOML (content problems still raise the
-    loader's own ScenarioError/PlanError)."""
+def _resolve_spec(ref: str):
+    """A spec from a shipped name or a ``.json``/``.toml`` path, raising
+    :class:`_BadFile` for a file that cannot be read or is not JSON/TOML
+    (content problems still raise ScenarioError)."""
+    from .scenario import from_file, load_shipped
+    if not (ref.endswith(".json") or ref.endswith(".toml") or os.sep in ref):
+        return load_shipped(ref)
     import json
     decode_errors = (json.JSONDecodeError, UnicodeDecodeError)
     try:
@@ -592,19 +563,11 @@ def _load_file(from_file, path: str):
     except ImportError:  # pragma: no cover - Python < 3.11
         pass
     try:
-        return from_file(path)
+        return from_file(ref)
     except OSError as exc:
-        raise _BadFile(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise _BadFile(f"cannot read {ref}: {exc.strerror or exc}") from None
     except decode_errors as exc:
-        raise _BadFile(f"cannot parse {path}: {exc}") from None
-
-
-def _resolve_spec(ref: str):
-    """A spec from a shipped name or a ``.json``/``.toml`` path."""
-    from .scenario import from_file, load_shipped
-    if ref.endswith(".json") or ref.endswith(".toml") or os.sep in ref:
-        return _load_file(from_file, ref)
-    return load_shipped(ref)
+        raise _BadFile(f"cannot parse {ref}: {exc}") from None
 
 
 def _cmd_scenario(argv) -> int:
@@ -682,7 +645,6 @@ def _cmd_scenario(argv) -> int:
             spec = dataclasses.replace(spec, execution=dataclasses.replace(
                 spec.execution, shards=args.shards))
         spec.validate()
-        # a build-time rule (e.g. a pin naming no actor) raises here
         result = run_scenario(spec, duration_us=args.duration_us)
     except ScenarioError as exc:
         print(f"invalid spec {args.spec}: {exc}", file=sys.stderr)
@@ -716,109 +678,6 @@ def _cmd_scenario(argv) -> int:
             print(f"  serial fingerprint {serial.fingerprint()}")
             return 1
     return 0
-
-
-def _cmd_plan(argv) -> int:
-    """``repro plan``: compile a profile-driven placement plan."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro plan",
-        description="Profile one scenario under the TracePlane, solve "
-                    "fabric-wide shard/actor placement against the "
-                    "calibrated NIC/host cost models, and emit the plan "
-                    "as a declarative PlacementSpec (docs/PLANNING.md). "
-                    "Exit code 0: planned (and, with --run, ran) "
-                    "successfully. Exit code 1: the plan failed "
-                    "validation, did not fit the scenario, or the "
-                    "planned run failed. Exit code 2: usage error, an "
-                    "unknown scenario, or an unreadable spec/plan file.")
-    parser.add_argument("scenario", metavar="SCENARIO",
-                        help="shipped name or .json/.toml spec path")
-    parser.add_argument("--out", metavar="PLAN.json", default=None,
-                        help="write the PlacementSpec JSON here")
-    parser.add_argument("--spec-out", metavar="SPEC.json", default=None,
-                        help="also write the planned (transformed) "
-                             "scenario spec here")
-    parser.add_argument("--validate", metavar="PLAN.json", default=None,
-                        help="validate an existing plan against the "
-                             "scenario instead of solving a new one")
-    parser.add_argument("--profile-us", type=float, default=None,
-                        metavar="US", help="profiling window (default: "
-                        "min(spec horizon, 5000µs))")
-    parser.add_argument("--run", action="store_true",
-                        help="run the planned scenario and report it "
-                             "next to the unplanned (reactive) run")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="always re-profile and re-solve; do not "
-                             "touch the result cache")
-    args = parser.parse_args(argv)
-
-    from .exec import ResultCache
-    from .plan import (PlanError, apply_placement, plan_scenario, to_json)
-    from .plan import from_file as plan_from_file
-    from .scenario import ScenarioError, run_scenario
-    from .scenario import to_json as spec_to_json
-    try:
-        try:
-            spec = _resolve_spec(args.scenario)
-        except KeyError as exc:
-            # an unknown shipped name exits 2, like an unreadable file
-            raise _BadFile(exc.args[0]) from None
-        spec.validate()
-
-        if args.validate is not None:
-            plan = _load_file(plan_from_file, args.validate).validate()
-            planned = apply_placement(plan, spec)
-            planned.validate()
-            print(f"ok   {args.validate} fits {spec.name} "
-                  f"(plan {plan.fingerprint()}, "
-                  f"{len(plan.actors)} actor placements)")
-            return 0
-
-        cache = None if args.no_cache else ResultCache()
-        plan = plan_scenario(spec, profile_duration_us=args.profile_us,
-                             cache=cache)
-        planned = apply_placement(plan, spec)
-        planned.validate()
-
-        nic = sum(1 for p in plan.actors if p.device == "nic")
-        host = len(plan.actors) - nic
-        print(f"plan {spec.name}: {len(plan.assignments)} shard "
-              f"assignment(s), {len(plan.actors)} actor placement(s) "
-              f"({nic} nic / {host} host)")
-        print(f"  profile {plan.profile_fingerprint}, "
-              f"plan {plan.fingerprint()}, "
-              f"predicted p99 {plan.objective_p99_us:.3f}µs")
-        for a in plan.assignments:
-            print(f"  {a.app} shard {a.shard}: "
-                  f"{a.servers[0]} (leader) + "
-                  f"{', '.join(a.servers[1:]) or 'no followers'}")
-        if args.out is not None:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(to_json(plan))
-            print(f"  wrote {args.out}")
-        if args.spec_out is not None:
-            with open(args.spec_out, "w", encoding="utf-8") as fh:
-                fh.write(spec_to_json(planned))
-            print(f"  wrote {args.spec_out}")
-
-        if args.run:
-            planned_res = run_scenario(planned)
-            reactive_res = run_scenario(spec)
-            for label, res in (("planned", planned_res),
-                               ("reactive", reactive_res)):
-                done = res.completed or sum(res.client_received.values())
-                line = (f"  {label}: {done} completed")
-                if res.completed:
-                    line += (f", p99 {res.p99_latency_us:.3f}µs")
-                line += f", fingerprint {res.fingerprint()}"
-                print(line)
-        return 0
-    except _BadFile as exc:
-        print(f"plan failed: {exc}", file=sys.stderr)
-        return 2
-    except (PlanError, ScenarioError, OSError, KeyError) as exc:
-        print(f"plan failed: {exc}", file=sys.stderr)
-        return 1
 
 
 def _cmd_lint(argv) -> int:
@@ -877,7 +736,6 @@ EXPERIMENTS: Dict[str, Callable[..., None]] = {
     "fig18": _fig18,
     "sec5.6": _sec56,
     "sec5.7": _sec57,
-    "plan-study": _plan_study,
     "tenant-study": _tenant_study,
 }
 
@@ -890,7 +748,6 @@ COMMANDS: Dict[str, Callable[[list], int]] = {
     "check": _cmd_check,
     "lint": _cmd_lint,
     "scenario": _cmd_scenario,
-    "plan": _cmd_plan,
     # shorthand: ``repro run SPEC ...`` == ``repro scenario run ...``
     "run": lambda argv: _cmd_scenario(["run"] + argv),
     "slo": _cmd_slo,

@@ -104,6 +104,7 @@ class SloEvaluator:
         self.fast_n = max(int(round(window_us / pulse.period_us)), 1)
         self.slow_n = self.fast_n * max(int(slow_windows), 1)
         self._bad: Deque[int] = deque(maxlen=self.slow_n)
+        self.evaluations = 0
         self._ok_streak = 0
         self.in_breach = False
         self.breaches = 0
@@ -124,6 +125,7 @@ class SloEvaluator:
         value = (EMPTY_QUANTILE if hist is None
                  else hist.percentile(self.pct, t))
         bad = (not no_data(value)) and value >= self.threshold_us
+        self.evaluations += 1
         self._bad.append(1 if bad else 0)
         self._ok_streak = 0 if bad else self._ok_streak + 1
         burn_fast = self._burn(self.fast_n)
@@ -168,7 +170,7 @@ class SloEvaluator:
             "burn_threshold": self.burn_threshold,
             "fast_samples": self.fast_n,
             "slow_samples": self.slow_n,
-            "evaluations": len(self._bad),
+            "evaluations": self.evaluations,
             "in_breach": self.in_breach,
             "breaches": self.breaches,
             "recoveries": self.recoveries,

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..baselines import DpdkRuntime, FloemRuntime
-from ..core import IPipeRuntime, Location, SchedulerConfig
+from ..core import IPipeRuntime, SchedulerConfig
 from ..host import HostMachine
 from ..net import ClosedLoopGenerator, Fabric, OpenLoopGenerator, Packet
 from ..nic import NicSpec, SmartNic, host_for
@@ -28,7 +28,6 @@ from .spec import (
     FabricSpec,
     FirewallOptions,
     FleetSpec,
-    ScenarioError,
     ScenarioSpec,
     SLOSpec,
     resolve_nic,
@@ -348,36 +347,6 @@ def _apply_tenancy(scenario: Scenario) -> None:
                             dmo_budgets=budgets or None)
 
 
-def _apply_placement_pins(scenario: Scenario) -> None:
-    """Apply a placement plan's build-time device pins
-    (:attr:`AppSpec.placement`): move each named actor to its planned
-    device *before any traffic flows*, so the pinned start state is part
-    of the deterministic build — the planner's equivalent of registering
-    the actor there in the first place.  ``validate()`` has already
-    checked that each pinned server runs iPipe."""
-    for app in scenario.spec.apps:
-        for key, device in app.placement:
-            server, _, actor_name = key.partition("/")
-            node = scenario.servers.get(server)
-            if node is None:
-                continue    # rack-sharded partial build: not our shard
-            runtime = node.runtime
-            actor = runtime.actors.lookup(actor_name)
-            if actor is None:
-                raise ScenarioError(
-                    [f"placement pin {key!r}: no such actor on {server}"])
-            target = Location.NIC if device == "nic" else Location.HOST
-            if actor.location is target:
-                continue
-            if actor.pinned:
-                raise ScenarioError(
-                    [f"placement pin {key!r}: actor is pinned to "
-                     f"{actor.location.value} and cannot move to {device}"])
-            runtime.dmo.migrate_all(actor.name, target)
-            actor.location = target
-            runtime.update_steering(actor)
-
-
 # -- client fleets ------------------------------------------------------------
 
 #: fleet workload kind -> (generator class, its seed for shard 0)
@@ -491,9 +460,6 @@ def build(spec: ScenarioSpec, sim: Optional[Simulator] = None,
 
     if spec.tenants:
         _apply_tenancy(scenario)
-
-    if any(app.placement for app in spec.apps):
-        _apply_placement_pins(scenario)
 
     if spec.steering:
         _build_steering(scenario)

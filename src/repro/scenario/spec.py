@@ -276,9 +276,6 @@ class AppSpec:
     shards: int = 1
     leader: Optional[str] = None       # preferred leader of each group
     options: Optional[AppOptions] = None
-    #: build-time device pins from a placement plan (:mod:`repro.plan`):
-    #: ("server/actor", "nic" | "host") pairs applied before any traffic.
-    placement: Tuple[Tuple[str, str], ...] = ()
     tenant: str = ""                   # owning tenant ("" = implicit)
 
     #: codec hook: ``options`` is read as the class ``APP_OPTIONS[kind]``
@@ -286,13 +283,6 @@ class AppSpec:
 
     def __post_init__(self) -> None:
         _check_ranges(self, kind=APP_KINDS, shards=1)
-        for key, device in self.placement:
-            if "/" not in key:
-                raise ScenarioError([f"placement key {key!r} is not "
-                                     f"'server/actor'"])
-            if device not in ("nic", "host"):
-                raise ScenarioError([f"placement {key!r} device {device!r} "
-                                     f"is not nic|host"])
         if self.options is None:
             object.__setattr__(self, "options", APP_OPTIONS[self.kind]())
 
@@ -629,16 +619,6 @@ class ScenarioSpec:
             if app.leader is not None and app.leader not in known:
                 problems.append(f"app {app.kind}: unknown leader "
                                 f"{app.leader!r}")
-            for key, _ in app.placement:
-                server = key.split("/", 1)[0]
-                if server not in known:
-                    problems.append(f"app {app.kind}: placement "
-                                    f"{key!r} names an unknown server")
-                elif systems[server] == "dpdk":
-                    # only an iPipe runtime places actors on a device
-                    problems.append(f"app {app.kind}: placement {key!r} "
-                                    f"pins an actor on {server}, which "
-                                    f"runs dpdk, not iPipe")
         steering_names = [st.service for st in self.steering]
         for fleet in self.fleets:
             if fleet.client not in clients:
@@ -676,13 +656,25 @@ class ScenarioSpec:
                     f"fleet {fleet.client}: workload {fleet.workload!r} "
                     f"feeds app {serves!r}, but {missing} host no "
                     f"{serves} app")
-            driven = [server for server in reached
-                      if any((server, kind) in hosted for kind in DATA_APPS)]
-            if serves is None and driven:
-                problems.append(
-                    f"fleet {fleet.client}: workload 'none' sends frames "
-                    f"with no payload, which the firewall or ipsec app "
-                    f"on {driven} cannot read")
+            if serves is None:
+                driven = [server for server in reached if any(
+                    (server, kind) in hosted for kind in DATA_APPS)]
+                # a request app answers only its workload's requests,
+                # and a payload-less frame matches no dispatch entry
+                asked = [server for server in reached
+                         if server not in driven and any(
+                             (server, kind) in hosted
+                             for kind in WORKLOAD_APPS.values())]
+                if driven:
+                    problems.append(
+                        f"fleet {fleet.client}: workload 'none' sends "
+                        f"frames with no payload, which the firewall or "
+                        f"ipsec app on {driven} cannot read")
+                if asked:
+                    problems.append(
+                        f"fleet {fleet.client}: workload 'none' sends "
+                        f"frames with no request, which the rkv, dt or "
+                        f"rta app on {asked} cannot answer")
         if len(set(steering_names)) != len(steering_names):
             problems.append(f"duplicate steering services: {steering_names}")
         for st in self.steering:
@@ -836,7 +828,7 @@ class ScenarioSpec:
         return self
 
 
-# -- serialisation: one codec for scenario specs and placement plans ----------
+# -- serialisation: one codec for scenario specs -----------------------------
 
 def to_dict(spec) -> Dict[str, Any]:
     """Plain-data form of a spec tree (JSON/TOML-ready; tuples become
@@ -891,7 +883,7 @@ def _describe(value) -> str:
     return "null" if value is None else repr(value)
 
 
-def decode(cls, data, error=ScenarioError, path: str = ""):
+def decode(cls, data, path: str = ""):
     """Build dataclass ``cls`` from :func:`to_dict`-style plain data.
 
     Each field is read by its declared type: nested dataclasses from
@@ -904,13 +896,13 @@ def decode(cls, data, error=ScenarioError, path: str = ""):
     field is read as the class its (earlier) key field picks, from an
     object or a list of ``[key, value]`` pairs.  Anything else — a type
     mismatch, an unknown or missing field, a constructor's
-    ``ValueError`` — raises ``error([problem])`` with the problem
+    ``ValueError`` — raises ``ScenarioError([problem])`` with the problem
     qualified by its path, e.g. ``fleets[0]: missing field 'dst'`` (a
     constructor problem that starts with one of its fields, such as
     ``scheduler.alpha: ...``, continues the path).
     """
     def fail(problem):
-        raise error([f"{path or cls.__name__}: {problem}"]) from None
+        raise ScenarioError([f"{path or cls.__name__}: {problem}"]) from None
 
     if dataclasses.is_dataclass(cls):
         if isinstance(data, str) and hasattr(cls, "from_text"):
@@ -935,8 +927,8 @@ def decode(cls, data, error=ScenarioError, path: str = ""):
                     key, classes = keyed[name]
                     ftype = classes.get(kwargs.get(key), Any)
                     if isinstance(value, list):     # the pairs spelling
-                        value = dict(decode(_PAIRS, value, error, where))
-                kwargs[name] = decode(ftype, value, error, where)
+                        value = dict(decode(_PAIRS, value, where))
+                kwargs[name] = decode(ftype, value, where)
             elif required:
                 fail(f"missing field {name!r}")
         try:
@@ -946,7 +938,7 @@ def decode(cls, data, error=ScenarioError, path: str = ""):
             head = problem.split(":", 1)[0].split(".", 1)[0]
             if path and any(head == name for name, _, _ in rows):
                 # already qualified by one of this class's fields
-                raise error([f"{path}.{problem}"]) from None
+                raise ScenarioError([f"{path}.{problem}"]) from None
             fail(problem)
     args = typing.get_args(cls)
     origin = typing.get_origin(cls)
@@ -957,14 +949,14 @@ def decode(cls, data, error=ScenarioError, path: str = ""):
         options = [t for t in args if t is not type(None)]
         pick = next((t for t in options if dataclasses.is_dataclass(t)
                      == isinstance(data, dict)), options[0])
-        return decode(pick, data, error, path)
+        return decode(pick, data, path)
     if origin is dict:      # Dict[str, X]: JSON object keys are strings
         if not isinstance(data, dict):
             fail(f"must be an object, not {_describe(data)}")
-        return {k: decode(args[1], v, error, f"{path}.{k}")
+        return {k: decode(args[1], v, f"{path}.{k}")
                 for k, v in data.items()}
     if origin is list:
-        return list(decode(Tuple[args[0], ...], data, error, path))
+        return list(decode(Tuple[args[0], ...], data, path))
     if origin is tuple:
         if len(args) == 2 and args[1] is Ellipsis:
             pairs = typing.get_origin(args[0]) is tuple
@@ -976,7 +968,7 @@ def decode(cls, data, error=ScenarioError, path: str = ""):
             args = (args[0],) * len(data)
         elif not isinstance(data, (list, tuple)) or len(data) != len(args):
             fail(f"must be a list of {len(args)}, not {_describe(data)}")
-        return tuple(decode(t, v, error, f"{path}[{i}]")
+        return tuple(decode(t, v, f"{path}[{i}]")
                      for i, (t, v) in enumerate(zip(args, data)))
     if cls is Any:
         return data

@@ -241,16 +241,14 @@ def test_bench_check_bad_baseline_exits_two_before_benchmarking(
     assert not (tmp_path / "out.json").exists()
 
 
-#: every command that reads a spec or plan file; {} is the bad file.
-#: The last field is the exit code for a file that decodes but holds no
-#: object: ``run`` rejects any unusable spec as a usage error (2), while
-#: ``validate`` and ``plan`` report it as a failed spec/plan (1).
+#: every command that reads a spec file; {} is the bad file. The last
+#: field is the exit code for a file that decodes but holds no object:
+#: ``run`` rejects any unusable spec as a usage error (2), while
+#: ``validate`` reports it as a failed spec (1).
 SPEC_FILE_COMMANDS = [
     (["run", "{}"], 2),
     (["scenario", "run", "{}"], 2),
     (["scenario", "validate", "{}"], 1),
-    (["plan", "{}"], 1),
-    (["plan", "multi-rack-rkv", "--validate", "{}"], 1),
 ]
 
 
@@ -278,41 +276,23 @@ def test_run_unknown_spec_exits_two_listing_known_specs(capsys):
     assert all(name in err for name in shipped_specs())
 
 
-def _pinned_testbed(tmp_path, pin, system="ipipe"):
-    """paper-testbed with one placement pin on its rkv app and server s0
-    running ``system``, written to a spec file."""
+def test_a_spec_that_sets_placement_is_refused_in_one_line(capsys,
+                                                          tmp_path):
+    # AppSpec has no placement field, so the codec names it as unknown
     from repro.scenario import load_shipped
     from repro.scenario.spec import to_dict
     data = to_dict(load_shipped("paper-testbed"))
-    data["racks"][0]["servers"][0]["system"] = system
-    data["apps"][0]["placement"] = [pin]
+    data["apps"][0]["placement"] = [["s0/consensus", "nic"]]
     path = tmp_path / "pinned.json"
     path.write_text(json.dumps(data))
-    return str(path)
-
-
-def test_run_reports_a_pin_naming_no_actor_in_one_line(capsys, tmp_path):
-    # the actor names are known only once the app is built: the spec
-    # validates, and the build-time rule is one line and exit 2
-    path = _pinned_testbed(tmp_path, ["s0/nope", "nic"])
-    assert main(["scenario", "validate", path]) == 0
-    capsys.readouterr()
-    assert main(["scenario", "run", path, "--duration-us", "200"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1
-    assert "placement pin 's0/nope': no such actor on s0" in err
-
-
-def test_validate_rejects_a_pin_on_a_server_without_ipipe(capsys, tmp_path):
-    path = _pinned_testbed(tmp_path, ["s0/consensus", "nic"], system="dpdk")
-    assert main(["scenario", "validate", path]) == 1
+    message = "apps[0]: unknown field(s) ['placement']"
+    assert main(["scenario", "validate", str(path)]) == 1
     out = capsys.readouterr().out
     assert out.count("\n") == 1 and out.startswith("FAIL ")
-    assert "runs dpdk, not iPipe" in out
-    assert main(["scenario", "run", path]) == 2
+    assert message in out
+    assert main(["scenario", "run", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1
-    assert "runs dpdk, not iPipe" in err
+    assert out == "" and err.count("\n") == 1 and message in err
 
 
 def test_run_rejects_process_shards_in_one_line(capsys, tmp_path):

@@ -79,16 +79,6 @@ def test_rack_down_fault_equivalence():
 
 # -- build-time planes: one construction path for both decompositions -------
 
-def test_placement_pins_apply_to_sharded_builds():
-    spec = load_shipped("multi-rack-rkv")
-    app = spec.apps[0]
-    spec = replace(spec, apps=(
-        replace(app, placement=(("r0s0/memtable", "host"),)),))
-    serial = run_scenario(serial_twin(spec), duration_us=5_000.0)
-    sharded = RackShardExecutor(spec, duration_us=5_000.0).run()
-    assert sharded.fingerprint() == serial.fingerprint()
-
-
 def test_tenant_dmo_budget_applies_to_sharded_builds():
     spec = load_shipped("multi-rack-rkv")
     spec = replace(spec, tenants=(TenantSpec(name="t", dmo_budget_bytes=1),),

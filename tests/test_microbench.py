@@ -182,6 +182,47 @@ def test_tcam_no_match_returns_none():
     assert tcam.lookup(12345) is None
 
 
+_TCAM_RULES = st.builds(
+    TcamRule,
+    value=st.integers(0, 0x3FF),          # bits outside every mask too
+    mask=st.sampled_from([0x00, 0x0F, 0xF0, 0xFF, 0x3C]),
+    priority=st.integers(0, 3),           # duplicate priorities
+    action=st.sampled_from(["allow", "deny"]))
+_TCAM_OPS = st.lists(st.one_of(
+    st.tuples(st.just("install"), _TCAM_RULES),
+    st.tuples(st.just("install_many"), st.lists(_TCAM_RULES, max_size=6)),
+    st.tuples(st.just("remove"), st.integers(0, 50))), max_size=25)
+
+
+@settings(max_examples=200)
+@given(ops=_TCAM_OPS)
+def test_tcam_lookup_equals_the_linear_scan(ops):
+    tcam = SoftwareTcam()
+    installed = []                        # install order
+
+    def scan(key):
+        # stable sort: among equal priorities the earlier install wins
+        for rule in sorted(installed, key=lambda r: -r.priority):
+            if rule.matches(key):
+                return rule
+        return None
+
+    for op, arg in ops:
+        if op == "install":
+            tcam.install(arg)
+            installed.append(arg)
+        elif op == "install_many":
+            tcam.install_many(arg)
+            installed.extend(arg)
+        elif installed:
+            rule = installed[arg % len(installed)]
+            tcam.remove(rule)
+            installed.remove(rule)
+        assert len(tcam) == len(installed)
+        for key in range(256):
+            assert tcam.lookup(key) == scan(key)
+
+
 # -- LPM router ---------------------------------------------------------------------------------
 
 def test_lpm_longest_prefix_wins():

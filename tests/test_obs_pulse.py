@@ -201,6 +201,18 @@ def test_pulse_reading_never_creates_a_histogram():
     assert pulse.latency == {}
 
 
+def test_evaluations_count_every_pulse_past_the_slow_window():
+    sim = Simulator()
+    pulse = PulsePlane(sim, period_us=100.0)
+    ev = _evaluator(pulse)             # fast_n=10, slow_n=20
+    pulse.add_evaluator(ev)
+    for k in range(1, 31):             # one event per period
+        sim.post(k * 100.0 + 50.0, lambda: None)
+    sim.run()
+    assert pulse.samples == 30 > ev.slow_n
+    assert ev.report()["evaluations"] == pulse.samples
+
+
 # -- SLO grammar --------------------------------------------------------------
 
 def test_parse_slo_grammar_and_units():

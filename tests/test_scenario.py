@@ -168,6 +168,18 @@ _SERVER0 = ("racks", 0, "servers", 0)
            _set("fleets", 0, "workload", "none")),
      "fleet client: workload 'none' sends frames with no payload, which "
      "the firewall or ipsec app on ['s0'] cannot read"),
+    (_set("fleets", 0, "workload", "none"),
+     "fleet client: workload 'none' sends frames with no request, which "
+     "the rkv, dt or rta app on ['s0'] cannot answer"),
+    (_each(_set("racks", 0, "servers", [{"name": "s0"}, {"name": "s1"}]),
+           _set("apps", [{"kind": "dt", "servers": ["s0", "s1"]}]),
+           _set("fleets", 0, "workload", "none")),
+     "fleet client: workload 'none' sends frames with no request, which "
+     "the rkv, dt or rta app on ['s0'] cannot answer"),
+    (_each(_set("apps", [{"kind": "rta", "servers": ["s0"]}]),
+           _set("fleets", 0, "workload", "none")),
+     "fleet client: workload 'none' sends frames with no request, which "
+     "the rkv, dt or rta app on ['s0'] cannot answer"),
     (_set("apps", [{"kind": kind, "servers": ["s0"]}
                    for kind in ("rkv", "firewall", "ipsec")]),
      "app ipsec: server 's0' also hosts a firewall app, and only one app "
@@ -181,7 +193,8 @@ _SERVER0 = ("racks", 0, "servers", 0)
         "negative-host-workers", "zero-host-cores", "negative-host-cores",
         "fleet-workload-its-dst-does-not-serve", "two-apps-of-one-kind",
         "dt-group-without-participant", "none-fleet-drives-a-firewall",
-        "none-fleet-drives-an-ipsec-gateway",
+        "none-fleet-drives-an-ipsec-gateway", "none-fleet-asks-an-rkv-app",
+        "none-fleet-asks-a-dt-app", "none-fleet-asks-an-rta-app",
         "firewall-and-ipsec-share-a-server"])
 def test_validate_rejects_what_build_or_run_would_raise_on(
         capsys, tmp_path, mutate, message):

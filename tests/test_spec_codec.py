@@ -1,7 +1,6 @@
 """Tests for the spec codec (``repro.scenario.spec.decode``): scenario
-specs and placement plans load by their declared field types, and a
-malformed file is one path-qualified ScenarioError/PlanError — never a
-traceback."""
+specs load by their declared field types, and a malformed file is one
+path-qualified ScenarioError — never a traceback."""
 
 import copy
 import json
@@ -9,10 +8,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.plan import PlanError, compute_plan
-from repro.plan import from_dict as plan_from_dict
-from repro.plan import to_dict as plan_to_dict
-from repro.plan import to_json as plan_to_json
 from repro.scenario import (
     RkvOptions,
     ScenarioError,
@@ -30,25 +25,12 @@ except ImportError:          # pragma: no cover - hypothesis is optional
     HAVE_HYPOTHESIS = False
 
 
-@pytest.fixture(scope="module")
-def rkv_plan():
-    """The ``multi-rack-rkv`` plan as plain data."""
-    return plan_to_dict(compute_plan(load_shipped("multi-rack-rkv"),
-                                     profile_duration_us=1_000.0))
-
-
 # -- round trips --------------------------------------------------------------
 
 @pytest.mark.parametrize("name", shipped_specs())
 def test_shipped_specs_round_trip_through_the_codec(name):
     spec = load_shipped(name)
     assert from_dict(to_dict(spec)) == spec
-
-
-def test_plan_round_trips_through_the_codec(rkv_plan):
-    plan = plan_from_dict(rkv_plan)
-    assert plan_to_dict(plan) == rkv_plan
-    assert plan_from_dict(json.loads(plan_to_json(plan))) == plan
 
 
 def test_option_pairs_load_from_an_object_as_sorted_pairs():
@@ -115,47 +97,6 @@ def test_malformed_spec_file_fails_in_one_line(capsys, tmp_path, mutate,
     assert message in out
 
 
-def _actor_without(key):
-    def mutate(d):
-        del d["actors"][0][key]
-    return mutate
-
-
-def _servers_as_string(d):
-    d["assignments"][0]["servers"] = "s0"
-
-
-MALFORMED_PLANS = [
-    (_actor_without("actor"), "actors[0]: missing field 'actor'"),
-    (_actor_without("device"), "actors[0]: missing field 'device'"),
-    (_servers_as_string, "assignments[0].servers: must be a list, not 's0'"),
-    (lambda d: d.update(assignments=5), "assignments: must be a list"),
-]
-
-
-@pytest.mark.parametrize("mutate, message", MALFORMED_PLANS,
-                         ids=["no-actor", "no-device", "servers-str",
-                              "assignments-int"])
-def test_malformed_plan_file_fails_in_one_line(capsys, tmp_path, rkv_plan,
-                                               mutate, message):
-    data = copy.deepcopy(rkv_plan)
-    mutate(data)
-    path = tmp_path / "plan.json"
-    path.write_text(json.dumps(data))
-    assert main(["plan", "multi-rack-rkv", "--validate", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("plan failed: ")
-    assert message in err
-
-
-def test_unmutated_plan_file_validates(capsys, tmp_path, rkv_plan):
-    path = tmp_path / "plan.json"
-    path.write_text(json.dumps(rkv_plan))
-    assert main(["plan", "multi-rack-rkv", "--validate", str(path)]) == 0
-    assert capsys.readouterr().out.startswith(f"ok   {path} fits")
-
-
 # -- any one wrong value: the loader returns or raises its own error ----------
 
 def _json_kind(value) -> str:
@@ -210,20 +151,7 @@ if HAVE_HYPOTHESIS:
             from_dict(mutated).validate()
         except ScenarioError:
             pass
-
-    @settings(max_examples=150)
-    @given(st.data())
-    def test_one_wrong_value_in_a_plan_is_a_plan_error(rkv_plan, data):
-        mutated = _mutated(data.draw, rkv_plan)
-        try:
-            plan_from_dict(mutated).validate()
-        except PlanError:
-            pass
 else:                        # pragma: no cover - hypothesis is optional
     @pytest.mark.skip(reason="hypothesis not installed")
     def test_one_wrong_value_in_a_spec_is_a_scenario_error():
-        pass
-
-    @pytest.mark.skip(reason="hypothesis not installed")
-    def test_one_wrong_value_in_a_plan_is_a_plan_error():
         pass
