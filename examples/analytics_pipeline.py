@@ -13,7 +13,6 @@ from repro.apps.rta import RtaWorkerNode
 from repro.core import SchedulerConfig
 from repro.core.actor import Location
 from repro.experiments.testbed import make_testbed
-from repro.net import OpenLoopGenerator
 from repro.nic import LIQUIDIO_CN2350
 from repro.sim import Rng
 from repro.workloads import TwitterWorkload
@@ -36,13 +35,11 @@ def main() -> None:
         workers[name] = RtaWorkerNode(server.runtime, aggregate_node="worker0")
 
     workload = TwitterWorkload(packet_size=512, seed=17)
-    gen = OpenLoopGenerator(
-        bed.sim, send=bed.network.send, src="feed", dst="worker0",
-        rate_mpps=1.0, size=512,
+    gen = bed.add_client("feed").open_loop(
+        dst="worker0", rate_mpps=1.0, size=512,
         payload_factory=lambda i: workload.next_request(i)["tuples"] and
         {"tuples": workload.next_request(i)["tuples"]},
         rng=Rng(3))
-    bed.network.attach("feed", lambda p: None)
     runtime = bed.server("worker0").runtime
     original = runtime.on_packet
 

@@ -59,8 +59,8 @@ def main() -> None:
 
     elapsed_ms = bed.sim.now / 1000.0
     print(f"simulated {elapsed_ms:.0f} ms of a 10GbE rack")
-    print(f"completed: {gen.completed} requests "
-          f"({gen.completed / bed.sim.now:.2f} Mop/s)")
+    print(f"completed: {gen.answered} requests "
+          f"({gen.answered / bed.sim.now:.2f} Mop/s)")
     print(f"latency:   mean {gen.latency.mean:.1f} µs, "
           f"p99 {gen.latency.p99:.1f} µs")
     print(f"cache:     {len(cache)} keys, hit ratio {cache.hit_ratio:.2f}")

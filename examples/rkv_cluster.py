@@ -12,7 +12,6 @@ Run:  python examples/rkv_cluster.py
 from repro.apps.rkv import RkvNode
 from repro.core import SchedulerConfig
 from repro.experiments.testbed import make_testbed
-from repro.net import ClosedLoopGenerator
 from repro.nic import LIQUIDIO_CN2350
 from repro.sim import Rng
 from repro.workloads import KvWorkload
@@ -33,11 +32,9 @@ def main() -> None:
     for node in nodes.values():
         node.prefill(4000, workload.value_bytes)
 
-    gen = ClosedLoopGenerator(
-        bed.sim, send=bed.network.send, src="client", dst="leader",
-        clients=32, size=512,
+    gen = bed.add_client("client").closed_loop(
+        dst="leader", clients=32, size=512,
         payload_factory=lambda i: workload.next_request(i), rng=Rng(5))
-    bed.network.attach("client", gen.on_reply)
 
     bed.sim.run(until=40_000.0)
     gen.stop()
@@ -45,8 +42,8 @@ def main() -> None:
         bed.server(name).runtime.stop()
 
     leader = nodes["leader"]
-    print(f"completed {gen.completed} ops in {bed.sim.now / 1000:.0f} ms "
-          f"({gen.completed / bed.sim.now:.2f} Mop/s)")
+    print(f"completed {gen.answered} ops in {bed.sim.now / 1000:.0f} ms "
+          f"({gen.answered / bed.sim.now:.2f} Mop/s)")
     print(f"latency: mean {gen.latency.mean:.1f} µs, p99 {gen.latency.p99:.1f} µs")
     print(f"workload: {workload.reads} reads / {workload.writes} writes issued")
     print(f"reads served by NIC memtable: {leader.reads_served_memtable}, "

@@ -30,12 +30,16 @@ ESP_ICV_BYTES = 12        # truncated HMAC-SHA1
 def _keystream(key: bytes, iv: bytes, length: int) -> bytes:
     """CTR keystream from a hash-based PRF (stand-in for the AES engine —
     the accelerator model charges the real AES cost)."""
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < length:
-        blocks.append(hashlib.sha256(key + iv + struct.pack(">Q", counter)).digest())
-        counter += 1
-    return b"".join(blocks)[:length]
+    prefix = key + iv
+    blocks = -(-length // hashlib.sha256().digest_size)
+    return b"".join(hashlib.sha256(prefix + struct.pack(">Q", counter)).digest()
+                    for counter in range(blocks))[:length]
+
+
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``data`` XOR an equally long ``stream``, as one integer operation."""
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
 
 
 @dataclass
@@ -76,8 +80,7 @@ class IpsecGateway:
     def encapsulate(self, plaintext: bytes) -> EspPacket:
         self.sequence += 1
         iv = hashlib.sha256(struct.pack(">QI", self.sequence, self.spi)).digest()[:ESP_IV_BYTES]
-        stream = _keystream(self.key, iv, len(plaintext))
-        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+        ciphertext = _xor(plaintext, _keystream(self.key, iv, len(plaintext)))
         header = struct.pack(">II", self.spi, self.sequence)
         icv = self._icv(header, iv, ciphertext)
         self.encapsulated += 1
@@ -97,7 +100,7 @@ class IpsecGateway:
         self._highest_seen = packet.sequence
         stream = _keystream(self.key, packet.iv, len(packet.ciphertext))
         self.decapsulated += 1
-        return bytes(c ^ s for c, s in zip(packet.ciphertext, stream))
+        return _xor(packet.ciphertext, stream)
 
 
 class IpsecNode:

@@ -21,6 +21,7 @@ from .monitors import (
     InvariantViolation,
     PaxosMonitor,
     PulseMonitor,
+    RequestMonitor,
     RingMonitor,
     SchedulerMonitor,
     SteeringMonitor,
@@ -53,6 +54,7 @@ __all__ = [
     "LintFinding",
     "PaxosMonitor",
     "PulseMonitor",
+    "RequestMonitor",
     "RingMonitor",
     "RULES",
     "SanitizerSession",

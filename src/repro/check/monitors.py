@@ -36,6 +36,11 @@ The invariants:
   (zero virtual-time cost), samples land on the period lattice, and SLO
   breach accounting is conservative: every counted breach is backed by
   a recorded transition with burns over the alert threshold.
+* **RequestMonitor** — request accounting at every client port: each
+  client's ledger balances (``sent == answered + in_flight + lost``),
+  and each port's ``received`` equals its clients' answers plus
+  duplicates plus the packets no client claimed, so a reply that
+  reaches its client is counted exactly once.
 * **TenantMonitor** — multi-tenant isolation (docs/TENANCY.md): the
   per-tenant DRR ledgers conserve quantum tenant by tenant
   (``granted == spent + forfeited + Σ outstanding`` for each tenant),
@@ -390,6 +395,39 @@ class SteeringMonitor:
                 yield (f"exactly-once: service {service!r} request "
                        f"{uid!r} epoch {epoch}: delivered to {backend!r} "
                        f"after {first!r}")
+
+
+class RequestMonitor:
+    """Request accounting at the client ports.
+
+    * **ledger** — for every client, ``sent == answered + in_flight +
+      lost``: each request is answered, still awaited, or given up;
+    * **replies** — for every port, ``received == Σ (answered +
+      duplicates) + unmatched``: each packet the node receives is one
+      client's answer or duplicate, or claimed by no client.
+    """
+
+    name = "requests"
+
+    def __init__(self, ports):
+        #: port name -> ClientPort; clients made after wiring count too
+        self.ports = ports
+        self.component = "clients"
+
+    def check(self, now: float) -> Iterator[str]:
+        for name, port in self.ports.items():
+            claimed = 0
+            for client in port.clients.values():
+                in_flight, lost = client.in_flight, client.lost
+                if client.sent != client.answered + in_flight + lost:
+                    yield (f"ledger: client {client.tag!r} sent "
+                           f"{client.sent} != answered {client.answered} "
+                           f"+ in flight {in_flight} + lost {lost}")
+                claimed += client.answered + client.duplicates
+            if port.received != claimed + port.unmatched:
+                yield (f"replies: port {name!r} received {port.received} "
+                       f"!= answered+duplicates {claimed} + unmatched "
+                       f"{port.unmatched}")
 
 
 class PulseMonitor:

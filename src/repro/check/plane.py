@@ -38,6 +38,7 @@ from .monitors import (
     InvariantViolation,
     PaxosMonitor,
     PulseMonitor,
+    RequestMonitor,
     RingMonitor,
     SchedulerMonitor,
     SteeringMonitor,
@@ -129,9 +130,9 @@ class CheckPlane:
     def watch_scenario(self, scenario) -> None:
         """Register the plane monitors a built scenario calls for, in
         this order: tenancy (when the spec declares tenants), steering,
-        pulse, then Paxos over every rkv replica group with more than
-        one member.  Called once, at the end of
-        :func:`repro.scenario.build`."""
+        pulse, Paxos over every rkv replica group with more than one
+        member, then request accounting over the client ports.  Called
+        once, at the end of :func:`repro.scenario.build`."""
         if not self.monitoring:
             return
         spec = scenario.spec
@@ -150,6 +151,8 @@ class CheckPlane:
                     self.watch_paxos(f"apps[{a}].groups[{g}]",
                                      *(app.nodes[n].paxos for n in group
                                        if n in app.nodes))
+        if scenario.clients:
+            self._monitor(RequestMonitor, scenario.clients)
 
     # -- checking ---------------------------------------------------------
     def check_now(self) -> None:

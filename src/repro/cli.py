@@ -653,11 +653,12 @@ def _cmd_scenario(argv) -> int:
           f"{result.duration_us:.0f}µs"
           + (f", shards={spec.execution.shards}"
              if spec.execution.shards != "none" else "") + ")")
-    print(f"  sent {result.sent}, completed {result.completed} "
+    print(f"  sent {result.sent}, answered {result.answered} "
           f"({result.throughput_mops:.3f} Mops)")
     if result.completed:
-        print(f"  latency mean {result.mean_latency_us:.3f}µs "
-              f"p99 {result.p99_latency_us:.3f}µs")
+        print(f"  closed-loop latency mean {result.mean_latency_us:.3f}µs "
+              f"p99 {result.p99_latency_us:.3f}µs "
+              f"over {result.completed} answers")
     for client, count in sorted(result.client_received.items()):
         print(f"  client {client}: {count} replies")
     for switch, (fwd, dropped) in sorted(result.switch_counters.items()):

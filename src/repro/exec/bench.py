@@ -201,13 +201,15 @@ def _dense_eps(timers: int = _DENSE_TIMERS,
 def _arrival_eps(events: int = _ARRIVAL_EVENTS) -> float:
     """Open-loop Poisson arrival generation into a null sink: the
     bookkeeping cost of producing the packet schedule itself."""
-    from ..net import OpenLoopGenerator
+    from types import SimpleNamespace
+
+    from ..scenario.build import ClientPort
     from ..sim import Rng
 
     def once() -> float:
         sim = Simulator()
-        gen = OpenLoopGenerator(sim, send=_drop_packet, src="c", dst="s",
-                                rate_mpps=1.0, size=64, rng=Rng(7))
+        port = ClientPort(sim, SimpleNamespace(send=_drop_packet), "c")
+        gen = port.open_loop(dst="s", rate_mpps=1.0, size=64, rng=Rng(7))
         t0 = time.perf_counter()
         sim.run(until=float(events))
         elapsed = time.perf_counter() - t0

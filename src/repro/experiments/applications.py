@@ -113,7 +113,7 @@ def run_app(system: str, app: str, nic_spec: NicSpec = LIQUIDIO_CN2350,
 
     warmup = duration_us * warmup_fraction
     sim.run(until=warmup)
-    base_completed = gen.completed
+    base_completed = gen.answered
     # reset utilization accounting at the measurement window start
     for runtime in runtimes.values():
         for tracker in runtime.host_util:
@@ -137,7 +137,7 @@ def run_app(system: str, app: str, nic_spec: NicSpec = LIQUIDIO_CN2350,
     return AppRunResult(
         system=system, app=app, nic_model=nic_spec.model,
         packet_size=packet_size, duration_us=window,
-        completed=gen.completed - base_completed,
+        completed=gen.answered - base_completed,
         mean_latency_us=gen.latency.mean,
         p99_latency_us=gen.latency.p99,
         host_cores=host_cores, nic_cores=nic_cores)

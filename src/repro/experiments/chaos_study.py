@@ -41,7 +41,7 @@ from ..apps.dt import DtCoordinatorNode, DtParticipantNode
 from ..apps.rkv import RkvNode
 from ..check import CheckPlane
 from ..core import Message, recovery_snapshot
-from ..net import Packet
+from ..net import Client, Packet
 from ..obs import TracePlane
 from ..scenario import (
     AppSpec,
@@ -62,103 +62,6 @@ DRAIN_CHUNK_US = 20_000.0
 MAX_DRAIN_CHUNKS = 6
 
 
-class ChaosClient:
-    """Request generator with timeout-based retry and loss accounting.
-
-    Every request carries a ``chaos_id`` in the packet metadata; replies
-    (which copy request metadata) are matched on it, so retransmitted
-    requests and duplicate replies are tracked exactly.  A request is
-    *lost* only if it stays unanswered through every retry — the metric
-    the zero-loss acceptance criterion is defined over.
-    """
-
-    def __init__(self, sim, network, name: str = "client",
-                 timeout_us: float = 2_000.0, max_attempts: int = 20,
-                 port=None):
-        self.sim = sim
-        self.network = network
-        self.name = name
-        self.timeout_us = timeout_us
-        self.max_attempts = max_attempts
-        if port is not None:
-            # scenario-built client: the ClientPort owns the downlink;
-            # untagged replies (ours) fall through to its sinks
-            port.add_sink(self._receive)
-        else:
-            network.attach(name, self._receive)
-        self.outstanding: Dict[int, Dict] = {}
-        self.replies: Dict[int, Packet] = {}
-        self.latencies: List[float] = []
-        self.retransmits = 0
-        self.duplicate_replies = 0
-        self._next_rid = 0
-
-    def request(self, dst: str, kind: str, payload, size: int = 128) -> int:
-        rid = self._next_rid
-        self._next_rid += 1
-        self.outstanding[rid] = {
-            "dst": dst, "kind": kind, "payload": payload, "size": size,
-            "attempts": 0, "first_sent": self.sim.now,
-        }
-        self._transmit(rid)
-        return rid
-
-    def _transmit(self, rid: int) -> None:
-        state = self.outstanding.get(rid)
-        if state is None:
-            return
-        state["attempts"] += 1
-        if state["attempts"] > 1:
-            self.retransmits += 1
-        pkt = Packet(self.name, state["dst"], state["size"],
-                     kind=state["kind"], payload=state["payload"],
-                     created_at=self.sim.now)
-        pkt.meta["chaos_id"] = rid
-        self.decorate(pkt, rid)
-        self.network.send(pkt)
-        if state["attempts"] < self.max_attempts:
-            # exponential timeout scaling, capped: late recoveries (actor
-            # restarts) take longer than a lost frame
-            backoff = self.timeout_us * min(2 ** (state["attempts"] - 1), 8)
-            self.sim.post(backoff, self._check, rid, state["attempts"])
-
-    def decorate(self, pkt: Packet, rid: int) -> None:
-        """Hook for subclasses to stamp extra metadata on every
-        (re)transmission — e.g. steering keys and request uids."""
-
-    def _check(self, rid: int, attempt: int) -> None:
-        state = self.outstanding.get(rid)
-        if state is None or state["attempts"] != attempt:
-            return
-        self._transmit(rid)
-
-    def _receive(self, pkt: Packet) -> None:
-        rid = pkt.meta.get("chaos_id")
-        if rid is None:
-            return
-        state = self.outstanding.pop(rid, None)
-        if state is None:
-            self.duplicate_replies += 1
-            return
-        self.replies[rid] = pkt
-        latency = self.sim.now - state["first_sent"]
-        self.latencies.append(latency)
-        # feed the PulsePlane's per-service SLO histograms: replies copy
-        # request metadata, so steered traffic carries its service name
-        service = pkt.meta.get("steer_service")
-        pulse = self.sim.pulse
-        if service is not None and pulse is not None:
-            pulse.observe(service, latency, self.sim.now)
-
-    @property
-    def answered(self) -> int:
-        return len(self.replies)
-
-    @property
-    def lost(self) -> int:
-        return len(self.outstanding)
-
-
 @dataclass
 class ChaosReport:
     """Outcome of one chaos scenario."""
@@ -167,6 +70,8 @@ class ChaosReport:
     seed: int
     requests: int
     answered: int
+    #: requests unanswered after the drain: the client's in-flight and
+    #: lost requests together
     lost: int
     client_retransmits: int
     duplicate_replies: int
@@ -284,21 +189,12 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _run_until_answered(scenario, client: ChaosClient,
-                        duration_us: float) -> None:
-    scenario.sim.run(until=duration_us)
-    chunks = 0
-    while client.lost and chunks < MAX_DRAIN_CHUNKS:
-        scenario.sim.run(until=scenario.sim.now + DRAIN_CHUNK_US)
-        chunks += 1
-
-
 #: ``setup(bed) -> (client, judge)``: a leg's clients and drivers.
 #: ``client`` is the one the run drains and the zero-loss invariant
 #: counts; ``judge(violations)`` runs after the drain and returns the
 #: leg's extra :class:`ChaosReport` fields — ``invariants`` always,
 #: ``steering`` and ``pulse`` riders when the leg has them.
-LegSetup = Callable[[object], Tuple[ChaosClient, Callable[[List], Dict]]]
+LegSetup = Callable[[object], Tuple[Client, Callable[[List], Dict]]]
 
 
 def run_leg(workload: str, spec: ScenarioSpec, requests: int,
@@ -318,7 +214,11 @@ def run_leg(workload: str, spec: ScenarioSpec, requests: int,
         CheckPlane(sim, strict=False)
     bed = build(spec, sim=sim)
     client, judge = setup(bed)
-    _run_until_answered(bed, client, spec.duration_us)
+    sim.run(until=spec.duration_us)
+    for _ in range(MAX_DRAIN_CHUNKS):
+        if client.sent == client.answered:
+            break
+        sim.run(until=sim.now + DRAIN_CHUNK_US)
 
     plane = bed.fault_plane
     recovery = {} if plane is None else {
@@ -336,16 +236,17 @@ def run_leg(workload: str, spec: ScenarioSpec, requests: int,
     if tplane is not None:
         tplane.tracer.close_all()           # flush open spans
         stages = tplane.stage_report()
+    unanswered = client.sent - client.answered
     return ChaosReport(
         workload=workload, seed=spec.seed, requests=requests,
-        answered=client.answered, lost=client.lost,
+        answered=client.answered, lost=unanswered,
         client_retransmits=client.retransmits,
-        duplicate_replies=client.duplicate_replies,
+        duplicate_replies=client.duplicates,
         duration_us=sim.now,
         faults_injected={} if plane is None else dict(plane.counts),
         fault_schedule=[] if plane is None else list(plane.schedule_log),
         recovery=recovery,
-        invariants={"zero_loss": client.lost == 0, **found["invariants"]},
+        invariants={"zero_loss": unanswered == 0, **found["invariants"]},
         steering=found.get("steering", {}),
         pulse=telemetry,
         stage_latencies=stages,
@@ -364,18 +265,25 @@ def chaos_rack(name: str, servers, clients=()) -> RackSpec:
         clients=tuple(ClientSpec(c) for c in clients))
 
 
-def rkv_traffic(client: ChaosClient, dst: str, n_requests: int,
-                send_gap_us: float, key: Callable[[int], str]):
-    """Driver: open-loop RKV requests, every third a get, the rest
-    64-byte puts, one every ``send_gap_us``; ``key(i)`` names the key."""
-    value = bytes(64)
+def paced(client: Client, n_requests: int, gap_us: float,
+          make: Callable[[int], Tuple]):
+    """Driver: ``client.request(*make(i))`` for each ``i < n_requests``,
+    one every ``gap_us``; ``make(i)`` returns (dst, kind, payload, size)."""
     for i in range(n_requests):
+        client.request(*make(i))
+        yield Timeout(gap_us)
+
+
+def rkv_requests(dst: str, key: Callable[[int], str]):
+    """RKV requests for :func:`paced`: every third a get, the rest
+    64-byte puts; ``key(i)`` names the key."""
+    value = bytes(64)
+
+    def make(i):
         if i % 3 == 2:
-            client.request(dst, "rkv-get", {"key": key(i)}, size=96)
-        else:
-            client.request(dst, "rkv-put", {"key": key(i), "value": value},
-                           size=192)
-        yield Timeout(send_gap_us)
+            return dst, "rkv-get", {"key": key(i)}, 96
+        return dst, "rkv-put", {"key": key(i), "value": value}, 192
+    return make
 
 
 def flood(bed, src: str, dst: str, kind: str, payload: Callable[[int], Dict],
@@ -449,24 +357,17 @@ def run_rkv_chaos(seed: int = 42, loss: float = 0.02,
 
     def setup(bed):
         rkv: Dict[str, RkvNode] = bed.app("rkv").nodes
-        client = ChaosClient(bed.sim, bed.network,
-                             port=bed.clients["client"])
+        client = bed.clients["client"].scripted()
 
-        def driver():
-            for i in range(n_requests):
-                if i % 6 == 5:
-                    # memtable miss: crosses the host↔NIC rings
-                    # (sst_read), so torn DMA writes hit the request path
-                    client.request("s0", "rkv-get",
-                                   {"key": f"cold{i}"}, size=96)
-                elif i % 3 == 2:
-                    client.request("s0", "rkv-get",
-                                   {"key": f"k{(i - 1) % 17}"}, size=96)
-                else:
-                    client.request("s0", "rkv-put",
-                                   {"key": f"k{i % 17}", "value": value},
-                                   size=128 + value_bytes)
-                yield Timeout(send_gap_us)
+        def make(i):
+            if i % 6 == 5:
+                # memtable miss: crosses the host↔NIC rings (sst_read),
+                # so torn DMA writes hit the request path
+                return "s0", "rkv-get", {"key": f"cold{i}"}, 96
+            if i % 3 == 2:
+                return "s0", "rkv-get", {"key": f"k{(i - 1) % 17}"}, 96
+            return ("s0", "rkv-put", {"key": f"k{i % 17}", "value": value},
+                    128 + value_bytes)
 
         def paxos_repair():
             # periodic liveness tick: lost ACCEPTs would otherwise strand
@@ -478,7 +379,8 @@ def run_rkv_chaos(seed: int = 42, loss: float = 0.02,
                         target="consensus", kind="paxos-tick", payload=None,
                         size=32, created_at=bed.sim.now))
 
-        spawn(bed.sim, driver(), name="chaos-driver")
+        spawn(bed.sim, paced(client, n_requests, send_gap_us, make),
+              name="chaos-driver")
         spawn(bed.sim, paxos_repair(), name="paxos-repair")
         return client, lambda _: {
             "invariants": {"paxos_safety": paxos_safety_ok(rkv)}}
@@ -527,19 +429,12 @@ def run_dt_chaos(seed: int = 42, loss: float = 0.005,
 
     def setup(bed):
         dt = bed.app("dt").nodes
-        client = ChaosClient(bed.sim, bed.network, timeout_us=3_000.0,
-                             port=bed.clients["client"])
+        client = bed.clients["client"].scripted(timeout_us=3_000.0)
 
-        def driver():
-            for i in range(n_txns):
-                key_a, key_b = f"x{i % 8}", f"y{i % 8}"
-                client.request("s0", "dt-txn", {
-                    "reads": [key_a],
-                    "writes": {key_b: f"v{i}".encode()},
-                }, size=160)
-                yield Timeout(send_gap_us)
-
-        spawn(bed.sim, driver(), name="chaos-driver")
+        spawn(bed.sim, paced(client, n_txns, send_gap_us, lambda i: (
+            "s0", "dt-txn", {"reads": [f"x{i % 8}"],
+                             "writes": {f"y{i % 8}": f"v{i}".encode()}},
+            160)), name="chaos-driver")
         return client, lambda _: {"invariants": {
             "occ_provenance": occ_provenance_ok(dt["s0"],
                                                 [dt["s1"], dt["s2"]])}}
@@ -571,16 +466,12 @@ def run_rta_chaos(seed: int = 42, loss: float = 0.01,
     def setup(bed):
         runtime = bed.servers["s0"].runtime
         worker = bed.app("rta").nodes["s0"]
-        client = ChaosClient(bed.sim, bed.network,
-                             port=bed.clients["client"])
+        client = bed.clients["client"].scripted()
 
-        def driver():
-            for i in range(n_requests):
-                tuples = ([f"#tag{i} trending now"] if i % 2 == 0
-                          else [f"plain tuple {i}"])
-                client.request("s0", "rta-tuple", {"tuples": tuples},
-                               size=128)
-                yield Timeout(send_gap_us)
+        def make(i):
+            tuples = ([f"#tag{i} trending now"] if i % 2 == 0
+                      else [f"plain tuple {i}"])
+            return "s0", "rta-tuple", {"tuples": tuples}, 128
 
         def judge(_):
             sched = runtime.nic_scheduler
@@ -591,7 +482,8 @@ def run_rta_chaos(seed: int = 42, loss: float = 0.01,
                 "tuples_processed": worker.tuples_in > 0,
             }}
 
-        spawn(bed.sim, driver(), name="chaos-driver")
+        spawn(bed.sim, paced(client, n_requests, send_gap_us, make),
+              name="chaos-driver")
         return client, judge
 
     return run_leg("rta", spec, n_requests, setup)

@@ -27,7 +27,7 @@ from ..scenario import (
     ServerSpec,
     build,
 )
-from ..sim import LatencyRecorder, Rng
+from ..sim import Rng
 from .applications import run_app
 
 
@@ -95,19 +95,14 @@ def firewall_latency_vs_load(rule_count: int = 8192, packet_size: int = 1024,
         # networking load is relative to line rate for this packet size
         from ..net import line_rate_pps
         rate = load * line_rate_pps(spec.bandwidth_gbps, packet_size) / 1e6
-        recorder = LatencyRecorder()
-        client = bed.clients["client"]
-
-        def on_reply(packet, recorder=recorder, bed=bed):
-            recorder.record(bed.sim.now - packet.created_at)
-
-        client.add_sink(on_reply)
-        gen = client.open_loop(dst="fw", rate_mpps=rate, size=packet_size,
-                               payload_factory=payload, rng=Rng(seed + 2))
+        client = bed.clients["client"].open_loop(
+            dst="fw", rate_mpps=rate, size=packet_size,
+            payload_factory=payload, rng=Rng(seed + 2))
         bed.sim.run(until=duration_us)
-        gen.stop()
+        client.stop()
         server.runtime.stop()
-        warm = recorder.samples[len(recorder.samples) // 5:]
+        samples = client.latency.samples
+        warm = samples[len(samples) // 5:]
         mean = sum(warm) / len(warm) if warm else 0.0
         # subtract the fixed wire round trip to isolate processing latency
         wire = 2 * (0.3 + 0.45 + 0.3) + packet_size * 8 / (spec.bandwidth_gbps * 1e3)
@@ -142,4 +137,4 @@ def ipsec_goodput_gbps(spec: NicSpec = LIQUIDIO_CN2350,
     bed.sim.run(until=duration_us)
     gen.stop()
     runtime.stop()
-    return gen.completed * packet_size * 8 / duration_us / 1000.0
+    return gen.answered * packet_size * 8 / duration_us / 1000.0

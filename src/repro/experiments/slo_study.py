@@ -47,8 +47,14 @@ from ..scenario import (
     SteeringSpec,
 )
 from ..sim import spawn
-from .chaos_study import ChaosReport, chaos_rack, flood, rkv_traffic, run_leg
-from .steering_study import SteeredChaosClient
+from .chaos_study import (
+    ChaosReport,
+    chaos_rack,
+    flood,
+    paced,
+    rkv_requests,
+    run_leg,
+)
 
 
 def slo_spec(seed: int = 42, duration_us: float = 40_000.0,
@@ -90,10 +96,9 @@ def run_slo_chaos(seed: int = 42, duration_us: float = 40_000.0,
                     threshold_us=threshold_us, trace=trace)
 
     def setup(bed):
-        victim = SteeredChaosClient(bed.sim, bed.network, name="victim0",
-                                    timeout_us=2_500.0,
-                                    port=bed.clients["victim0"],
-                                    connections=connections)
+        # its replies feed the steered service's SLO histogram
+        victim = bed.clients["victim0"].scripted(
+            timeout_us=2_500.0, connections=connections, service="rkv")
 
         def judge(violations):
             evaluator = bed.pulse_plane._evaluators[0]
@@ -115,9 +120,9 @@ def run_slo_chaos(seed: int = 42, duration_us: float = 40_000.0,
                 "pulse_invariants": not violations,
             }}
 
-        spawn(bed.sim, rkv_traffic(
-            victim, "svc:rkv", n_requests, send_gap_us,
-            lambda i: f"conn{i % connections}:k{i % 7}"), name="slo-victim")
+        spawn(bed.sim, paced(victim, n_requests, send_gap_us, rkv_requests(
+            "svc:rkv", lambda i: f"conn{i % connections}:k{i % 7}")),
+            name="slo-victim")
         # gets straight at the shard's home server, not the VIP: the
         # aggressor's load must NOT follow the migration.  After the
         # shard moves away the runtime drops the unknown kind at

@@ -34,7 +34,6 @@ bit-identical fingerprints.
 
 from __future__ import annotations
 
-from ..net import Packet
 from ..scenario import (
     AppSpec,
     ObsSpec,
@@ -44,32 +43,7 @@ from ..scenario import (
     SteeringSpec,
 )
 from ..sim import FaultKind, FaultSpec, spawn
-from .chaos_study import (
-    ChaosClient,
-    ChaosReport,
-    chaos_rack,
-    rkv_traffic,
-    run_leg,
-)
-
-
-class SteeredChaosClient(ChaosClient):
-    """ChaosClient speaking to a VIP: stable per-connection steering keys
-    and an explicit request uid for exactly-once accounting.
-
-    The uid survives retransmission (same rid → same uid), so a
-    retransmit racing a repoint is *supposed* to reach the same logical
-    request twice on the wire — the suppression/exactly-once machinery
-    must collapse it to one delivery.
-    """
-
-    def __init__(self, *args, connections: int = 6, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.connections = connections
-
-    def decorate(self, pkt: Packet, rid: int) -> None:
-        pkt.meta["req_uid"] = ("req", rid)
-        pkt.meta["steer_key"] = f"{self.name}:conn{rid % self.connections}"
+from .chaos_study import ChaosReport, chaos_rack, paced, rkv_requests, run_leg
 
 
 def rebalance_spec(seed: int = 42, duration_us: float = 40_000.0,
@@ -105,10 +79,8 @@ def run_rebalance_chaos(seed: int = 42, duration_us: float = 40_000.0,
                           notice_us=notice_us, trace=trace)
 
     def setup(bed):
-        client = SteeredChaosClient(bed.sim, bed.network, name="client0",
-                                    timeout_us=2_500.0,
-                                    port=bed.clients["client0"],
-                                    connections=connections)
+        client = bed.clients["client0"].scripted(timeout_us=2_500.0,
+                                                 connections=connections)
 
         def judge(violations):
             controller, rebalancer = bed.steering, bed.rebalancer
@@ -134,9 +106,9 @@ def run_rebalance_chaos(seed: int = 42, duration_us: float = 40_000.0,
                 },
             }
 
-        spawn(bed.sim, rkv_traffic(
-            client, "svc:rkv", n_requests, send_gap_us,
-            lambda i: f"conn{i % connections}:k{i % 7}"), name="steer-driver")
+        spawn(bed.sim, paced(client, n_requests, send_gap_us, rkv_requests(
+            "svc:rkv", lambda i: f"conn{i % connections}:k{i % 7}")),
+            name="steer-driver")
         return client, judge
 
     return run_leg("steering", spec, n_requests, setup, monitor="steering")

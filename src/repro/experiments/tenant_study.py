@@ -49,8 +49,8 @@ from ..scenario import (
     ServerSpec,
     TenantSpec,
 )
-from ..sim import FaultKind, FaultSpec, Timeout, spawn
-from .chaos_study import ChaosClient, ChaosReport, flood, rkv_traffic, run_leg
+from ..sim import FaultKind, FaultSpec, spawn
+from .chaos_study import ChaosReport, flood, paced, rkv_requests, run_leg
 
 #: NIC-core shares when isolation is on (sum <= 1 by spec validation).
 VICTIM_SHARE = 0.85
@@ -150,19 +150,8 @@ def run_tenant_chaos(isolation: bool, aggressor: bool = True,
                        loss=loss, alive_cores=alive_cores, trace=trace)
 
     def setup(bed):
-        victim = ChaosClient(bed.sim, bed.network, name="victim0",
-                             timeout_us=2_500.0, port=bed.clients["victim0"])
-        batch = ChaosClient(bed.sim, bed.network, name="batch0",
-                            timeout_us=3_000.0, port=bed.clients["batch0"])
-
-        def batch_driver():
-            # a light transactional trickle: the mixed-tenant background
-            for i in range(max(n_requests // 6, 1)):
-                batch.request("s0", "dt-txn", {
-                    "reads": [f"x{i % 4}"],
-                    "writes": {f"y{i % 4}": f"v{i}".encode()},
-                }, size=160)
-                yield Timeout(send_gap_us * 6)
+        victim = bed.clients["victim0"].scripted(timeout_us=2_500.0)
+        batch = bed.clients["batch0"].scripted(timeout_us=3_000.0)
 
         def judge(violations):
             runtime = bed.servers["s0"].runtime
@@ -177,16 +166,20 @@ def run_tenant_chaos(isolation: bool, aggressor: bool = True,
                 },
                 # study riders: run_tenant_study compares the p99s
                 "pulse": {
-                    "victim_p99_us": round(_p99(victim.latencies), 6),
+                    "victim_p99_us": round(_p99(victim.latency.samples), 6),
                     "tenant_busy_us": tuple(
                         (t, round(us, 3)) for t, us in sorted(busy.items())),
                 },
             }
 
-        spawn(bed.sim, rkv_traffic(victim, "s0", n_requests, send_gap_us,
-                                   lambda i: f"k{i % 7}"),
-              name="tenant-victim")
-        spawn(bed.sim, batch_driver(), name="tenant-batch")
+        spawn(bed.sim, paced(victim, n_requests, send_gap_us, rkv_requests(
+            "s0", lambda i: f"k{i % 7}")), name="tenant-victim")
+        # a light transactional trickle: the mixed-tenant background
+        spawn(bed.sim, paced(
+            batch, max(n_requests // 6, 1), send_gap_us * 6, lambda i: (
+                "s0", "dt-txn", {"reads": [f"x{i % 4}"],
+                                 "writes": {f"y{i % 4}": f"v{i}".encode()}},
+                160)), name="tenant-batch")
         if aggressor:
             # analytics tuples straight at the shared server: without
             # shares the RTA pipeline's downgraded actors soak up every

@@ -16,7 +16,7 @@ from .packet import (
 from .link import DuplexPort, Link
 from .switch import SpineSwitch, ToRSwitch
 from .fabric import Fabric
-from .pktgen import ClosedLoopGenerator, OpenLoopGenerator
+from .pktgen import Client
 from .steering import (
     MaglevTable,
     MovableBackend,
@@ -42,8 +42,7 @@ __all__ = [
     "Link",
     "SpineSwitch",
     "ToRSwitch",
-    "ClosedLoopGenerator",
-    "OpenLoopGenerator",
+    "Client",
     "MaglevTable",
     "MovableBackend",
     "RebalanceSpec",

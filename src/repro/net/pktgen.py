@@ -1,169 +1,198 @@
-"""Workload traffic generators, mirroring the paper's augmented DPDK pkt-gen.
+"""The request client, mirroring the paper's augmented DPDK pkt-gen.
 
-Two modes, matching the evaluation methodology:
-
-* :class:`OpenLoopGenerator` — Poisson arrivals at a target rate, used for
-  the characterization and scheduler experiments (§2.2, §5.4).
-* :class:`ClosedLoopGenerator` — N logical clients, each with at most one
-  outstanding request (§5.1: "invokes operations in a closed-loop manner").
-
-Generators stamp packets with their creation time so end-to-end latency can
-be measured at the point the reply returns.
+One :class:`Client` class issues every request and keeps one ledger.
+A client port (``repro.scenario.build.ClientPort``) creates the clients
+and hands each reply to its owner.  Requests arrive open-loop (Poisson
+or deterministic, §2.2/§5.4), closed-loop (N clients with one request
+outstanding each and an exponential think time, §5.1), or from a
+script that calls :meth:`Client.request`; scripted requests retry on
+timeout and may carry a steering stamp.  Every request carries
+``meta["client"] = (tag, seq)``, and its reply copies it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..sim import LatencyRecorder, Rng, Simulator, Timeout, spawn
+from ..sim import LatencyRecorder, Rng, Signal, Timeout, spawn
 from .packet import Packet
 
-PayloadFactory = Callable[[int], Any]
-SendFn = Callable[[Packet], None]
+#: open-loop interarrival gaps drawn from the RNG per refill
+GAP_BATCH = 64
+#: open-loop requests cycle over this many flow ids
+FLOWS = 16
+#: transmissions of one scripted request before the client gives up
+MAX_ATTEMPTS = 20
+#: the retry timeout grows as timeout x min(2^(attempt-1), BACKOFF_CAP)
+BACKOFF_CAP = 8
 
 
-class OpenLoopGenerator:
-    """Poisson (or deterministic) open-loop source of request packets.
+class Client:
+    """One request issuer and its ledger.
 
-    The send path is the hottest loop in every sweep, so packet emission
-    runs on the kernel's handle-free fast path (:meth:`Simulator.post`)
-    rather than a generator process: each emission callback sends one
-    packet and arms the next, and interarrival gaps are drawn from the
-    RNG ``batch`` at a time to amortise the draw loop.  The RNG draw
-    *order* is identical to the seed's one-draw-per-packet generator, so
-    seeded runs reproduce the same packet schedule.
+    The ledger: ``sent`` requests (not counting retransmissions),
+    ``answered``, ``in_flight``, ``lost`` (retry budget spent, still
+    unanswered), ``retransmits``, ``duplicates`` (replies to a request
+    already answered), the ``latency`` of each answer from the request's
+    first transmission, and with a ``service`` the SLO feed into that
+    service's PulsePlane histogram.  ``sent == answered + in_flight +
+    lost``.  Per-request state is kept only where a reply must find its
+    request: a waiting closed-loop client, or an unanswered scripted
+    request (its retry timer needs it).  An open loop keeps none.
     """
 
-    def __init__(self, sim: Simulator, send: SendFn, src: str, dst: str,
-                 rate_mpps: float, size: int,
-                 payload_factory: Optional[PayloadFactory] = None,
-                 rng: Optional[Rng] = None, poisson: bool = True,
-                 flow_count: int = 16, batch: int = 64):
-        if rate_mpps <= 0:
-            raise ValueError("rate must be positive")
-        self.sim = sim
-        self.send = send
-        self.src = src
+    def __init__(self, port, tag: str, dst: Optional[str] = None,
+                 size: int = 0,
+                 payload_factory: Optional[Callable[[int], Any]] = None,
+                 rng: Optional[Rng] = None, service: Optional[str] = None,
+                 timeout_us: Optional[float] = None, connections: int = 0):
+        self.sim = port.sim
+        self._send = port.network.send
+        self.name = port.name
+        self.tag = tag                   # the port's demux key
         self.dst = dst
-        self.rate_per_us = rate_mpps  # 1 Mpps == 1 packet/µs
         self.size = size
         self.payload_factory = payload_factory
-        self.rng = rng or Rng(1)
-        self.poisson = poisson
-        self.flow_count = flow_count
-        self.batch = max(1, batch)
-        self.sent = 0
+        self.rng = rng
+        self.service = service
+        self.timeout_us = timeout_us     # retry timeout; None: no retry
+        self.connections = connections   # steering stamp; 0: none
+        self.mode = "scripted"
+        self.latency = LatencyRecorder(f"{self.name}->{dst}")
+        self.sent = self.answered = self.retransmits = self.duplicates = 0
+        #: seq -> a waiting closed-loop client's Signal, or a scripted
+        #: request's [first sent, attempts, dst, kind, payload, size]
+        self._pending: Optional[dict] = {} if timeout_us is not None else None
         self._stop = False
-        self._gaps: list = []        # prefetched gaps, reversed for pop()
-        self._arm()
 
     def stop(self) -> None:
         self._stop = True
 
-    def _refill(self) -> None:
-        if self.poisson:
-            draw = self.rng.poisson_interarrival
-            rate = self.rate_per_us
-            gaps = [draw(rate) for _ in range(self.batch)]
-        else:
-            gaps = [1.0 / self.rate_per_us] * self.batch
-        gaps.reverse()
-        self._gaps = gaps
+    @property
+    def lost(self) -> int:
+        retried = () if self.timeout_us is None else self._pending.values()
+        return sum(1 for state in retried if state[1] >= MAX_ATTEMPTS)
+
+    @property
+    def in_flight(self) -> int:
+        if self._pending is None:
+            return self.sent - self.answered
+        return len(self._pending) - self.lost
+
+    def _answer(self, packet: Packet, seq: int) -> None:
+        """Count the reply to request ``seq``; the port's demux calls it."""
+        now = self.sim.now
+        latency = now - packet.created_at
+        entry = None
+        if self._pending is not None:
+            entry = self._pending.pop(seq, None)
+            if entry is None:
+                self.duplicates += 1
+                return
+            if self.timeout_us is not None:     # a scripted request's state
+                latency, entry = now - entry[0], None
+        self.answered += 1
+        self.latency.record(latency)
+        pulse = self.sim.pulse
+        if pulse is not None and self.service is not None:
+            pulse.observe(self.service, latency, now)
+        if entry is not None:                   # a waiting closed-loop client
+            entry.trigger(packet)
+
+    # -- open loop: emissions on the kernel's handle-free fast path -------
+    def _open(self, rate_mpps: float, poisson: bool) -> None:
+        if rate_mpps <= 0:
+            raise ValueError("rate must be positive")
+        self.mode = "open"
+        self.rate_per_us = rate_mpps  # 1 Mpps == 1 packet/µs
+        self.poisson = poisson
+        self._gaps: list = []        # prefetched gaps, reversed for pop()
+        self._arm()
 
     def _arm(self) -> None:
-        if not self._gaps:
-            self._refill()
-        self.sim.post(self._gaps.pop(), self._emit)
+        gaps = self._gaps
+        if not gaps:
+            # GAP_BATCH draws at a time, in the one-draw-per-packet order
+            if self.poisson:
+                draw, rate = self.rng.poisson_interarrival, self.rate_per_us
+                gaps = [draw(rate) for _ in range(GAP_BATCH)]
+            else:
+                gaps = [1.0 / self.rate_per_us] * GAP_BATCH
+            gaps.reverse()
+            self._gaps = gaps
+        self.sim.post(gaps.pop(), self._emit)
 
     def _emit(self) -> None:
         if self._stop:
             return
-        payload = (self.payload_factory(self.sent)
-                   if self.payload_factory else None)
-        packet = Packet(
-            src=self.src, dst=self.dst, size=self.size,
-            flow_id=self.sent % self.flow_count,
-            payload=payload, created_at=self.sim.now,
-        )
-        self.send(packet)
+        seq = self.sent
+        payload = self.payload_factory(seq) if self.payload_factory else None
+        self._send(Packet(
+            src=self.name, dst=self.dst, size=self.size,
+            flow_id=seq % FLOWS, payload=payload, created_at=self.sim.now,
+            meta={"client": (self.tag, seq)}))
         self.sent += 1
         self._arm()
 
-
-class ClosedLoopGenerator:
-    """N clients, one outstanding request each; records reply latency.
-
-    The destination is expected to eventually cause a reply packet to be
-    routed back to ``src``; wire :meth:`on_reply` into the client node's
-    receive path.  With a ``service``, each reply's latency also feeds
-    that service's SLO histogram on the simulator's PulsePlane.
-    """
-
-    def __init__(self, sim: Simulator, send: SendFn, src: str, dst: str,
-                 clients: int, size: int,
-                 payload_factory: Optional[PayloadFactory] = None,
-                 rng: Optional[Rng] = None, think_time_us: float = 0.0,
-                 tag: Optional[str] = None, service: Optional[str] = None):
+    # -- closed loop ------------------------------------------------------
+    def _closed(self, clients: int, think_time_us: float) -> None:
         if clients <= 0:
             raise ValueError("need at least one client")
-        self.sim = sim
-        self.send = send
-        self.src = src
-        self.dst = dst
-        #: demux tag stamped into every request's ``client`` meta key;
-        #: unique per generator so a multi-generator client node can
-        #: route each reply to exactly its owning generator
-        self.tag = tag if tag is not None else src
-        self.clients = clients
-        self.size = size
-        self.payload_factory = payload_factory
-        self.rng = rng or Rng(2)
+        self.mode = "closed"
         self.think_time_us = think_time_us
-        self.service = service
-        self.latency = LatencyRecorder(f"{src}->{dst}")
-        self.completed = 0
-        self.sent = 0
-        self._stop = False
-        self._pending: dict = {}
+        self._pending = {}
         for client in range(clients):
-            spawn(sim, self._client(client), name=f"client-{src}-{client}")
+            spawn(self.sim, self._loop(client),
+                  name=f"client-{self.name}-{client}")
 
-    def stop(self) -> None:
-        self._stop = True
-
-    def throughput_mpps(self, elapsed_us: float) -> float:
-        """Completed operations per microsecond (== Mops)."""
-        return self.completed / elapsed_us if elapsed_us > 0 else 0.0
-
-    def on_reply(self, packet: Packet) -> None:
-        """Deliver a reply packet back to its waiting client."""
-        waiter = self._pending.pop(packet.meta.get("client"), None)
-        if waiter is not None:
-            now = self.sim.now
-            latency = now - packet.created_at
-            self.latency.record(latency)
-            pulse = self.sim.pulse
-            if pulse is not None and self.service is not None:
-                pulse.observe(self.service, latency, now)
-            self.completed += 1
-            waiter.trigger(packet)
-
-    def _client(self, client_id: int):
-        from ..sim import Signal
-
+    def _loop(self, client_id: int):
         while not self._stop:
             if self.think_time_us:
                 yield Timeout(self.rng.exponential(self.think_time_us))
             payload = (self.payload_factory(self.sent)
                        if self.payload_factory else None)
-            packet = Packet(
-                src=self.src, dst=self.dst, size=self.size,
-                flow_id=client_id, payload=payload,
-                created_at=self.sim.now,
-            )
+            packet = Packet(src=self.name, dst=self.dst, size=self.size,
+                            flow_id=client_id, payload=payload,
+                            created_at=self.sim.now)
             packet.meta["client"] = (self.tag, client_id)
-            waiter = Signal(self.sim)
-            self._pending[(self.tag, client_id)] = waiter
-            self.send(packet)
+            self._pending[client_id] = waiter = Signal(self.sim)
+            self._send(packet)
             self.sent += 1
             yield waiter
+
+    # -- scripted, with retry ---------------------------------------------
+    def request(self, dst: str, kind: str, payload, size: int = 128) -> int:
+        """Send one request; returns its sequence number."""
+        seq = self.sent
+        self.sent += 1
+        self._pending[seq] = [self.sim.now, 0, dst, kind, payload, size]
+        self._transmit(seq)
+        return seq
+
+    def _transmit(self, seq: int) -> None:
+        state = self._pending[seq]
+        state[1] = attempt = state[1] + 1
+        if attempt > 1:
+            self.retransmits += 1
+        packet = Packet(self.name, state[2], state[5], kind=state[3],
+                        payload=state[4], created_at=self.sim.now)
+        packet.meta["client"] = (self.tag, seq)
+        if self.connections:
+            self.stamp(packet, seq)
+        self._send(packet)
+        if attempt < MAX_ATTEMPTS:
+            # capped exponential back-off: late recoveries (actor
+            # restarts) take longer than a lost frame
+            backoff = self.timeout_us * min(2 ** (attempt - 1), BACKOFF_CAP)
+            self.sim.post(backoff, self._retry, seq)
+
+    def _retry(self, seq: int) -> None:
+        if seq in self._pending:
+            self._transmit(seq)
+
+    def stamp(self, packet: Packet, seq: int) -> None:
+        """The steering stamp: a stable per-connection ``steer_key``, and
+        a ``req_uid`` shared by every copy of one request, so a copy
+        racing a repoint is suppressed as a duplicate."""
+        packet.meta["req_uid"] = ("req", seq)
+        packet.meta["steer_key"] = f"{self.name}:conn{seq % self.connections}"

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..baselines import DpdkRuntime, FloemRuntime
 from ..core import IPipeRuntime, SchedulerConfig
 from ..host import HostMachine
-from ..net import ClosedLoopGenerator, Fabric, OpenLoopGenerator, Packet
+from ..net import Client, Fabric, Packet
 from ..nic import NicSpec, SmartNic, host_for
 from ..sim import FaultPlane, RecoveryPolicy, Rng, Simulator
 from ..workloads import KvWorkload, TwitterWorkload, TxnWorkload
@@ -45,62 +45,67 @@ class Server:
 
 
 class ClientPort:
-    """Receive demux for a client node: routes replies to generators.
+    """A client node: it creates the node's request clients and hands
+    each reply to the client that owns it.
 
-    Replies are demultiplexed to the *owning* generator by the request's
-    ``client`` meta tag (O(1) per reply); packets carrying no tag — or a
-    tag from no local generator — fall through to the registered sinks.
+    The demux reads one meta key, ``client = (tag, seq)``, that every
+    request carries and its reply copies: one lookup on the tag, O(1)
+    per reply.  ``received`` counts every packet the node receives;
+    ``unmatched`` counts those that name no local client, e.g. the
+    answers to a fire-and-forget flood.
     """
 
     def __init__(self, sim: Simulator, network: Fabric, name: str):
         self.sim = sim
         self.network = network
         self.name = name
-        self._generators: List[ClosedLoopGenerator] = []
-        self._demux: Dict[str, ClosedLoopGenerator] = {}
-        self._sinks: List[Callable[[Packet], None]] = []
+        self.clients: Dict[str, Client] = {}     # tag -> client
         self.received: int = 0
+        self.unmatched: int = 0
 
     def receive(self, packet: Packet) -> None:
         self.received += 1
         key = packet.meta.get("client")
-        if isinstance(key, tuple) and key:
-            gen = self._demux.get(key[0])
-            if gen is not None:
-                gen.on_reply(packet)
+        if key is not None:
+            client = self.clients.get(key[0])
+            if client is not None:
+                client._answer(packet, key[1])
                 return
-        for sink in self._sinks:
-            sink(packet)
+        self.unmatched += 1
 
-    def add_sink(self, fn: Callable[[Packet], None]) -> None:
-        """A tap for replies owned by no closed-loop generator (e.g.
-        open-loop response accounting)."""
-        self._sinks.append(fn)
+    def _client(self, **kwargs) -> Client:
+        # the first client keeps the node name as its tag (the seed's
+        # meta layout); later ones get a unique suffix for the demux
+        tag = f"{self.name}#{len(self.clients)}" if self.clients else self.name
+        self.clients[tag] = client = Client(self, tag, **kwargs)
+        return client
 
     def closed_loop(self, dst: str, clients: int, size: int,
                     payload_factory=None, rng: Optional[Rng] = None,
                     think_time_us: float = 0.0,
-                    service: Optional[str] = None) -> ClosedLoopGenerator:
-        # first generator keeps the node name as its tag (the seed's
-        # meta layout); later ones get a unique suffix for the demux
-        tag = (self.name if not self._generators
-               else f"{self.name}#{len(self._generators)}")
-        gen = ClosedLoopGenerator(
-            self.sim, send=self.network.send,
-            src=self.name, dst=dst, clients=clients, size=size,
-            payload_factory=payload_factory, rng=rng,
-            think_time_us=think_time_us, tag=tag, service=service)
-        self._generators.append(gen)
-        self._demux[tag] = gen
-        return gen
+                    service: Optional[str] = None) -> Client:
+        client = self._client(dst=dst, size=size,
+                              payload_factory=payload_factory,
+                              rng=rng or Rng(2), service=service)
+        client._closed(clients, think_time_us)
+        return client
 
     def open_loop(self, dst: str, rate_mpps: float, size: int,
                   payload_factory=None, rng: Optional[Rng] = None,
-                  poisson: bool = True) -> OpenLoopGenerator:
-        return OpenLoopGenerator(
-            self.sim, send=self.network.send,
-            src=self.name, dst=dst, rate_mpps=rate_mpps, size=size,
-            payload_factory=payload_factory, rng=rng, poisson=poisson)
+                  poisson: bool = True) -> Client:
+        client = self._client(dst=dst, size=size,
+                              payload_factory=payload_factory,
+                              rng=rng or Rng(1))
+        client._open(rate_mpps, poisson)
+        return client
+
+    def scripted(self, timeout_us: float = 2_000.0, connections: int = 0,
+                 service: Optional[str] = None) -> Client:
+        """A client a driver feeds through :meth:`Client.request`; its
+        requests retry after ``timeout_us`` and, with ``connections``,
+        carry the steering stamp."""
+        return self._client(service=service, timeout_us=timeout_us,
+                            connections=connections)
 
 
 class BuiltApp:
@@ -124,8 +129,10 @@ class Scenario:
     servers: Dict[str, Server] = field(default_factory=dict)
     clients: Dict[str, ClientPort] = field(default_factory=dict)
     apps: List[BuiltApp] = field(default_factory=list)
-    generators: List[object] = field(default_factory=list)
-    #: the spec's fleet index behind each generator, in construction
+    #: every fleet's clients, one per fleet (per shard leader for a
+    #: ``shard:`` fleet), in construction order
+    generators: List[Client] = field(default_factory=list)
+    #: the spec's fleet index behind each client, in construction
     #: order (``_collect`` merges rack shards by it)
     gen_fleets: List[int] = field(default_factory=list)
     fault_plane: Optional[FaultPlane] = None
@@ -140,9 +147,6 @@ class Scenario:
 
     def server(self, name: str) -> Server:
         return self.servers[name]
-
-    def client(self, name: str) -> ClientPort:
-        return self.clients[name]
 
     def ipipe_runtimes(self) -> List[Tuple[str, IPipeRuntime]]:
         """``(name, runtime)`` of every server that runs iPipe (Floem
@@ -162,8 +166,8 @@ class Scenario:
                      else self.spec.duration_us)
 
     def stop(self) -> None:
-        for gen in self.generators:
-            gen.stop()
+        for client in self.generators:
+            client.stop()
         for server in self.servers.values():
             server.runtime.stop()
 
@@ -383,17 +387,17 @@ def _build_fleet(scenario: Scenario, fleet: FleetSpec,
         factory = _make_workload(fleet, shard)
         seed = fleet.seed if shard is None else fleet.seed + 1000 * shard
         if fleet.mode == "closed":
-            gen = port.closed_loop(
+            client = port.closed_loop(
                 dst=dst, clients=fleet.clients, size=fleet.size,
                 payload_factory=factory, rng=Rng(seed),
                 think_time_us=fleet.think_time_us,
                 service=fleet.service())
         else:
-            gen = port.open_loop(
+            client = port.open_loop(
                 dst=dst, rate_mpps=fleet.rate_mpps / len(targets),
                 size=fleet.size, payload_factory=factory,
                 rng=Rng(seed), poisson=fleet.poisson)
-        scenario.generators.append(gen)
+        scenario.generators.append(client)
         scenario.gen_fleets.append(fleet_idx)
 
 

@@ -300,7 +300,7 @@ def test_checkplane_auto_wires_runtime_monitors():
     gen = client.closed_loop(dst="s0", clients=4, size=256)
     bed.sim.run(until=2_000.0)                 # strict: violations raise
     gen.stop()
-    assert gen.completed > 10
+    assert gen.answered > 10
     assert plane.violations == []
 
 
@@ -316,3 +316,75 @@ def test_checkplane_nonstrict_collects_instead_of_raising():
     assert len(plane.violations) == 1
     assert plane.violations[0].monitor == "dmo"
     assert plane.violations[0].component == "s0"
+
+
+# -- request accounting ----------------------------------------------------------
+
+def _requests_run():
+    """One client port with a closed-loop, an open-loop and a scripted
+    client (a 5 us retry timeout, so it retransmits and sees duplicate
+    replies), 2 ms under a non-strict CheckPlane."""
+    from repro.scenario import (AppSpec, ClientSpec, FleetSpec, RackSpec,
+                                ScenarioSpec, ServerSpec, build)
+    sim = Simulator()
+    plane = CheckPlane(sim, strict=False)
+    scenario = build(ScenarioSpec(
+        name="requests", seed=5, duration_us=2_000.0,
+        racks=(RackSpec(name="rack0",
+                        servers=(ServerSpec(name="s0", host_workers=2),),
+                        clients=(ClientSpec("client"),)),),
+        apps=(AppSpec(kind="rkv", servers=("s0",)),),
+        fleets=(FleetSpec(client="client", dst="s0", mode="closed",
+                          clients=2, size=256, workload="kv", seed=1),
+                FleetSpec(client="client", dst="s0", mode="open",
+                          rate_mpps=0.05, size=256, workload="kv",
+                          seed=2))), sim=sim)
+    scripted = scenario.clients["client"].scripted(timeout_us=5.0)
+    for i in range(5):
+        sim.post_at(100.0 * i, scripted.request, "s0", "rkv-get",
+                    {"key": f"k{i}"}, 96)
+    scenario.run(until=2_000.0)
+    scenario.stop()
+    found = [v for v in plane.violations if v.monitor == "requests"]
+    return plane, scenario.clients["client"], found
+
+
+def test_request_monitor_is_clean_on_a_mixed_port():
+    plane, port, found = _requests_run()
+    assert "requests" in [m.name for m in plane.monitors]
+    closed, opened, scripted = port.clients.values()
+    assert (closed.mode, opened.mode, scripted.mode) == (
+        "closed", "open", "scripted")
+    assert all(client.answered > 0 for client in port.clients.values())
+    assert scripted.retransmits > 0 and scripted.duplicates > 0
+    assert found == []
+
+
+def test_request_monitor_flags_a_reply_dropped_without_a_count(monkeypatch):
+    from repro.net import Client
+    answer = Client._answer
+
+    def drop_some(client, packet, seq):
+        if seq % 5 == 3:
+            return                  # matched to its client, never counted
+        answer(client, packet, seq)
+
+    monkeypatch.setattr(Client, "_answer", drop_some)
+    _, _, found = _requests_run()
+    assert found
+    assert all(v.message.startswith("replies: port 'client'")
+               for v in found)
+
+
+def test_request_monitor_flags_a_request_forgotten_by_its_client(
+        monkeypatch):
+    from repro.net import Client
+
+    def forget(client, seq):
+        client._pending.pop(seq, None)    # gives up without a count
+
+    monkeypatch.setattr(Client, "_retry", forget)
+    _, _, found = _requests_run()
+    assert found
+    assert all(v.message.startswith("ledger: client 'client#2'")
+               for v in found)

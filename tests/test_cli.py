@@ -306,3 +306,18 @@ def test_run_rejects_process_shards_in_one_line(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert "process-backed shards were removed" in err
+
+
+@pytest.mark.parametrize("name, sent, answered", [
+    ("multi-rack-rkv", 1624, 1623),
+    ("multi-rack-rebalance", 290, 290),
+])
+def test_scenario_run_prints_answered_of_sent_on_open_loop_specs(
+        capsys, name, sent, answered):
+    # the open-loop fleets' answers come from the client ledgers, so the
+    # summary agrees with the replies the client port received
+    assert main(["scenario", "run", name]) == 0
+    out = capsys.readouterr().out
+    assert f"  sent {sent}, answered {answered} (" in out
+    assert f"  client client0: {answered} replies" in out
+    assert "completed 0" not in out

@@ -34,7 +34,7 @@ def test_end_to_end_echo_roundtrip():
         server.runtime.dispatch_table[pkt_kind] = "echo"
     bed.sim.run(until=5_000.0)
     gen.stop()
-    assert gen.completed > 100
+    assert gen.answered > 100
     # RTT = wire (≈2×1µs) + queue + 2µs handler + sync overheads
     assert 3.0 < gen.latency.mean < 15.0
 
@@ -81,7 +81,7 @@ def test_host_located_actor_served_via_channel():
     gen = client.closed_loop(dst="server", clients=2, size=256)
     bed.sim.run(until=5_000.0)
     gen.stop()
-    assert gen.completed > 50
+    assert gen.answered > 50
     # host path: extra PCIe crossings both ways → slower than NIC echo
     assert gen.latency.mean > 5.0
     assert server.runtime.host_ops > 50
@@ -149,11 +149,11 @@ def test_forced_migration_moves_actor_and_objects():
     assert rt.dmo.read("echo", obj.object_id) == "state"
     assert rt.dmo.tables[Location.HOST].get(obj.object_id) is not None
     # service continues on the host
-    before = gen.completed
+    before = gen.answered
     gen2 = client.closed_loop(dst="server", clients=2, size=256)
     bed.sim.run(until=25_000.0)
     gen2.stop()
-    assert gen2.completed > 10
+    assert gen2.answered > 10
 
 
 def test_pull_migration_brings_actor_back():
@@ -212,7 +212,7 @@ def test_dos_actor_killed_by_watchdog():
     gen.stop()
     assert not evil.schedulable  # killed
     assert server.runtime.config.isolation.kills == ["evil"]
-    assert gen.completed > 50  # good actor kept running
+    assert gen.answered > 50  # good actor kept running
     # The watchdog is checked at each command boundary: evil is armed
     # at ~101.2 µs and yields every 10 µs, so the first boundary past
     # the 50 µs timeout is 60 µs in.

@@ -8,13 +8,12 @@ from repro.net import (
     MIN_FRAME,
     Fabric,
     Link,
-    OpenLoopGenerator,
     Packet,
-    ClosedLoopGenerator,
     line_rate_pps,
     serialization_delay_us,
     wire_bits,
 )
+from repro.scenario.build import ClientPort
 from repro.sim import Rng, Simulator
 
 
@@ -147,11 +146,22 @@ def test_switch_drops_unknown_destination():
     assert net.switch.dropped == 1
 
 
+class _Sink:
+    """A network stand-in that hands every sent packet to ``send``."""
+
+    def __init__(self, send):
+        self.send = send
+
+
+def _port(sim, send):
+    return ClientPort(sim, _Sink(send), "c")
+
+
 def test_open_loop_generator_rate():
     sim = Simulator()
     count = []
-    gen = OpenLoopGenerator(sim, send=lambda p: count.append(p), src="c",
-                            dst="s", rate_mpps=1.0, size=64, rng=Rng(3))
+    gen = _port(sim, count.append).open_loop(dst="s", rate_mpps=1.0,
+                                             size=64, rng=Rng(3))
     sim.run(until=10_000.0)
     gen.stop()
     # 1 Mpps for 10 ms → ~10k packets (Poisson, ±5%)
@@ -161,9 +171,8 @@ def test_open_loop_generator_rate():
 def test_open_loop_stop_halts_emissions():
     sim = Simulator()
     sent_at = []
-    gen = OpenLoopGenerator(sim, send=lambda p: sent_at.append(sim.now),
-                            src="c", dst="s", rate_mpps=1.0, size=64,
-                            rng=Rng(5))
+    gen = _port(sim, lambda p: sent_at.append(sim.now)).open_loop(
+        dst="s", rate_mpps=1.0, size=64, rng=Rng(5))
     sim.post_at(20.0, gen.stop)
     sim.run(until=200.0)
     assert sent_at
@@ -175,8 +184,8 @@ def test_open_loop_stop_halts_emissions():
 def test_open_loop_deterministic_spacing():
     sim = Simulator()
     times = []
-    OpenLoopGenerator(sim, send=lambda p: times.append(sim.now), src="c",
-                      dst="s", rate_mpps=0.5, size=64, poisson=False)
+    _port(sim, lambda p: times.append(sim.now)).open_loop(
+        dst="s", rate_mpps=0.5, size=64, poisson=False)
     sim.run(until=10.0)
     assert times == [pytest.approx(2.0 * k) for k in range(1, 6)]
 
@@ -192,14 +201,14 @@ def test_closed_loop_generator_measures_latency():
         sim.post(5.0, net.send, packet.reply())
 
     net.attach("server", server_receive)
-    gen = ClosedLoopGenerator(
-        sim, send=net.send, src="client", dst="server", clients=4, size=256)
-    net.attach("client", gen.on_reply)
+    port = ClientPort(sim, net, "client")
+    net.attach("client", port.receive)
+    gen = port.closed_loop(dst="server", clients=4, size=256)
     gen_holder["gen"] = gen
     sim.run(until=5_000.0)
     gen.stop()
-    assert gen.completed > 100
+    assert gen.answered > 100
     # round trip = 2 × (two link hops + switch) + 5 µs service
     assert 6.0 < gen.latency.mean < 12.0
     # closed loop: in-flight never exceeds client count
-    assert gen.sent - gen.completed <= 4
+    assert gen.sent - gen.answered <= 4

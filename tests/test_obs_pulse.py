@@ -462,8 +462,8 @@ def test_shipped_fleet_feeds_its_service_slo():
     gold = [gen for gen, idx in zip(scenario.generators,
                                     scenario.gen_fleets)
             if scenario.spec.fleets[idx].tenant == "gold"]
-    assert len(gold) == 1 and gold[0].completed > 0
+    assert len(gold) == 1 and gold[0].answered > 0
     pulse = scenario.pulse_plane
-    assert pulse.latency["rkv"].count == gold[0].completed
+    assert pulse.latency["rkv"].count == gold[0].answered
     assert any(not no_data(v)
                for v in pulse.store.get("svc.rkv.p99").values())

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import Actor
 from repro.core.actor import Location
-from repro.experiments.chaos_study import ChaosClient, run_rkv_chaos
+from repro.experiments.chaos_study import run_rkv_chaos
 from repro.experiments.testbed import make_testbed
 from repro.nic import LIQUIDIO_CN2350
 from repro.obs import TracePlane, Tracer
@@ -72,7 +72,7 @@ def test_accel_span_nested_in_service():
 
     server = bed.add_server("s0", LIQUIDIO_CN2350)
     server.runtime.register_actor(Actor("crc", handler, location=Location.NIC))
-    client = ChaosClient(bed.sim, bed.network)
+    client = bed.add_client("client").scripted()
     client.request("s0", "crc", {})
     bed.sim.run(until=10_000.0)
     assert client.answered == 1

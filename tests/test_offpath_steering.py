@@ -45,7 +45,7 @@ def test_bypass_traffic_skips_nic_cores():
     bed.sim.run(until=5_000.0)
     gen.stop()
     server.runtime.stop()
-    assert gen.completed > 50
+    assert gen.answered > 50
     assert server.nic.nic_switch.steered_host > 50
     # requests never consumed NIC-core time on arrival (only host→wire TX
     # forwarding items touch the NIC)
@@ -63,7 +63,7 @@ def test_nic_actor_traffic_still_reaches_scheduler():
     bed.sim.run(until=5_000.0)
     gen.stop()
     server.runtime.stop()
-    assert gen.completed > 50
+    assert gen.answered > 50
     assert server.runtime.nic_scheduler.ops_completed > 50
     assert server.nic.nic_switch.rules.get("data") is None
 

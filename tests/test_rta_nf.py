@@ -289,6 +289,44 @@ def test_ipsec_roundtrip_any_payload(payload):
     assert rx.decapsulate(tx.encapsulate(payload)) == payload
 
 
+def _reference_encapsulate(gateway, plaintext):
+    """The byte-by-byte ESP encapsulation the gateway used to run: one
+    keystream block summed per loop step, XOR through a generator."""
+    import hashlib
+    import hmac
+    import struct
+    gateway.sequence += 1
+    iv = hashlib.sha256(struct.pack(">QI", gateway.sequence,
+                                    gateway.spi)).digest()[:16]
+    blocks, counter = [], 0
+    while sum(len(b) for b in blocks) < len(plaintext):
+        blocks.append(hashlib.sha256(
+            gateway.key + iv + struct.pack(">Q", counter)).digest())
+        counter += 1
+    stream = b"".join(blocks)[:len(plaintext)]
+    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+    header = struct.pack(">II", gateway.spi, gateway.sequence)
+    icv = hmac.new(gateway.auth_key, header + iv + ciphertext,
+                   hashlib.sha1).digest()[:12]
+    return (gateway.spi, gateway.sequence, iv, ciphertext, icv)
+
+
+@given(st.lists(st.binary(min_size=0, max_size=1500), min_size=1,
+                max_size=4),
+       st.binary(min_size=32, max_size=32), st.binary(min_size=1,
+                                                      max_size=40),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_ipsec_encapsulate_matches_the_bytewise_reference(
+        payloads, key, auth_key, spi):
+    fast = IpsecGateway(key=key, auth_key=auth_key, spi=spi)
+    slow = IpsecGateway(key=key, auth_key=auth_key, spi=spi)
+    for payload in payloads:
+        esp = fast.encapsulate(payload)
+        assert (esp.spi, esp.sequence, esp.iv, esp.ciphertext, esp.icv) \
+            == _reference_encapsulate(slow, payload)
+
+
 def test_ipsec_rejects_short_key():
     with pytest.raises(ValueError):
         IpsecGateway(key=b"short")

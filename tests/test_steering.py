@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.check import CheckPlane, SteeringMonitor
 from repro.core.migration import CrossRackMigrator, MigrationInterrupted
 from repro.experiments.steering_study import (
-    SteeredChaosClient,
     rebalance_spec,
     run_rebalance_chaos,
 )
@@ -279,10 +278,8 @@ def _steered_bed(seed=11):
     sim = Simulator()
     CheckPlane(sim, strict=False)
     bed = build(spec, sim=sim)
-    client = SteeredChaosClient(bed.sim, bed.network, name="client0",
-                                timeout_us=2_500.0,
-                                port=bed.clients["client0"],
-                                connections=1)
+    client = bed.clients["client0"].scripted(timeout_us=2_500.0,
+                                             connections=1)
     return bed, client
 
 
@@ -304,8 +301,8 @@ def test_cross_rack_migration_zero_loss_and_handoff():
     bed, client = _steered_bed()
     migrator = CrossRackMigrator(bed.sim, steering=bed.steering)
     flow = _flow_on(bed, "r1s0")
-    client.decorate = lambda pkt, rid: pkt.meta.update(
-        req_uid=("req", rid), steer_key=f"client0:{flow}")
+    client.stamp = lambda pkt, seq: pkt.meta.update(
+        req_uid=("req", seq), steer_key=f"client0:{flow}")
     actors, detach, attach = _movable(bed, "r1s0")
     src = bed.server("r1s0").runtime
     dst = bed.server("r0s1").runtime
@@ -325,8 +322,8 @@ def test_cross_rack_migration_zero_loss_and_handoff():
 
     spawn(bed.sim, driver(), name="driver")
     bed.sim.run(until=30_000.0)
-    assert client.lost == 0 and client.answered == 8
-    assert client.duplicate_replies == 0
+    assert client.sent == client.answered == 8
+    assert client.duplicates == 0
     # the backend now lives on the destination
     assert src.actors.lookup("consensus") is None
     assert dst.actors.lookup("consensus") is not None
@@ -340,12 +337,21 @@ def test_cross_rack_migration_zero_loss_and_handoff():
     assert node.memtable.get("k0") == b"x" * 32
 
 
-def test_phase3_arrival_is_buffered_then_forwarded():
+def test_phase3_arrival_is_buffered_then_forwarded(monkeypatch):
+    from repro.scenario.build import ClientPort
+    replies = []
+    receive = ClientPort.receive
+
+    def tap(port, packet):
+        replies.append(packet)
+        receive(port, packet)
+
+    monkeypatch.setattr(ClientPort, "receive", tap)
     bed, client = _steered_bed()
     migrator = CrossRackMigrator(bed.sim, steering=bed.steering)
     flow = _flow_on(bed, "r1s0")
-    client.decorate = lambda pkt, rid: pkt.meta.update(
-        req_uid=("req", rid), steer_key=f"client0:{flow}")
+    client.stamp = lambda pkt, seq: pkt.meta.update(
+        req_uid=("req", seq), steer_key=f"client0:{flow}")
     node = bed.app("rkv").nodes["r1s0"]
     node.prefill(2_000, 64)  # fatten the checkpoint: long phase 3
     actors, detach, attach = _movable(bed, "r1s0")
@@ -365,11 +371,11 @@ def test_phase3_arrival_is_buffered_then_forwarded():
     bed.sim.post_at(t0 + 45.0, client.request, "svc:rkv", "rkv-get",
                     {"key": "key0000000000001"})
     bed.sim.run(until=20_000.0)
-    assert client.lost == 0 and client.answered == 1
+    assert client.sent == client.answered == 1
     report = migrator.reports[0]
     assert report.forwarded_requests >= 1
     assert report.moved_bytes > 100_000
-    assert client.replies[0].payload["value"] is not None
+    assert [r.payload["value"] is not None for r in replies] == [True]
 
 
 def test_retransmit_racing_repoint_is_suppressed():
@@ -377,8 +383,8 @@ def test_retransmit_racing_repoint_is_suppressed():
     client.timeout_us = 40.0  # retransmit while the move is in flight
     migrator = CrossRackMigrator(bed.sim, steering=bed.steering)
     flow = _flow_on(bed, "r1s0")
-    client.decorate = lambda pkt, rid: pkt.meta.update(
-        req_uid=("req", rid), steer_key=f"client0:{flow}")
+    client.stamp = lambda pkt, seq: pkt.meta.update(
+        req_uid=("req", seq), steer_key=f"client0:{flow}")
     node = bed.app("rkv").nodes["r1s0"]
     node.prefill(2_000, 64)
     actors, detach, attach = _movable(bed, "r1s0")
@@ -395,11 +401,11 @@ def test_retransmit_racing_repoint_is_suppressed():
     bed.sim.post_at(t0 + 30.0, client.request, "svc:rkv", "rkv-put",
                     {"key": "kk", "value": b"v" * 16}, 140)
     bed.sim.run(until=20_000.0)
-    assert client.answered == 1 and client.lost == 0
+    assert client.sent == client.answered == 1
     assert client.retransmits >= 1
     # both copies reached the wire; exactly one was delivered
     assert src.steer_suppressed + dst.steer_suppressed >= 1
-    assert client.duplicate_replies == 0
+    assert client.duplicates == 0
     assert not [v for v in bed.sim.checker.violations
                 if v.monitor == "steering"]
 
