@@ -9,11 +9,6 @@ Three tools that keep the reproduction honest (see ``docs/CHECKING.md``):
 * :func:`lint_tree` — the ``repro lint`` static pass over ``src/repro``.
 """
 
-from .equiv import (
-    canonical_digest,
-    canonical_events,
-    session_digest,
-)
 from .lint import RULES, LintFinding, lint_file, lint_source, lint_tree
 from .monitors import (
     ChannelMonitor,
@@ -45,9 +40,6 @@ __all__ = [
     "CheckPlane",
     "CheckResult",
     "ChannelMonitor",
-    "canonical_digest",
-    "canonical_events",
-    "session_digest",
     "DmoMonitor",
     "Hazard",
     "InvariantViolation",

@@ -16,7 +16,7 @@ Usage::
     python -m repro scenario list
     python -m repro scenario validate
     python -m repro scenario run multi-rack-rkv --duration-us 5000
-    python -m repro run multi-rack-rkv --shards by-rack --compare-serial
+    python -m repro run multi-rack-rkv
 
 ``--jobs N`` fans a figure's grid out to N worker processes through the
 sweep executor (results are bit-identical to a serial run); ``sweep``
@@ -26,10 +26,7 @@ dirty points; ``bench`` emits the perf baseline ``BENCH_sweep.json``;
 ``lint`` runs the static nondeterminism-hazard pass (docs/CHECKING.md);
 ``scenario`` lists, validates, and runs declarative deployment specs
 (docs/SCENARIOS.md) — shipped specs are also ``check`` targets as
-``scenario-<name>``; ``run`` is shorthand for ``scenario run`` and takes
-``--shards by-rack`` to execute a multi-rack spec on the parallel-in-time
-rack-shard executor (``--compare-serial`` proves the fingerprint matches
-the single-simulator run; see docs/PERFORMANCE.md).
+``scenario-<name>``; ``run`` is shorthand for ``scenario run``.
 
 ``--quick`` shrinks simulation durations ~4x for a fast look; the
 benchmark suite (``pytest benchmarks/ --benchmark-only``) remains the
@@ -423,13 +420,6 @@ def _cmd_bench(argv) -> int:
               f"warm cache {sw['cached_speedup']:.2f}x "
               f"(hit rate {sw['cache_hit_rate']:.0%}), "
               f"identical={sw['identical']}")
-    shard = bench.get("shard")
-    if shard and "shard" not in errored:
-        print(f"  shard ({shard['spec']}): {shard['racks']} racks, "
-              f"serial {shard['serial_s']:.2f}s vs sharded "
-              f"{shard['shard_s']:.2f}s ({shard['shard_speedup']:.2f}x), "
-              f"rounds={shard['rounds']}, "
-              f"fingerprint match={shard['match']}")
     for section in errored:
         print(f"  {section}: ERRORED: {bench[section]['error']}")
     if baseline is not None:
@@ -588,14 +578,6 @@ def _cmd_scenario(argv) -> int:
                        help="shipped name or .json/.toml path")
     p_run.add_argument("--duration-us", type=float, default=None,
                        help="override the spec's horizon")
-    p_run.add_argument("--shards", choices=("none", "by-rack"), default=None,
-                       help="execution mode override: by-rack runs one "
-                            "simulator per rack in conservative lookahead "
-                            "windows (default: the spec's own setting)")
-    p_run.add_argument("--compare-serial", action="store_true",
-                       help="also run the serial single-simulator "
-                            "execution and verify the fingerprints match "
-                            "(exit 1 on divergence)")
     args = parser.parse_args(argv)
 
     if args.cmd == "list":
@@ -633,7 +615,6 @@ def _cmd_scenario(argv) -> int:
                 print(f"ok   {ref} ({spec.name})")
         return 2 if unreadable else 1 if failures else 0
 
-    import dataclasses
     from .scenario import ScenarioError, run_scenario
     try:
         try:
@@ -641,18 +622,12 @@ def _cmd_scenario(argv) -> int:
         except (_BadFile, KeyError) as exc:
             print(exc.args[0], file=sys.stderr)
             return 2
-        if args.shards is not None:
-            spec = dataclasses.replace(spec, execution=dataclasses.replace(
-                spec.execution, shards=args.shards))
-        spec.validate()
         result = run_scenario(spec, duration_us=args.duration_us)
     except ScenarioError as exc:
         print(f"invalid spec {args.spec}: {exc}", file=sys.stderr)
         return 2
     print(f"scenario {result.name} (seed {result.seed}, "
-          f"{result.duration_us:.0f}µs"
-          + (f", shards={spec.execution.shards}"
-             if spec.execution.shards != "none" else "") + ")")
+          f"{result.duration_us:.0f}µs)")
     print(f"  sent {result.sent}, answered {result.answered} "
           f"({result.throughput_mops:.3f} Mops)")
     if result.completed:
@@ -667,17 +642,6 @@ def _cmd_scenario(argv) -> int:
         print(f"  faults {result.faults_injected}, "
               f"recoveries {result.recoveries}")
     print(f"  fingerprint {result.fingerprint()}")
-    if args.compare_serial:
-        from .exec.shard import serial_twin
-        sharded = spec.execution.shards == "by-rack"
-        serial = run_scenario(serial_twin(spec) if sharded else spec,
-                              duration_us=args.duration_us)
-        if serial.fingerprint() == result.fingerprint():
-            print("  serial equivalence: MATCH")
-        else:
-            print("  serial equivalence: MISMATCH")
-            print(f"  serial fingerprint {serial.fingerprint()}")
-            return 1
     return 0
 
 

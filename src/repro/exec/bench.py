@@ -16,12 +16,7 @@
   see :func:`~repro.exec.sweep.result_fingerprint`).  On a host without
   ≥2 effective cores the pool comparison is meaningless, so it is
   skipped and annotated (``pool_speedup: null`` + ``pool_note``;
-  ``effective_jobs`` is always stamped);
-* **shard** — wall-clock of the ``multi-rack-rkv`` scenario executed
-  serially vs through the parallel-in-time
-  :class:`~repro.exec.shard.RackShardExecutor`, asserting the result
-  fingerprints match.  Wall-clock only (never gated): in-process shards
-  measure the conservative-window coordination overhead.
+  ``effective_jobs`` is always stamped).
 
 Regression policy: ``check_regression`` fails when any ``*_eps`` metric
 in any section drops more than 30% below the committed baseline;
@@ -312,45 +307,6 @@ def sweep_bench(pool: int = 4, quick: bool = True,
     return out
 
 
-# -- shard benchmark -----------------------------------------------------------
-
-def shard_bench(spec_name: str = "multi-rack-rkv",
-                duration_us: float = 5_000.0) -> Dict[str, Any]:
-    """Serial vs rack-sharded wall clock on one multi-rack scenario.
-
-    Asserts the fingerprints match (the executor's contract).  Pure
-    wall-clock — never gated: in-process shards measure the
-    conservative-window coordination overhead."""
-    from ..scenario import load_shipped, run_scenario
-    from .shard import RackShardExecutor, serial_twin
-
-    spec = load_shipped(spec_name)
-    t0 = time.perf_counter()
-    serial = run_scenario(serial_twin(spec), duration_us=duration_us)
-    serial_s = time.perf_counter() - t0
-
-    executor = RackShardExecutor(spec, duration_us=duration_us)
-    t0 = time.perf_counter()
-    sharded = executor.run()
-    shard_s = time.perf_counter() - t0
-
-    match = serial.fingerprint() == sharded.fingerprint()
-    if not match:
-        raise RuntimeError(
-            f"sharded {spec_name} diverged from the serial run")
-    return {
-        "spec": spec_name,
-        "racks": len(spec.racks),
-        "duration_us": duration_us,
-        "serial_s": serial_s,
-        "shard_s": shard_s,
-        "shard_speedup": serial_s / shard_s if shard_s > 0 else 0.0,
-        "rounds": executor.rounds,
-        "transfers": executor.transfers,
-        "match": match,
-    }
-
-
 # -- figure wall-clock ---------------------------------------------------------
 
 def figure_wallclock(quick: bool = True, jobs: int = 1) -> Dict[str, float]:
@@ -404,7 +360,6 @@ def run_bench(pool: int = 4, quick: bool = True,
         },
         "kernel": _guarded(kernel_bench),
         "sweep": _guarded(lambda: sweep_bench(pool=pool, quick=quick)),
-        "shard": _guarded(shard_bench),
     }
     if figures:
         bench["figures_wall_s"] = _guarded(

@@ -150,7 +150,8 @@ def run_tenant_chaos(isolation: bool, aggressor: bool = True,
                        loss=loss, alive_cores=alive_cores, trace=trace)
 
     def setup(bed):
-        victim = bed.clients["victim0"].scripted(timeout_us=2_500.0)
+        victim = bed.clients["victim0"].scripted(timeout_us=2_500.0,
+                                                  service="rkv")
         batch = bed.clients["batch0"].scripted(timeout_us=3_000.0)
 
         def judge(violations):

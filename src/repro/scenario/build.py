@@ -132,8 +132,7 @@ class Scenario:
     #: every fleet's clients, one per fleet (per shard leader for a
     #: ``shard:`` fleet), in construction order
     generators: List[Client] = field(default_factory=list)
-    #: the spec's fleet index behind each client, in construction
-    #: order (``_collect`` merges rack shards by it)
+    #: the spec's fleet index behind each client, in construction order
     gen_fleets: List[int] = field(default_factory=list)
     fault_plane: Optional[FaultPlane] = None
     trace_plane: Optional[object] = None
@@ -292,11 +291,8 @@ APP_NODES: Dict[str, Optional[Callable]] = {
 
 
 def _build_app(scenario: Scenario, app: AppSpec) -> BuiltApp:
-    """Place one app.  Replica groups (and leaders) are always computed
-    from the *spec's* full server list, but nodes are only instantiated
-    for servers present in ``scenario.servers`` — a rack-sharded build
-    passes a partial server set and peers address remote group members
-    by name over the fabric, exactly as the serial build does."""
+    """Place one app: its replica groups, leaders and one node per
+    placed server."""
     all_servers = scenario.spec.server_names()
     built = BuiltApp(app, app.replica_groups(all_servers))
     make = APP_NODES[app.kind]
@@ -305,10 +301,8 @@ def _build_app(scenario: Scenario, app: AppSpec) -> BuiltApp:
     built.leaders = app.leaders(all_servers)
     for group, leader in zip(built.groups, built.leaders):
         for name in group:
-            server = scenario.servers.get(name)
-            if server is not None:
-                built.nodes[name] = make(server.runtime, name, group,
-                                         leader, app.options)
+            built.nodes[name] = make(scenario.servers[name].runtime, name,
+                                     group, leader, app.options)
     return built
 
 
@@ -403,8 +397,7 @@ def _build_fleet(scenario: Scenario, fleet: FleetSpec,
 
 # -- the entry point ----------------------------------------------------------
 
-def build(spec: ScenarioSpec, sim: Optional[Simulator] = None,
-          network: Optional[Fabric] = None) -> Scenario:
+def build(spec: ScenarioSpec, sim: Optional[Simulator] = None) -> Scenario:
     """Assemble the whole simulation a spec describes.
 
     Construction order is part of the contract (it fixes the event
@@ -415,19 +408,10 @@ def build(spec: ScenarioSpec, sim: Optional[Simulator] = None,
     ``watch_scenario`` method (a CheckPlane) registers the monitors the
     built planes call for; a checker with only the engine hooks is left
     as it is.
-
-    Pass ``network`` (a fabric with its nodes placed) to build only the
-    racks it holds, inside its simulator: the rack-sharded executor
-    builds each rack this way.  Apps still compute their replica groups
-    from the whole spec, so local nodes address remote peers by name.
     """
     spec.validate()
-    if network is None:
-        sim = sim or Simulator()
-        network = make_fabric(sim, spec.fabric, spec.racks)
-    else:
-        sim = network.sim
-    racks = [rack for rack in spec.racks if rack.name in network.switches]
+    sim = sim or Simulator()
+    network = make_fabric(sim, spec.fabric, spec.racks)
     scenario = Scenario(spec=spec, sim=sim, network=network)
 
     if spec.observability.trace:
@@ -446,7 +430,7 @@ def build(spec: ScenarioSpec, sim: Optional[Simulator] = None,
     if delay is not None:
         scenario.recovery = RecoveryPolicy(restart_delay_us=delay)
 
-    for rack in racks:
+    for rack in spec.racks:
         for sspec in rack.servers:
             scenario.servers[sspec.name] = make_server(
                 sim, network, sspec.name, resolve_nic(sspec.nic),
@@ -468,15 +452,14 @@ def build(spec: ScenarioSpec, sim: Optional[Simulator] = None,
     if spec.steering:
         _build_steering(scenario)
 
-    for rack in racks:
+    for rack in spec.racks:
         for cspec in rack.clients:
             port = ClientPort(sim, network, cspec.name)
             network.attach(cspec.name, port.receive, rack=rack.name)
             scenario.clients[cspec.name] = port
 
     for fleet_idx, fleet in enumerate(spec.fleets):
-        if fleet.client in scenario.clients:
-            _build_fleet(scenario, fleet, fleet_idx)
+        _build_fleet(scenario, fleet, fleet_idx)
 
     if scenario.fault_plane is not None:
         scenario.fault_plane.wire_network(network)

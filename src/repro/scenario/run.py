@@ -54,22 +54,13 @@ class ScenarioResult:
         )
 
 
-def _collect(scenarios: List[Scenario],
-             duration_us: float) -> ScenarioResult:
-    """Report one run: a single scenario when serial, one per rack when
-    rack-sharded.  Latency samples concatenate by (fleet index,
-    construction order) — the serial order, so the float summation in
-    the mean is too — and spine counters sum over the per-rack spine
-    replicas."""
-    spec = scenarios[0].spec
+def _collect(scenario: Scenario, duration_us: float) -> ScenarioResult:
+    """Report one run from its client ledgers and switch counters."""
+    spec = scenario.spec
     result = ScenarioResult(name=spec.name, seed=spec.seed,
                             duration_us=duration_us)
-    generators = sorted(
-        ((fleet_idx, gen) for scenario in scenarios
-         for fleet_idx, gen in zip(scenario.gen_fleets, scenario.generators)),
-        key=lambda entry: entry[0])
     latencies: List[float] = []
-    for _, client in generators:
+    for client in scenario.generators:
         result.sent += client.sent
         result.answered += client.answered
         # closed-loop fleets only: hostbench pins completed == 0 on its
@@ -84,29 +75,25 @@ def _collect(scenarios: List[Scenario],
         rec.samples = latencies
         result.mean_latency_us = rec.mean
         result.p99_latency_us = rec.p99
-    spines = [scenario.network.spine for scenario in scenarios
-              if scenario.network.spine is not None]
-    for scenario in scenarios:
-        for name, port in scenario.clients.items():
-            result.client_received[name] = port.received
-        for tor in scenario.network.switches.values():
-            result.switch_counters[tor.name] = (tor.forwarded, tor.dropped)
-        for name, server in scenario.servers.items():
-            runtime = server.runtime
-            result.host_cores[name] = runtime.host_cores_used(duration_us)
-            if server.nic is not None:
-                result.nic_cores[name] = server.nic.cores_used(duration_us)
-        plane = scenario.fault_plane
-        if plane is not None:
-            result.faults_injected += plane.snapshot().total
-            from ..core import recovery_snapshot
-            result.recoveries += sum(
-                recovery_snapshot(runtime).restarts
-                for _, runtime in scenario.ipipe_runtimes())
-    if spines:
-        result.switch_counters["spine"] = (
-            sum(spine.forwarded for spine in spines),
-            sum(spine.dropped for spine in spines))
+    for name, port in scenario.clients.items():
+        result.client_received[name] = port.received
+    for tor in scenario.network.switches.values():
+        result.switch_counters[tor.name] = (tor.forwarded, tor.dropped)
+    spine = scenario.network.spine
+    if spine is not None:
+        result.switch_counters["spine"] = (spine.forwarded, spine.dropped)
+    for name, server in scenario.servers.items():
+        runtime = server.runtime
+        result.host_cores[name] = runtime.host_cores_used(duration_us)
+        if server.nic is not None:
+            result.nic_cores[name] = server.nic.cores_used(duration_us)
+    plane = scenario.fault_plane
+    if plane is not None:
+        result.faults_injected = plane.snapshot().total
+        from ..core import recovery_snapshot
+        result.recoveries = sum(
+            recovery_snapshot(runtime).restarts
+            for _, runtime in scenario.ipipe_runtimes())
     return result
 
 
@@ -114,19 +101,14 @@ def run_scenario(spec: ScenarioSpec,
                  duration_us: Optional[float] = None) -> ScenarioResult:
     """Build the spec's scenario, run it to the horizon, report counters.
 
-    A spec with ``execution.shards == "by-rack"`` is dispatched to the
-    parallel-in-time :class:`~repro.exec.shard.RackShardExecutor`; the
-    result (and its fingerprint) is identical either way — that
-    equivalence is the executor's contract.
+    Every spec runs on one simulator; ``execution.shards`` only picks
+    the default fault streams (see :class:`~repro.scenario.spec.ExecSpec`).
     """
-    if spec.execution.shards == "by-rack":
-        from ..exec.shard import RackShardExecutor
-        return RackShardExecutor(spec, duration_us=duration_us).run()
     scenario = build(spec)
     horizon = duration_us if duration_us is not None else spec.duration_us
     scenario.run(until=horizon)
     scenario.stop()
-    return _collect([scenario], horizon)
+    return _collect(scenario, horizon)
 
 
 # -- shipped specs ------------------------------------------------------------

@@ -33,7 +33,7 @@ from ..nic import (
 from ..core.scheduler import SchedulerConfig
 from ..net.packet import MIN_FRAME
 from ..net.steering import RebalanceSpec
-from ..sim.faults import EVENT_KINDS, FaultSpec
+from ..sim.faults import FaultSpec
 
 SPEC_VERSION = 1
 
@@ -459,24 +459,18 @@ FAULT_STREAM_MODES = ("auto", "shared", "per-component")
 class ExecSpec:
     """How to execute the built scenario.
 
-    ``shards="by-rack"`` hands the spec to
-    :class:`repro.exec.shard.RackShardExecutor`: each rack runs as its
-    own :class:`~repro.sim.engine.Simulator`, exchanging timestamped
-    cross-rack packets at the spine boundary under a conservative
-    lookahead window equal to the fabric's inter-rack propagation delay.
-    The result is bit-identical to the serial run (same fingerprint,
-    same canonical event digest) — see docs/PERFORMANCE.md.  Shards
-    always run in-process.
-
-    ``processes`` must be 0: process-backed shards were removed (they
-    never beat the serial run).  The field stays only so that
-    ``hostbench/workloads.py``, which sets ``processes=0``, keeps working.
+    Every spec runs on one :class:`~repro.sim.engine.Simulator`
+    (docs/PERFORMANCE.md).  ``shards="by-rack"`` only makes
+    ``fault_streams="auto"`` per-component, so a by-rack spec keeps the
+    fingerprint the removed rack-sharded executor gave it.  ``shards``
+    and ``processes`` (which must be 0) stay because
+    ``hostbench/workloads.py`` sets both for its sharded workload.
 
     ``fault_streams`` picks how stochastic fault draws are keyed:
     ``"shared"`` is the classic one-stream-per-spec mode (pinned by
-    golden schedules), ``"per-component"`` keys draws by component so
-    schedules survive decomposition, ``"auto"`` resolves to
-    per-component exactly when sharding is on.
+    golden schedules), ``"per-component"`` keys each draw by its
+    component, ``"auto"`` resolves to per-component exactly for
+    ``shards="by-rack"``, which may not ask for shared streams.
     """
 
     shards: str = "none"               # none | by-rack
@@ -489,6 +483,10 @@ class ExecSpec:
         if self.processes != 0:
             raise ScenarioError(["process-backed shards were removed; "
                                  "processes must be 0"])
+        if self.shards == "by-rack" and self.fault_streams == "shared":
+            raise ScenarioError(["execution: by-rack selects "
+                                 "per-component fault streams; it cannot "
+                                 "take fault_streams 'shared'"])
 
     def resolved_fault_streams(self) -> str:
         if self.fault_streams != "auto":
@@ -530,19 +528,6 @@ class ScenarioSpec:
 
     def client_names(self) -> List[str]:
         return [c.name for rack in self.racks for c in rack.clients]
-
-    def rack_of(self, node: str) -> Optional[str]:
-        for rack in self.racks:
-            for s in rack.servers:
-                if s.name == node:
-                    return rack.name
-            for c in rack.clients:
-                if c.name == node:
-                    return rack.name
-        return None
-
-    def is_multi_rack(self) -> bool:
-        return len(self.racks) > 1
 
     def _leaders(self, kind: str) -> List[str]:
         """The group leaders of the first ``kind`` app, the servers
@@ -782,47 +767,6 @@ class ScenarioSpec:
             if fault.kind == "rack_down" and fault.target not in rack_name_set:
                 problems.append(f"fault rack_down: unknown rack "
                                 f"{fault.target!r}")
-        ex = self.execution
-        if ex.shards == "by-rack":
-            # the shard executor proves bit-identity against the serial
-            # run; planes that share mutable state across racks (or
-            # sample global time) are not decomposable yet and are
-            # rejected rather than silently diverging
-            if self.steering:
-                problems.append("execution: by-rack sharding does not "
-                                "support steering services yet")
-            if self.rebalance is not None:
-                problems.append("execution: by-rack sharding does not "
-                                "support the rebalancer yet")
-            if self.observability.trace:
-                problems.append("execution: by-rack sharding does not "
-                                "support tracing yet")
-            if self.observability.pulse is not None:
-                problems.append("execution: by-rack sharding does not "
-                                "support pulse sampling yet")
-            if self.observability.slos:
-                problems.append("execution: by-rack sharding does not "
-                                "support SLO evaluation yet")
-            if any(t.slos for t in self.tenants):
-                problems.append("execution: by-rack sharding does not "
-                                "support per-tenant SLO evaluation yet")
-            if ex.fault_streams == "shared":
-                problems.append(
-                    "execution: by-rack sharding needs per-component "
-                    "fault streams (shared streams depend on the global "
-                    "event interleaving)")
-            if self.is_multi_rack() \
-                    and self.fabric.inter_rack_propagation_us <= 0:
-                problems.append(
-                    "execution: by-rack sharding needs "
-                    "fabric.inter_rack_propagation_us > 0 (it is the "
-                    "conservative lookahead)")
-            for fault in self.faults:
-                if fault.kind in EVENT_KINDS and fault.max_count is not None:
-                    problems.append(
-                        f"execution: by-rack sharding cannot honour "
-                        f"max_count on event fault {fault.kind!r} (the cap "
-                        f"is a global count across shards)")
         if problems:
             raise ScenarioError(problems)
         return self

@@ -181,12 +181,8 @@ class FaultPlane:
         #: per-(spec, component) streams: the stochastic/counted decision
         #: for an event depends only on (seed, spec, component, match
         #: ordinal on that component) — not on the global interleaving of
-        #: matches across components.  This makes event-fault schedules
-        #: decomposition-stable, which is what lets the rack-sharded
-        #: executor reproduce the serial schedule exactly (each shard
-        #: sees only its own components, in the same per-component
-        #: order).  Off by default: the shared-stream mode is pinned by
-        #: existing golden fault schedules.
+        #: matches across components.  Off by default: the shared-stream
+        #: mode is pinned by existing golden fault schedules.
         self._component_streams = component_streams
         self._component_rngs: Dict[Tuple[int, str], Rng] = {}
         self._component_matched: Dict[Tuple[int, str], int] = {}
@@ -377,15 +373,6 @@ class FaultPlane:
         if idx in self._armed_rack_specs:
             return
         self._armed_rack_specs.add(idx)
-        # Only the fabric that owns the rack schedules the outage: a
-        # rack-sharded run wires one FaultPlane per shard against a
-        # single-rack fabric, and the non-owner shards must not emit
-        # phantom _fire_rack events (the merged event digest would
-        # diverge from the serial run).  The global fabric owns every
-        # declared rack, so this gate is a no-op for serial runs.
-        switches = getattr(self._network, "switches", None)
-        if switches is not None and self.specs[idx].target not in switches:
-            return
         for when in self.specs[idx].fire_times():
             self.sim.post_at(max(when, self.sim.now), self._fire_rack, idx)
 

@@ -1,30 +1,30 @@
-"""Equivalence tests for the rack-sharded parallel-in-time executor.
+"""A by-rack spec runs on the one serial simulator.
 
-The contract under test: running a multi-rack spec through
-:class:`repro.exec.shard.RackShardExecutor` produces a
-:class:`ScenarioResult` whose ``fingerprint()`` is bit-identical to the
-serial single-simulator run, and the canonical per-event digest
-(:mod:`repro.check.equiv`) matches — every event fires at the same
-virtual time running the same code in both decompositions.
+``execution.shards="by-rack"`` only makes ``fault_streams="auto"``
+resolve to per-component streams, so a by-rack run must equal its twin:
+the same spec with ``shards="none"`` and ``fault_streams="per-component"``.
+:class:`repro.exec.shard.RackShardExecutor` is kept as a name for
+``run_scenario``.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.check import session_digest
 from repro.check.sanitizer import SanitizerSession
 from repro.core.dmo import DmoError
-from repro.exec.shard import RackShardExecutor, serial_twin
+from repro.exec.shard import RackShardExecutor
 from repro.scenario import (
     AppSpec,
     ClientSpec,
     FabricSpec,
     FleetSpec,
+    PulseSpec,
     RackSpec,
     ScenarioError,
     ScenarioSpec,
     ServerSpec,
+    SLOSpec,
     TenantSpec,
     load_shipped,
     run_scenario,
@@ -39,31 +39,40 @@ try:
 except ImportError:          # pragma: no cover - hypothesis is optional
     HAVE_HYPOTHESIS = False
 
-def _sharded(spec):
-    return replace(spec, execution=replace(spec.execution, shards="by-rack"))
+
+def _by_rack(spec):
+    return replace(spec, execution=ExecSpec(shards="by-rack"))
+
+
+def _twin(spec):
+    return replace(spec, execution=ExecSpec(
+        shards="none", fault_streams="per-component"))
+
+
+def _same_as_twin(spec, duration_us=None):
+    ran = run_scenario(_by_rack(spec), duration_us=duration_us)
+    twin = run_scenario(_twin(spec), duration_us=duration_us)
+    assert ran.fingerprint() == twin.fingerprint()
+    return ran
 
 
 # -- shipped multi-rack specs ------------------------------------------------
 
 @pytest.mark.parametrize("name", ["multi-rack-rkv", "multi-rack-chaos"])
 def test_shipped_spec_fingerprints_match(name):
-    spec = load_shipped(name)
-    serial = run_scenario(serial_twin(spec), duration_us=2_000.0)
-    executor = RackShardExecutor(_sharded(spec), duration_us=2_000.0)
-    sharded = executor.run()
-    assert sharded.fingerprint() == serial.fingerprint()
-    assert executor.rounds > 0
-    assert executor.transfers > 0
+    _same_as_twin(load_shipped(name), duration_us=5_000.0)
 
 
 def test_canonical_event_digest_matches():
-    spec = load_shipped("multi-rack-rkv")
-    with SanitizerSession(guard_hazards=False) as serial_session:
-        serial = run_scenario(serial_twin(spec), duration_us=1_500.0)
-    with SanitizerSession(guard_hazards=False) as shard_session:
-        sharded = run_scenario(_sharded(spec), duration_us=1_500.0)
-    assert sharded.fingerprint() == serial.fingerprint()
-    assert session_digest(shard_session) == session_digest(serial_session)
+    # one simulator either way, so the sanitizer's own digest (time,
+    # callback and RNG position of every event) must match too
+    digests = []
+    for make in (_by_rack, _twin):
+        with SanitizerSession(keep_records=False) as session:
+            run_scenario(make(load_shipped("multi-rack-chaos")),
+                         duration_us=1_500.0)
+        digests.append((session.recorder.digest, session.recorder.steps))
+    assert digests[0] == digests[1] and digests[0][1] > 0
 
 
 def test_rack_down_fault_equivalence():
@@ -71,47 +80,40 @@ def test_rack_down_fault_equivalence():
     spec = replace(spec, faults=spec.faults + (
         FaultSpec(kind="rack_down", target="rack1",
                   at_us=(800.0,), duration_us=400.0),))
-    serial = run_scenario(serial_twin(spec), duration_us=3_000.0)
-    sharded = RackShardExecutor(spec, duration_us=3_000.0).run()
-    assert serial.faults_injected > 0
-    assert sharded.fingerprint() == serial.fingerprint()
+    assert _same_as_twin(spec, duration_us=3_000.0).faults_injected > 0
 
 
-# -- build-time planes: one construction path for both decompositions -------
+def test_by_rack_runs_steering_pulse_and_tracing():
+    # every plane runs on a by-rack spec: steering with its rebalancer,
+    # pulse sampling, an SLO and tracing, through a rack outage
+    spec = load_shipped("multi-rack-rebalance")
+    spec = replace(spec, observability=replace(
+        spec.observability, trace=True, pulse=PulseSpec(period_us=250.0),
+        slos=(SLOSpec.from_text("rkv p99 < 400us over 2ms"),)))
+    _by_rack(spec).validate()
+    assert _same_as_twin(spec).faults_injected > 0
+
+
+def test_rack_shard_executor_is_run_scenario():
+    spec = _by_rack(load_shipped("multi-rack-rkv"))
+    executor = RackShardExecutor(spec, duration_us=1_000.0)
+    result = executor.run()
+    assert result.fingerprint() == run_scenario(
+        spec, duration_us=1_000.0).fingerprint()
+    assert executor.rounds == executor.transfers == 0
+
+
+# -- build-time planes --------------------------------------------------------
 
 def test_tenant_dmo_budget_applies_to_sharded_builds():
     spec = load_shipped("multi-rack-rkv")
     spec = replace(spec, tenants=(TenantSpec(name="t", dmo_budget_bytes=1),),
                    apps=(replace(spec.apps[0], tenant="t"),))
     with pytest.raises(DmoError, match="budget"):
-        run_scenario(serial_twin(spec), duration_us=1_000.0)
-    with pytest.raises(DmoError, match="budget"):
-        RackShardExecutor(spec, duration_us=1_000.0).run()
+        run_scenario(_by_rack(spec), duration_us=1_000.0)
 
 
-def test_run_scenario_dispatches_by_rack():
-    spec = load_shipped("multi-rack-rkv")
-    serial = run_scenario(serial_twin(spec), duration_us=1_000.0)
-    sharded = run_scenario(_sharded(spec), duration_us=1_000.0)
-    assert sharded.fingerprint() == serial.fingerprint()
-
-
-def test_tight_lookahead_stresses_protocol_not_results():
-    spec = load_shipped("multi-rack-rkv")
-    base = spec.fabric.inter_rack_propagation_us
-    loose = RackShardExecutor(spec, duration_us=1_000.0)
-    tight = RackShardExecutor(spec, duration_us=1_000.0,
-                              lookahead_us=base / 4)
-    assert tight.lookahead_us == pytest.approx(base / 4)
-    # an override can only tighten the fabric-derived bound
-    assert RackShardExecutor(
-        spec, lookahead_us=base * 10).lookahead_us == pytest.approx(base)
-    reference = loose.run().fingerprint()
-    assert tight.run().fingerprint() == reference
-    assert tight.rounds > loose.rounds
-
-
-# -- degenerate and invalid decompositions -----------------------------------
+# -- degenerate and invalid specs ---------------------------------------------
 
 def test_single_rack_spec_degenerates_to_serial():
     spec = ScenarioSpec(
@@ -123,11 +125,7 @@ def test_single_rack_spec_degenerates_to_serial():
         apps=(AppSpec(kind="rkv", servers=("s0", "s1")),),
         fleets=(FleetSpec(client="c0", dst="shard:rkv", mode="open",
                           rate_mpps=0.05, seed=3),))
-    serial = run_scenario(serial_twin(spec))
-    executor = RackShardExecutor(_sharded(spec))
-    sharded = executor.run()
-    assert sharded.fingerprint() == serial.fingerprint()
-    assert executor.transfers == 0
+    assert _same_as_twin(spec).sent > 0
 
 
 @pytest.mark.parametrize("mutation, fragment", [
@@ -135,25 +133,10 @@ def test_single_rack_spec_degenerates_to_serial():
     (dict(shards="by-rack", processes=3), "processes"),
 ])
 def test_by_rack_validation_rejections(mutation, fragment):
-    # processes is a rule on one field, so ExecSpec itself refuses it
+    # both are rules on ExecSpec's own fields, so ExecSpec refuses them
     with pytest.raises(ScenarioError, match=fragment):
         replace(load_shipped("multi-rack-rkv"),
                 execution=ExecSpec(**mutation)).validate()
-
-
-def test_by_rack_rejects_tracing():
-    spec = load_shipped("multi-rack-rkv")
-    spec = _sharded(replace(
-        spec, observability=replace(spec.observability, trace=True)))
-    with pytest.raises(ScenarioError, match="tracing"):
-        RackShardExecutor(spec)
-
-
-def test_executor_forces_by_rack_validation_on_serial_specs():
-    spec = replace(load_shipped("multi-rack-rkv"),
-                   execution=ExecSpec(shards="none", fault_streams="shared"))
-    with pytest.raises(ScenarioError, match="per-component"):
-        RackShardExecutor(spec)
 
 
 # -- randomized cross-rack traffic (hypothesis) ------------------------------
@@ -191,10 +174,7 @@ if HAVE_HYPOTHESIS:
            rack_down=st.booleans())
     def test_random_cross_rack_traffic_is_equivalent(racks, rate, seed,
                                                      rack_down):
-        spec = _random_grid_spec(racks, rate, seed, rack_down)
-        serial = run_scenario(serial_twin(spec))
-        sharded = RackShardExecutor(spec).run()
-        assert sharded.fingerprint() == serial.fingerprint()
+        _same_as_twin(_random_grid_spec(racks, rate, seed, rack_down))
 else:                        # pragma: no cover - hypothesis is optional
     @pytest.mark.skip(reason="hypothesis not installed")
     def test_random_cross_rack_traffic_is_equivalent():

@@ -210,8 +210,8 @@ def test_hooks_see_every_fired_event_in_order():
 
 
 def test_plane_installed_between_bounded_runs_sees_the_rest():
-    # The shard executor's pattern: bounded run(until=...) windows, with
-    # a plane attached between two of them.
+    # Bounded run(until=...) windows, with a plane attached between two
+    # of them.
     sim = Simulator()
     fired = []
     _plan(sim, fired, random.Random(5), 1_000, 100.0)

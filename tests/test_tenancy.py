@@ -410,3 +410,16 @@ def test_tenant_study_single_leg_smoke():
     assert report.invariants["tenants_tagged"]
     assert report.invariants["tenant_invariants"]
     assert dict(report.pulse["tenant_busy_us"])["victim"] > 0.0
+
+
+def test_tenant_study_feeds_the_victim_slo():
+    # the victim's client names its service, so the victim tenant's
+    # "rkv p99 < 400us over 2ms" SLO evaluates real samples
+    from repro.experiments.tenant_study import run_tenant_chaos
+    from repro.obs.metrics import no_data
+    report = run_tenant_chaos(isolation=True, aggressor=False,
+                              duration_us=6_000.0, n_requests=6)
+    pulse = report.pulse_plane
+    assert pulse.latency["rkv"].count == 6
+    values = pulse.store.get("slo.victim.rkv-p99.value").values()
+    assert values and any(not no_data(v) for v in values)
